@@ -6,6 +6,7 @@ failure. User errors never produce a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -169,6 +170,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             report["alpha"] = learn_report.alpha
             report["m"] = cfg.m if cfg.m is not None else max(data.p - 2, 0)
             report["tests_run"] = learn_report.tests_run
+            report["fits"] = dataclasses.asdict(learn_report.fits)
             report["warnings"] = learn_report.warnings
             report["edge_tests"] = [
                 {
@@ -193,6 +195,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             dag, score_report = pk2_detailed(data, ordering, cfg)
             report["criterion"] = criterion
             report["total_score"] = score_report.total_score
+            report["fits"] = dataclasses.asdict(score_report.fits)
             report["forward_moves"] = [
                 {"from": labels[t], "to": labels[s], "score_delta": delta}
                 for t, s, delta in score_report.forward_moves

@@ -46,8 +46,10 @@ class CountMatrix:
     def column_labels(self) -> tuple[str, ...]:
         return self.labels or default_labels(self.p)
 
-    def columns_as_float(self) -> np.ndarray:
-        return self.values.astype(np.float64)
+    def variables_as_float(self) -> np.ndarray:
+        """The counts as a (p, n) float array: row j holds the n
+        observations of variable j contiguously."""
+        return np.array(self.values.T, dtype=np.float64, order="C")
 
 
 def counts_to_csv(data: CountMatrix) -> str:
@@ -58,7 +60,13 @@ def counts_to_csv(data: CountMatrix) -> str:
 
 def counts_from_csv(text: str) -> CountMatrix:
     """Parse a counts CSV. The header row is optional: a first row with any
-    non-integer cell is taken as column labels."""
+    non-integer cell is taken as column labels.
+
+    Data rows go through numpy's C reader, which takes the same cells as
+    :func:`_is_int` (an optional sign and ASCII digits, blanks around them).
+    When it refuses the rows or finds a negative count, they are scanned
+    again cell by cell to name the offending line and column.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise InvalidData("empty counts CSV")
@@ -68,9 +76,24 @@ def counts_from_csv(text: str) -> CountMatrix:
     if not all(_is_int(cell) for cell in first):
         labels = tuple(first)
         start = 1
-    rows = []
+    body = lines[start:]
+    if not body:
+        raise InvalidData("counts CSV has a header but no data rows")
     width = len(first)
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    try:
+        values = np.loadtxt(body, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or values.shape[1] != width or values.min() < 0:
+        values = _scan_rows(body, start + 1, width)
+    return CountMatrix(values, labels)
+
+
+def _scan_rows(lines: list[str], first_lineno: int, width: int) -> np.ndarray:
+    """Cell-by-cell parse of data rows; raises InvalidData at the first bad
+    cell, numbering lines from ``first_lineno``."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != width:
             raise InvalidData(f"line {lineno}: expected {width} columns, got {len(cells)}")
@@ -83,16 +106,15 @@ def counts_from_csv(text: str) -> CountMatrix:
                 raise InvalidData(f"line {lineno}, column {col}: negative count {value}")
             row.append(value)
         rows.append(row)
-    if not rows:
-        raise InvalidData("counts CSV has a header but no data rows")
-    return CountMatrix(np.array(rows, dtype=np.int64), labels)
+    return np.array(rows, dtype=np.int64)
 
 
 def _is_int(cell: str) -> bool:
     if not cell:
         return False
     body = cell[1:] if cell[0] in "+-" else cell
-    return body.isdigit()
+    # isdecimal, not isdigit: int() refuses digits such as superscripts.
+    return body.isdecimal()
 
 
 def outlier_filter(data: CountMatrix) -> tuple[CountMatrix, int]:

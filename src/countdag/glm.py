@@ -10,11 +10,24 @@ which is convex in theta. Its Hessian, ``(1/n) sum_i exp(<theta, x_i>)
 x_i x_i^T``, does not depend on y, so the observed and (conditionally)
 expected Fisher information coincide; the fitted Hessian is reported as the
 sample Fisher information and feeds the Wald test of a single coefficient.
+
+The solver works on sufficient statistics. With rates w = exp(X theta),
+the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so
+X^T y is computed once per fit and each Newton iteration needs only X^T w
+and X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
+matrix-vector product ``Zt @ w``, where the moment matrix ``Zt`` holds X's
+columns and their pairwise products as rows; wider fits form X^T W X from a
+Fortran-ordered copy of X. The step-halving line search moves along the
+linear predictor, lp - eta * (X step), and evaluates the objective as
+(sum(w) - <theta, X^T y>) / n + mean(log y!), so a trial point costs one
+pass over the rows; X theta is recomputed only when a coefficient is
+clamped at the theta cap.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -27,6 +40,10 @@ _STD_NORMAL = NormalDist()
 
 #: Sentinel covariate index used for the optional intercept column.
 INTERCEPT = -1
+
+#: Widest fit whose Newton moments come from the precomputed moment matrix
+#: (k + k(k+1)/2 rows); wider fits form X^T W X by a matrix product.
+MOMENT_MAX_K = 4
 
 
 class SingularInformation(RuntimeError):
@@ -60,6 +77,24 @@ class GlmFit:
 
     def coefficient(self, target: int) -> float:
         return float(self.theta[self.covariates.index(target)])
+
+
+@dataclass
+class FitTally:
+    """Running counts over the fits a learner made (cache hits excluded)."""
+
+    fits: int = 0
+    nonconverged: int = 0
+    lp_capped: int = 0
+    diverged: int = 0
+    newton_iterations: int = 0
+
+    def add(self, fit: GlmFit) -> None:
+        self.fits += 1
+        self.nonconverged += not fit.converged
+        self.lp_capped += bool(fit.lp_capped)
+        self.diverged += bool(fit.diverged.any())
+        self.newton_iterations += fit.iterations
 
 
 @dataclass(frozen=True)
@@ -126,8 +161,9 @@ def fisher_information(theta, y, X, lp_cap: float | None = None) -> np.ndarray:
 
 
 def _solve_plain(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H x = rhs; None signals a singular system. Small systems are
-    solved directly, avoiding LAPACK call overhead in the learner hot loop."""
+    """Solve H x = rhs for a vector or a matrix rhs; None signals a singular
+    system. Small systems are solved directly, avoiding LAPACK call overhead
+    in the learner hot loop."""
     k = H.shape[0]
     if k == 1:
         h = H[0, 0]
@@ -138,7 +174,7 @@ def _solve_plain(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
         if det == 0.0 or not math.isfinite(det):
             return None
-        out = np.empty(2)
+        out = np.empty(rhs.shape)
         out[0] = (H[1, 1] * rhs[0] - H[0, 1] * rhs[1]) / det
         out[1] = (H[0, 0] * rhs[1] - H[1, 0] * rhs[0]) / det
         return out
@@ -196,6 +232,48 @@ def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
     return _fit_core(y, X, opts, covariates, float(np.mean(_log_factorial(y))))
 
 
+@lru_cache(maxsize=None)
+def _triangle(k: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Column pairs (a <= b) of the moment matrix's product rows, and the
+    (k, k) map from any pair (a, b) to the index of its row."""
+    rows, cols = np.triu_indices(k)
+    index = np.empty((k, k), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = k + np.arange(len(rows))
+    return list(zip(rows.tolist(), cols.tolist())), index
+
+
+def _newton_moments(X: np.ndarray, inv_n: float):
+    """A column-major copy of X and the map ``w -> (X^T w / n, X^T W X / n)``.
+
+    Up to MOMENT_MAX_K columns both moments come from one product with the
+    (k + k(k+1)/2, n) moment matrix, whose first k rows are X's columns;
+    the Hessian is then exactly symmetric. Wider Hessians are symmetric up
+    to rounding.
+    """
+    n, k = X.shape
+    if k <= MOMENT_MAX_K:
+        pairs, index = _triangle(k)
+        Zt = np.empty((k + len(pairs), n))
+        Zt[:k] = X.T
+        for row, (a, b) in enumerate(pairs, k):
+            np.multiply(Zt[a], Zt[b], out=Zt[row])
+
+        def moments(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            m = Zt @ w
+            m *= inv_n
+            return m[:k], m[index]
+
+        return Zt[:k].T, moments
+
+    Xf = np.asfortranarray(X)
+    Xft = Xf.T
+
+    def moments(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (Xft @ w) * inv_n, ((Xft * w) @ Xf) * inv_n
+
+    return Xf, moments
+
+
 def _fit_core(
     y: np.ndarray,
     X: np.ndarray,
@@ -203,7 +281,19 @@ def _fit_core(
     covariates: tuple[int, ...],
     log_fact: float,
 ) -> GlmFit:
-    """Newton solver on pre-validated float arrays (hot path for learners)."""
+    """Newton solver on pre-validated float arrays (hot path for learners).
+
+    Each iteration takes X^T w and X^T W X at the current rates w from one
+    call of the fit's moment map (see the module docstring), solves for the
+    Newton step on the free coefficients and halves the step until the
+    objective falls. A trial point moves the linear predictor along
+    d = X step, so it costs one pass over the rows for exp and the sum of
+    the rates; only a trial that clamps a coefficient at -theta_cap (which
+    then stays frozen) recomputes X theta. The moments of the accepted rates
+    are kept: when the loop stops with no step taken since they were
+    computed (convergence, or a failed line search), they give the reported
+    Fisher information and the final gradient without another pass.
+    """
     n, k = X.shape
     if k == 0:
         # Empty covariate set: rate exp(0)=1 for every row.
@@ -219,92 +309,190 @@ def _fit_core(
 
     cap = opts.lp_cap
     inv_n = 1.0 / n
-    theta = np.zeros(k)
-    diverged = np.zeros(k, dtype=bool)
-    lp_capped = False
-
-    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, bool]:
-        """objective, linear predictor, capped rates, cap flag at th."""
-        lp = X @ th
-        capped = bool(lp.max(initial=-math.inf) > cap)
-        w = np.exp(np.minimum(lp, cap) if capped else lp)
-        value = (w.sum() - y @ lp) * inv_n + log_fact
-        return value, lp, w, capped
-
-    current, lp, w, capped = evaluate(theta)
-    lp_capped |= capped
+    # At theta = 0 every linear predictor is 0.
+    lp_capped = cap < 0.0
+    w = np.full(n, math.exp(min(0.0, cap)))
+    current = float(w.sum()) * inv_n + log_fact
     if not math.isfinite(current):
         raise InvalidData("objective non-finite at theta = 0")
+    if k == 1:
+        return _fit_single(y, X[:, 0], opts, covariates, log_fact, w, current, lp_capped)
 
+    floor = -opts.theta_cap
+    Xf, moments = _newton_moments(X, inv_n)
+    Xty = (y @ Xf) * inv_n
+    theta = np.zeros(k)
+    lp = np.zeros(n)
+    # Row buffers: the trial point's linear predictor and rates, and the
+    # direction d. An accepted trial swaps buffers with the current point.
+    lp_t, w_t, d = np.empty(n), np.empty(n), np.empty(n)
+    diverged = np.zeros(k, dtype=bool)
+    any_diverged = False
     converged = False
+    fresh = False  # grad and H belong to the current w
     iterations = 0
     for _ in range(opts.max_iter):
-        grad = (X.T @ (w - y)) * inv_n
-        if diverged.any():
-            free = ~diverged
-            if not free.any():
+        xw, H = moments(w)
+        grad = xw - Xty
+        fresh = True
+        if any_diverged:
+            free = np.flatnonzero(~diverged)
+            if free.size == 0:
                 converged = True
                 break
-            Xf = X[:, free]
-            H = ((Xf.T * w) @ Xf) * inv_n
             grad_free = grad[free]
+            step_free = _solve_with_ridge(H[np.ix_(free, free)], grad_free)
+            step = np.zeros(k)
+            step[free] = step_free
         else:
-            free = None
-            H = ((X.T * w) @ X) * inv_n
             grad_free = grad
-        step = _solve_with_ridge(H, grad_free)
+            step = step_free = _solve_with_ridge(H, grad)
         # Under separation the gradient vanishes while the Newton step stays
         # O(1) (curvature collapses as fast as the gradient), so a small
         # gradient alone cannot certify an interior optimum.
         if (
-            float(np.abs(grad_free).max()) <= opts.tol
-            and float(np.abs(step).max()) <= 1e-4
+            max(map(abs, grad_free.tolist())) <= opts.tol
+            and max(map(abs, step_free.tolist())) <= 1e-4
         ):
             converged = True
             break
 
-        eta = 1.0
+        # Halving by 0.5 is exact, so step and d stay eta * (full step).
+        np.matmul(Xf, step, out=d)
         accepted = False
         for _ in range(opts.max_halvings + 1):
-            if free is None:
-                trial = theta - eta * step
+            trial = theta - step
+            clamped = min(trial.tolist()) <= floor
+            if clamped:
+                hit = trial <= floor
+                if any_diverged:
+                    hit &= ~diverged
+                clamped = bool(hit.any())
+            if clamped:
+                trial[hit] = floor
+                np.matmul(Xf, trial, out=lp_t)
             else:
-                trial = theta.copy()
-                trial[free] = theta[free] - eta * step
-            hit = trial <= -opts.theta_cap
-            any_hit = bool(hit.any())
-            if any_hit:
-                trial[hit] = -opts.theta_cap
-            value, lp_t, w_t, capped = evaluate(trial)
+                np.subtract(lp, d, out=lp_t)
+            capped = bool(lp_t.max() > cap)
+            np.exp(np.minimum(lp_t, cap, out=w_t) if capped else lp_t, out=w_t)
+            value = (float(w_t.sum()) * inv_n - float(trial @ Xty)) + log_fact
             if value < current and math.isfinite(value):
-                theta, current, lp, w = trial, value, lp_t, w_t
+                theta, current = trial, value
+                lp, lp_t = lp_t, lp
+                w, w_t = w_t, w
                 lp_capped |= capped
-                if any_hit:
+                if clamped:
                     diverged |= hit
+                    any_diverged = True
                 accepted = True
+                fresh = False
                 break
-            eta /= 2.0
+            step = step * 0.5
+            d *= 0.5
         iterations += 1
         if not accepted:
             # No descent direction left at floating-point resolution; the
             # final convergence check below decides the flag.
             break
 
-    grad = (X.T @ (w - y)) * inv_n
+    if not fresh:
+        xw, H = moments(w)
+        grad = xw - Xty
     if not converged:
         free_grad = grad[~diverged]
         converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= opts.tol
-    J = ((X.T * w) @ X) * inv_n
-    J = (J + J.T) / 2.0
     return GlmFit(
         covariates=covariates,
         theta=theta,
-        fisher=J,
+        fisher=(H + H.T) * 0.5,
         nll=current,
         converged=converged,
         iterations=iterations,
         diverged=diverged,
         lp_capped=lp_capped,
+    )
+
+
+def _fit_single(
+    y: np.ndarray,
+    x: np.ndarray,
+    opts: FitOptions,
+    covariates: tuple[int, ...],
+    log_fact: float,
+    w: np.ndarray,
+    current: float,
+    lp_capped: bool,
+) -> GlmFit:
+    """:func:`_fit_core` for one covariate, with scalars as Python floats.
+
+    Starts from theta = 0 with rates ``w`` and objective ``current``. Each
+    trial forms the linear predictor x * theta exactly and reads its
+    maximum off the extremes of x.
+    """
+    inv_n = 1.0 / x.shape[0]
+    cap = opts.lp_cap
+    floor = -opts.theta_cap
+    xty = float(x @ y) * inv_n
+    Zt = np.vstack((x, x * x))
+    x_hi, x_lo = float(x.max()), float(x.min())
+    w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
+    theta = 0.0
+    diverged = False
+    converged = False
+    fresh = False  # g and h belong to the current w
+    iterations = 0
+    for _ in range(opts.max_iter):
+        xw, h = (Zt @ w * inv_n).tolist()
+        g = xw - xty
+        fresh = True
+        if diverged:
+            converged = True
+            break
+        if h == 0.0 or not math.isfinite(h):
+            # The 1x1 ridge, 1e-10 * h, cannot rescue h = 0 or non-finite h.
+            raise SingularInformation("information matrix singular; ridge rescue impossible")
+        step = g / h
+        if abs(g) <= opts.tol and abs(step) <= 1e-4:
+            converged = True
+            break
+
+        accepted = False
+        for _ in range(opts.max_halvings + 1):
+            trial = theta - step
+            clamped = trial <= floor
+            if clamped:
+                trial = floor
+            capped = trial * (x_hi if trial >= 0.0 else x_lo) > cap
+            np.multiply(x, trial, out=w_t)
+            np.exp(np.minimum(w_t, cap, out=w_t) if capped else w_t, out=w_t)
+            value = (float(w_t.sum()) * inv_n - trial * xty) + log_fact
+            if value < current and math.isfinite(value):
+                theta, current = trial, value
+                w, w_t = w_t, w
+                lp_capped |= capped
+                diverged = clamped
+                accepted = True
+                fresh = False
+                break
+            step *= 0.5
+        iterations += 1
+        if not accepted:
+            break
+
+    if not fresh:
+        xw, h = (Zt @ w * inv_n).tolist()
+        g = xw - xty
+    if not converged:
+        converged = diverged or abs(g) <= opts.tol
+    return GlmFit(
+        covariates=covariates,
+        theta=np.array([theta]),
+        fisher=np.array([[h]]),
+        nll=current,
+        converged=converged,
+        iterations=iterations,
+        diverged=np.array([diverged]),
+        lp_capped=bool(lp_capped),
     )
 
 
@@ -316,8 +504,7 @@ def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
     coefficient never rejects: a -infinity MLE has unbounded variance and
     carries no finite evidence under the Wald construction.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     try:
         idx = fit.covariates.index(target)
     except ValueError:
@@ -328,7 +515,45 @@ def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
     rhs = np.zeros(k)
     rhs[idx] = 1.0
     inv_col = _solve_with_ridge(fit.fisher, rhs)
-    var_tt = float(inv_col[idx])
+    return _wald_from_variance(fit, idx, n, alpha, float(inv_col[idx]))
+
+
+def wald_all(fit: GlmFit, n: int, alpha: float) -> list[WaldTest | SingularInformation]:
+    """:func:`wald` on every covariate of ``fit``, in covariate order.
+
+    Every [J^-1]_tt comes from one solve against the identity, so the
+    Fisher information is factorised once rather than once per covariate.
+    Where :func:`wald` would raise SingularInformation for a covariate, the
+    list holds the exception instead.
+    """
+    _check_alpha(alpha)
+    variances: np.ndarray | SingularInformation | None = None
+    if not fit.diverged.all():
+        try:
+            variances = np.diag(_solve_with_ridge(fit.fisher, np.eye(len(fit.covariates))))
+        except SingularInformation as exc:
+            variances = exc
+    tests: list[WaldTest | SingularInformation] = []
+    for idx, target in enumerate(fit.covariates):
+        if fit.diverged[idx]:
+            tests.append(WaldTest(target=target, z=0.0, alpha=alpha, reject=False))
+        elif isinstance(variances, SingularInformation):
+            tests.append(variances)
+        else:
+            try:
+                tests.append(_wald_from_variance(fit, idx, n, alpha, float(variances[idx])))
+            except SingularInformation as exc:
+                tests.append(exc)
+    return tests
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+
+
+def _wald_from_variance(fit: GlmFit, idx: int, n: int, alpha: float, var_tt: float) -> WaldTest:
+    target = fit.covariates[idx]
     if not math.isfinite(var_tt) or var_tt <= 0.0:
         raise SingularInformation(
             f"non-positive variance estimate for covariate {target}"

@@ -25,12 +25,14 @@ import numpy as np
 from .data import CountMatrix
 from .glm import (
     FitOptions,
+    FitTally,
     GlmFit,
     SingularInformation,
     _fit_core,
     _log_factorial,
     alpha_schedule,
     wald,
+    wald_all,
 )
 from .graphs import Dag, GraphError, Ordering
 
@@ -85,7 +87,7 @@ class LearnReport:
 
     alpha: float
     tests_run: int = 0
-    fits_run: int = 0
+    fits: FitTally = field(default_factory=FitTally)
     warnings: list[str] = field(default_factory=list)
     edge_tests: dict[tuple[int, int], EdgeTest] = field(default_factory=dict)
 
@@ -104,13 +106,14 @@ def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
 class _FitCache:
     """Per-run cache of node regressions keyed by (node, covariate tuple).
 
-    Columns come from a validated CountMatrix, so the fast pre-validated
-    solver entry point applies; per-node log-factorial means are shared
-    across all conditioning sets of the node.
+    The data come from a validated CountMatrix, one row per variable (see
+    CountMatrix.variables_as_float), so the fast pre-validated solver entry
+    point applies; per-node log-factorial means are shared across all
+    conditioning sets of the node.
     """
 
-    def __init__(self, columns: np.ndarray, opts: FitOptions, report: LearnReport):
-        self._columns = columns
+    def __init__(self, variables: np.ndarray, opts: FitOptions, report: LearnReport):
+        self._variables = variables
         self._opts = opts
         self._report = report
         self._store: dict[tuple[int, tuple[int, ...]], GlmFit] = {}
@@ -121,17 +124,14 @@ class _FitCache:
         cached = self._store.get(key)
         if cached is not None:
             return cached
+        y = self._variables[s]
         log_fact = self._log_fact.get(s)
         if log_fact is None:
-            log_fact = float(np.mean(_log_factorial(self._columns[:, s])))
+            log_fact = float(np.mean(_log_factorial(y)))
             self._log_fact[s] = log_fact
-        X = (
-            self._columns[:, covariates]
-            if covariates
-            else np.empty((self._columns.shape[0], 0))
-        )
-        result = _fit_core(self._columns[:, s], X, self._opts, covariates, log_fact)
-        self._report.fits_run += 1
+        X = self._variables[list(covariates)].T
+        result = _fit_core(y, X, self._opts, covariates, log_fact)
+        self._report.fits.add(result)
         self._store[key] = result
         return result
 
@@ -156,8 +156,7 @@ def or_ppgm_detailed(
     alpha = report.alpha
     m = cfg.m if cfg.m is not None else p - 2
     m = min(m, p - 2)
-    columns = data.columns_as_float()
-    cache = _FitCache(columns, cfg.fit_options, report)
+    cache = _FitCache(data.variables_as_float(), cfg.fit_options, report)
 
     # Parent sets of the working graph, indexed by child node.
     parents: list[set[int]] = [set() for _ in range(p)]
@@ -239,8 +238,7 @@ def or_lpgm_detailed(
         raise GraphError(f"need at least 2 observations, got {n}")
 
     alpha = report.alpha
-    columns = data.columns_as_float()
-    cache = _FitCache(columns, cfg.fit_options, report)
+    cache = _FitCache(data.variables_as_float(), cfg.fit_options, report)
 
     def run_node(s: int) -> tuple[list[tuple[int, int]], list[EdgeTest], list[str]]:
         pre = ordering.precedents(s)
@@ -259,16 +257,15 @@ def or_lpgm_detailed(
             warnings.append(f"node {s}: fit failed ({exc}); all tests non-rejecting")
             return [], tests, warnings
         kept = []
-        for t in pre:
-            try:
-                test = wald(node_fit, t, n, alpha)
-                z, rejected = test.z, test.reject
-            except SingularInformation as exc:
+        for t, test in zip(pre, wald_all(node_fit, n, alpha)):
+            if isinstance(test, SingularInformation):
                 warnings.append(
-                    f"node {s}, covariate {t}: singular information ({exc}); "
+                    f"node {s}, covariate {t}: singular information ({test}); "
                     "treated as non-rejection"
                 )
                 z, rejected = float("nan"), False
+            else:
+                z, rejected = test.z, test.reject
             tests.append(
                 EdgeTest((t, s), tuple(u for u in pre if u != t), z, rejected)
             )

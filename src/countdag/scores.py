@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountMatrix
-from .glm import FitOptions, SingularInformation, _fit_core, _log_factorial
+from .glm import FitOptions, FitTally, SingularInformation, _fit_core, _log_factorial
 from .graphs import Dag, GraphError, Ordering
 
 logger = logging.getLogger(__name__)
@@ -56,30 +56,29 @@ def node_score(
     A fit that fails numerically scores +inf so the search never selects it.
     """
     parents = tuple(sorted(int(t) for t in parents))
-    columns = data.columns_as_float()
-    return _score_from_columns(columns, data.n, s, parents, cfg, {})
+    return _score_from_variables(data.variables_as_float(), s, parents, cfg, {})
 
 
-def _score_from_columns(
-    columns: np.ndarray,
-    n: int,
+def _score_from_variables(
+    variables: np.ndarray,
     s: int,
     parents: tuple[int, ...],
     cfg: ScoreConfig,
     log_fact: dict[int, float],
+    tally: FitTally | None = None,
 ) -> NodeScore:
+    """Score of node s from the (p, n) data of CountMatrix.variables_as_float;
+    ``tally``, when given, counts the fit."""
+    n = variables.shape[1]
+    y = variables[s]
     lf = log_fact.get(s)
     if lf is None:
-        lf = float(np.mean(_log_factorial(columns[:, s])))
+        lf = float(np.mean(_log_factorial(y)))
         log_fact[s] = lf
     try:
-        node_fit = _fit_core(
-            columns[:, s],
-            columns[:, parents] if parents else np.empty((n, 0)),
-            cfg.fit_options,
-            parents,
-            lf,
-        )
+        node_fit = _fit_core(y, variables[list(parents)].T, cfg.fit_options, parents, lf)
+        if tally is not None:
+            tally.add(node_fit)
         value = 2.0 * n * node_fit.nll + cfg.penalty(n) * len(parents)
     except SingularInformation as exc:
         logger.warning("node %d | parents %s: fit failed (%s); score +inf", s, parents, exc)
@@ -92,6 +91,7 @@ class ScoreReport:
     """Search trace: per-node final scores and accepted moves."""
 
     criterion: str
+    fits: FitTally = field(default_factory=FitTally)
     node_scores: dict[int, NodeScore] = field(default_factory=dict)
     forward_moves: list[tuple[int, int, float]] = field(default_factory=list)
     backward_moves: list[tuple[int, int, float]] = field(default_factory=list)
@@ -112,12 +112,12 @@ def pk2_detailed(
 ) -> tuple[Dag, ScoreReport]:
     if data.p != ordering.p:
         raise GraphError(f"data has {data.p} columns but ordering has {ordering.p} nodes")
-    p, n = data.p, data.n
+    p = data.p
     report = ScoreReport(criterion=cfg.criterion)
     if p == 0:
         return Dag(0, frozenset(), data.labels), report
 
-    columns = data.columns_as_float()
+    variables = data.variables_as_float()
     max_parents = cfg.max_parents if cfg.max_parents is not None else p - 1
     cache: dict[tuple[int, tuple[int, ...]], NodeScore] = {}
     log_fact: dict[int, float] = {}
@@ -126,7 +126,7 @@ def pk2_detailed(
         key = (s, tuple(sorted(parents)))
         found = cache.get(key)
         if found is None:
-            found = _score_from_columns(columns, n, s, key[1], cfg, log_fact)
+            found = _score_from_variables(variables, s, key[1], cfg, log_fact, report.fits)
             cache[key] = found
         return found
 
@@ -187,7 +187,7 @@ def exhaustive_search(
 
     if data.p != ordering.p:
         raise GraphError(f"data has {data.p} columns but ordering has {ordering.p} nodes")
-    columns = data.columns_as_float()
+    variables = data.variables_as_float()
     edges: list[tuple[int, int]] = []
     total = 0.0
     log_fact: dict[int, float] = {}
@@ -196,7 +196,7 @@ def exhaustive_search(
         best: NodeScore | None = None
         for size in range(len(pre) + 1):
             for parents in combinations(pre, size):
-                trial = _score_from_columns(columns, data.n, s, parents, cfg, log_fact)
+                trial = _score_from_variables(variables, s, parents, cfg, log_fact)
                 if best is None or trial.score < best.score:
                     best = trial
         assert best is not None

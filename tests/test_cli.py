@@ -32,6 +32,10 @@ class TestLearn:
         assert payload["edges"] == []
         assert payload["alpha"] == 0.01
         assert payload["edge_tests"]  # the 0-1 test was run and recorded
+        assert set(payload["fits"]) == {
+            "fits", "nonconverged", "lp_capped", "diverged", "newton_iterations"
+        }
+        assert payload["fits"]["fits"] >= 1
 
     def test_missing_ordering_file(self, tmp_path, capsys):
         counts = tmp_path / "c.csv"
@@ -84,6 +88,9 @@ class TestLearn:
         assert payload["criterion"] == "bic"
         assert payload["forward_moves"][0]["from"] == "a"
         assert payload["forward_moves"][0]["score_delta"] < 0
+        # Scores of a | {}, b | {} and b | {a}; the backward phase hits the cache.
+        assert payload["fits"]["fits"] == 3
+        assert payload["fits"]["newton_iterations"] > 0
 
     def test_outlier_filter_flag(self, tmp_path):
         rows = [[1, 1]] * 11 + [[101, 1]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,45 @@ class TestOutlierFilter:
     def test_needs_two_rows(self):
         with pytest.raises(InvalidData):
             outlier_filter(CountMatrix(np.array([[1, 2]])))
+
+
+class TestCsvFastPath:
+    """The C reader must take exactly the cells the cell-by-cell scan takes."""
+
+    @pytest.mark.parametrize(
+        "cell,value",
+        [("+3", 3), (" 3", 3), ("3 ", 3), ("\t7\t", 7), ("-0", 0), ("007", 7), ("\u0663", 3)],
+    )
+    def test_accepted_cells(self, cell, value):
+        m = counts_from_csv(f"a,b\n1,{cell}\n")
+        assert m.values.tolist() == [[1, value]]
+
+    @pytest.mark.parametrize(
+        "cell", ["1.5", "1e3", "1_000", "", "+", "3-", "1 2", "0x10", "#3", "\u00b2"]
+    )
+    def test_rejected_cells_name_line_and_column(self, cell):
+        message = f"line 3, column 2: {cell.strip()!r} is not an integer"
+        with pytest.raises(InvalidData, match=re.escape(message)):
+            counts_from_csv(f"a,b\n1,2\n1,{cell}\n")
+
+    def test_blank_lines_are_skipped(self):
+        m = counts_from_csv("a,b\n\n1,2\n   \n3,4\n\n")
+        assert m.values.tolist() == [[1, 2], [3, 4]]
+
+    def test_negative_count_names_cell(self):
+        with pytest.raises(InvalidData, match="line 3, column 1: negative count -4"):
+            counts_from_csv("a,b\n1,2\n-4,2\n")
+
+    def test_row_wider_than_header(self):
+        with pytest.raises(InvalidData, match="line 2: expected 2 columns, got 3"):
+            counts_from_csv("a,b\n1,2,3\n4,5,6\n")
+
+    def test_single_column(self):
+        m = counts_from_csv("a\n1\n2\n")
+        assert m.values.tolist() == [[1], [2]]
+
+    def test_agrees_with_cell_scan(self):
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 10**6, size=(50, 4))
+        text = "\n".join(",".join(f" +{v}" if v % 3 == 0 else str(v) for v in row) for row in values)
+        assert counts_from_csv(text).values.tolist() == values.tolist()

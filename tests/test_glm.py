@@ -15,6 +15,7 @@ from countdag.glm import (
     gradient,
     nll,
     wald,
+    wald_all,
 )
 
 RNG = np.random.default_rng(20240915)
@@ -262,3 +263,224 @@ class TestAlphaSchedule:
         a_n = alpha_schedule(n, b)
         assert 0.0 <= a_n < 1.0
         assert alpha_schedule(n + 1, b) <= a_n
+
+
+def _reference_fit_core(y, X, opts, covariates, log_fact):
+    """The Newton loop before the sufficient-statistic solver: every trial
+    point recomputes X theta, and every iteration forms X^T W X afresh."""
+    from countdag.glm import GlmFit, _solve_with_ridge
+
+    n, k = X.shape
+    cap = opts.lp_cap
+    inv_n = 1.0 / n
+    theta = np.zeros(k)
+    diverged = np.zeros(k, dtype=bool)
+    lp_capped = False
+
+    def evaluate(th):
+        lp = X @ th
+        capped = bool(lp.max(initial=-math.inf) > cap)
+        w = np.exp(np.minimum(lp, cap) if capped else lp)
+        value = (w.sum() - y @ lp) * inv_n + log_fact
+        return value, lp, w, capped
+
+    current, lp, w, capped = evaluate(theta)
+    lp_capped |= capped
+    if not math.isfinite(current):
+        raise InvalidData("objective non-finite at theta = 0")
+
+    converged = False
+    iterations = 0
+    for _ in range(opts.max_iter):
+        grad = (X.T @ (w - y)) * inv_n
+        if diverged.any():
+            free = ~diverged
+            if not free.any():
+                converged = True
+                break
+            Xf = X[:, free]
+            H = ((Xf.T * w) @ Xf) * inv_n
+            grad_free = grad[free]
+        else:
+            free = None
+            H = ((X.T * w) @ X) * inv_n
+            grad_free = grad
+        step = _solve_with_ridge(H, grad_free)
+        if (
+            float(np.abs(grad_free).max()) <= opts.tol
+            and float(np.abs(step).max()) <= 1e-4
+        ):
+            converged = True
+            break
+
+        eta = 1.0
+        accepted = False
+        for _ in range(opts.max_halvings + 1):
+            if free is None:
+                trial = theta - eta * step
+            else:
+                trial = theta.copy()
+                trial[free] = theta[free] - eta * step
+            hit = trial <= -opts.theta_cap
+            any_hit = bool(hit.any())
+            if any_hit:
+                trial[hit] = -opts.theta_cap
+            value, lp_t, w_t, capped = evaluate(trial)
+            if value < current and math.isfinite(value):
+                theta, current, lp, w = trial, value, lp_t, w_t
+                lp_capped |= capped
+                if any_hit:
+                    diverged |= hit
+                accepted = True
+                break
+            eta /= 2.0
+        iterations += 1
+        if not accepted:
+            break
+
+    grad = (X.T @ (w - y)) * inv_n
+    if not converged:
+        free_grad = grad[~diverged]
+        converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= opts.tol
+    J = ((X.T * w) @ X) * inv_n
+    J = (J + J.T) / 2.0
+    return GlmFit(covariates, theta, J, current, converged, iterations, diverged, lp_capped)
+
+
+def _parity_problem(rng, n, k):
+    """Counts regression with coefficients of both signs, rates in [e^-4, e^3]."""
+    X = rng.poisson(rng.uniform(0.5, 3.0, size=k), size=(n, k)).astype(float)
+    theta = rng.uniform(-0.6, 0.6, size=k) / k
+    y = rng.poisson(np.exp(np.clip(X @ theta, -4.0, 3.0))).astype(float)
+    return y, X
+
+
+def _separation_problem(rng, n, k):
+    """Column 0 is positive only where y = 0: its MLE is -infinity."""
+    y, X = _parity_problem(rng, n, k)
+    X[:, 0] = np.where(y == 0, rng.integers(1, 4, size=n), 0).astype(float)
+    return y, X
+
+
+class TestSolverParity:
+    """The solver against the Newton loop it replaced, on the same inputs."""
+
+    def _both(self, y, X, opts=FitOptions()):
+        from countdag.glm import _fit_core, _log_factorial
+
+        covariates = tuple(range(X.shape[1]))
+        log_fact = float(np.mean(_log_factorial(y)))
+        outcomes = []
+        for solver in (_reference_fit_core, _fit_core):
+            try:
+                outcomes.append(solver(y, X.copy(), opts, covariates, log_fact))
+            except SingularInformation:
+                outcomes.append(None)
+        return outcomes
+
+    def _assert_same(self, ref, new):
+        assert (ref is None) == (new is None)
+        if ref is None:
+            return
+        assert np.abs(new.theta - ref.theta).max() <= 1e-6
+        assert new.nll == pytest.approx(ref.nll, rel=1e-10)
+        scale = np.abs(ref.fisher).max()
+        assert np.abs(new.fisher - ref.fisher).max() <= 1e-6 * scale
+        assert new.diverged.tolist() == ref.diverged.tolist()
+        assert new.lp_capped == ref.lp_capped
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [30, 1000])
+    def test_seeded_problems(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        for _ in range(8):
+            ref, new = self._both(*_parity_problem(rng, n, k))
+            assert ref is not None
+            self._assert_same(ref, new)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_separation_freezes_same_coefficient(self, k):
+        rng = np.random.default_rng(31 + k)
+        ref, new = self._both(*_separation_problem(rng, 200, k))
+        assert ref.diverged[0] and ref.theta[0] == -FitOptions().theta_cap
+        self._assert_same(ref, new)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_linear_predictor_cap(self, k):
+        rng = np.random.default_rng(41 + k)
+        X = rng.poisson(2.0, size=(300, k)).astype(float)
+        y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
+        ref, new = self._both(y, X, FitOptions(lp_cap=2.0))
+        assert ref.lp_capped
+        self._assert_same(ref, new)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_singular_then_ridge(self, k):
+        # An all-zero column makes the information exactly singular at
+        # every iteration; the ridge rescue solves each Newton system.
+        rng = np.random.default_rng(51 + k)
+        y, X = _parity_problem(rng, 200, k)
+        X[:, -1] = 0.0
+        ref, new = self._both(y, X)
+        assert ref is not None and ref.theta[-1] == 0.0
+        assert np.linalg.matrix_rank(ref.fisher) == k - 1
+        self._assert_same(ref, new)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_singular_raised_alike(self, k):
+        rng = np.random.default_rng(61 + k)
+        y, X = _parity_problem(rng, 50, k)
+        X[:] = 0.0  # zero information: the ridge has nothing to scale
+        ref, new = self._both(y, X)
+        assert ref is None and new is None
+
+
+class TestWaldAll:
+    """One factorisation per fit gives the same tests as wald per covariate."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
+    def test_matches_wald(self, k):
+        rng = np.random.default_rng(90 + k)
+        y, X = _parity_problem(rng, 400, k)
+        result = fit(y, X)
+        for t, test in enumerate(wald_all(result, 400, 0.05)):
+            ref = wald(result, t, 400, 0.05)
+            assert test.target == t
+            assert test.z == pytest.approx(ref.z, rel=1e-12)
+            assert test.reject == ref.reject
+
+    def test_diverged_coefficient(self):
+        rng = np.random.default_rng(95)
+        y, X = _separation_problem(rng, 200, 3)
+        result = fit(y, X)
+        assert result.diverged[0]
+        tests = wald_all(result, 200, 0.5)
+        assert tests[0] == wald(result, 0, 200, 0.5)
+        assert tests[0].z == 0.0 and not tests[0].reject
+        assert [t.z for t in tests[1:]] == pytest.approx([wald(result, j, 200, 0.5).z for j in (1, 2)], rel=1e-12)
+
+    def _fit_with(self, fisher):
+        from countdag.glm import GlmFit
+
+        k = len(fisher)
+        return GlmFit(tuple(range(k)), np.full(k, 0.5), np.array(fisher, dtype=float),
+                      1.0, True, 3, np.zeros(k, dtype=bool))
+
+    def test_singular_information_for_every_covariate(self):
+        result = self._fit_with([[0.0, 0.0], [0.0, 0.0]])
+        for t, test in enumerate(wald_all(result, 10, 0.05)):
+            assert isinstance(test, SingularInformation)
+            with pytest.raises(SingularInformation, match=str(test)):
+                wald(result, t, 10, 0.05)
+
+    def test_non_positive_variance_for_one_covariate(self):
+        result = self._fit_with([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 4.0]])
+        tests = wald_all(result, 10, 0.05)
+        assert isinstance(tests[1], SingularInformation)
+        assert "covariate 1" in str(tests[1])
+        assert tests[0] == wald(result, 0, 10, 0.05)
+        assert tests[2] == wald(result, 2, 10, 0.05)
+
+    def test_bad_alpha(self):
+        with pytest.raises(ValueError):
+            wald_all(self._fit_with([[1.0]]), 10, 1.0)

@@ -212,3 +212,44 @@ class TestLearnConfig:
         cfg = LearnConfig(alpha_b=0.15)
         assert cfg.resolve_alpha(1000) == alpha_schedule(1000, 0.15)
         assert LearnConfig(alpha=0.02).resolve_alpha(1000) == 0.02
+
+
+class TestFitTally:
+    """The report's fit counters tally every GlmFit the learner obtained."""
+
+    @pytest.mark.parametrize("runner", [or_ppgm_detailed, or_lpgm_detailed])
+    def test_counts_match_returned_fits(self, runner, monkeypatch):
+        from countdag import learn
+        from countdag.glm import FitTally
+
+        returned = []
+        original = learn._fit_core
+
+        def recording(*args):
+            fit = original(*args)
+            returned.append(fit)
+            return fit
+
+        monkeypatch.setattr(learn, "_fit_core", recording)
+        rng = np.random.default_rng(12)
+        edges = [(0, 1), (1, 2), (0, 3)]
+        weights = {e: 0.4 for e in edges}
+        data = sample_recursive(edges, weights, 4, 300, rng)
+        _, report = runner(data, Ordering((0, 1, 2, 3)), LearnConfig(alpha=0.05, m=2))
+        expected = FitTally()
+        for fit in returned:
+            expected.add(fit)
+        assert report.fits == expected
+        assert report.fits.fits == len(returned) > 0
+        assert report.fits.newton_iterations == sum(f.iterations for f in returned)
+
+    def test_counts_flags(self):
+        from countdag.glm import FitTally, GlmFit
+
+        tally = FitTally()
+        base = dict(covariates=(0, 1), theta=np.zeros(2), fisher=np.eye(2), nll=1.0)
+        tally.add(GlmFit(**base, converged=True, iterations=4, diverged=np.zeros(2, dtype=bool)))
+        tally.add(GlmFit(**base, converged=False, iterations=7,
+                         diverged=np.array([True, False]), lp_capped=True))
+        assert tally == FitTally(fits=2, nonconverged=1, lp_capped=1, diverged=1,
+                                 newton_iterations=11)

@@ -135,3 +135,28 @@ class TestScoreConfig:
     def test_penalties(self):
         assert BIC.penalty(100) == pytest.approx(math.log(100))
         assert AIC.penalty(100) == 2.0
+
+
+class TestFitTally:
+    def test_counts_every_uncached_fit(self, monkeypatch):
+        from countdag import scores
+        from countdag.glm import FitTally
+
+        returned = []
+        original = scores._fit_core
+
+        def recording(*args):
+            fit = original(*args)
+            returned.append(fit)
+            return fit
+
+        monkeypatch.setattr(scores, "_fit_core", recording)
+        rng = np.random.default_rng(8)
+        x = rng.poisson(1.0, size=(300, 3))
+        x[:, 2] = rng.poisson(np.exp(0.4 * x[:, 0]))
+        _, report = pk2_detailed(CountMatrix(x), Ordering((0, 1, 2)))
+        expected = FitTally()
+        for fit in returned:
+            expected.add(fit)
+        assert report.fits == expected
+        assert report.fits.fits == len(returned) > 0
