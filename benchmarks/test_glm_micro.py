@@ -4,24 +4,35 @@ The shapes are those the learners produce: (n, k) = (1000, 1) and
 (1000, 3) are table-1 conditioning-set fits, (50000, 2) a fit on the
 50,000-row CSV workload, and (500, 99) an OR-LPGM node regression on
 table-2 data. X is taken from a (p, n) array, one row per variable, as
-the learners take it.
+the learners take it. The pattern cases time what a learner pays per fit
+on the 50,000-row workload: the distinct covariate patterns and
+per-pattern response sums from a PatternBuilder whose level codes are
+built, then the fit on them.
 """
 import numpy as np
 import pytest
 
-from countdag.glm import FitOptions, _fit_core, _log_factorial, wald, wald_all
+from countdag.data import CountMatrix
+from countdag.glm import FitOptions, PatternBuilder, _fit_core, _log_factorial, wald, wald_all
 
 SHAPES = [(1000, 1), (1000, 3), (50000, 2), (500, 99)]
+PATTERN_KS = [1, 2, 3]
 
 
-def _problem(n, k, seed=2993):
+def _variables(n, k, seed=2993):
+    """(k + 1, n) Poisson counts: the response in row 0, covariates after."""
     rng = np.random.default_rng(seed)
     covariates = rng.poisson(rng.uniform(0.5, 3.0, size=(k, 1)), size=(k, n)).astype(float)
     theta = rng.uniform(-0.6, 0.6, size=k) / k
     y = rng.poisson(np.exp(np.clip(theta @ covariates, -4.0, 3.0))).astype(float)
-    variables = np.vstack([y, covariates])
+    return np.vstack([y, covariates])
+
+
+def _problem(n, k, seed=2993):
+    variables = _variables(n, k, seed)
     cov = tuple(range(1, k + 1))
-    return variables[0], variables[list(cov)].T, cov, float(np.mean(_log_factorial(y)))
+    y = variables[0]
+    return y, variables[list(cov)].T, cov, float(np.mean(_log_factorial(y)))
 
 
 @pytest.mark.parametrize("n,k", SHAPES, ids=[f"n{n}-k{k}" for n, k in SHAPES])
@@ -29,6 +40,23 @@ def test_fit_core(benchmark, n, k):
     y, X, cov, log_fact = _problem(n, k)
     result = benchmark(_fit_core, y, X, FitOptions(), cov, log_fact)
     assert result.converged
+
+
+@pytest.mark.parametrize("k", PATTERN_KS, ids=[f"n50000-k{k}" for k in PATTERN_KS])
+def test_fit_core_patterns(benchmark, k):
+    variables = _variables(50000, k)
+    builder = PatternBuilder(CountMatrix(variables.T.astype(np.int64)))
+    cov = tuple(range(1, k + 1))
+    log_fact = float(np.mean(_log_factorial(variables[0])))
+    for j in cov:
+        builder.levels(j)
+
+    def build_and_fit():
+        y, X, counts = builder.design(0, cov)
+        assert counts is not None
+        return _fit_core(y, X, FitOptions(), cov, log_fact, counts)
+
+    assert benchmark(build_and_fit).converged
 
 
 def test_wald(benchmark):

@@ -20,16 +20,15 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-import numpy as np
 
 from .data import CountMatrix
 from .glm import (
     FitOptions,
     FitTally,
     GlmFit,
+    PatternBuilder,
     SingularInformation,
     _fit_core,
-    _log_factorial,
     alpha_schedule,
     wald,
     wald_all,
@@ -106,31 +105,27 @@ def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
 class _FitCache:
     """Per-run cache of node regressions keyed by (node, covariate tuple).
 
-    The data come from a validated CountMatrix, one row per variable (see
-    CountMatrix.variables_as_float), so the fast pre-validated solver entry
-    point applies; per-node log-factorial means are shared across all
-    conditioning sets of the node.
+    The data come from a validated CountMatrix, so the fast pre-validated
+    solver entry point applies. A PatternBuilder over the data gives each
+    fit its inputs: the distinct covariate patterns with their
+    multiplicities and per-pattern response sums where that pays, the rows
+    otherwise, and shares each node's log-factorial mean across its
+    conditioning sets.
     """
 
-    def __init__(self, variables: np.ndarray, opts: FitOptions, report: LearnReport):
-        self._variables = variables
+    def __init__(self, data: CountMatrix, opts: FitOptions, report: LearnReport):
+        self._rows = PatternBuilder(data)
         self._opts = opts
         self._report = report
         self._store: dict[tuple[int, tuple[int, ...]], GlmFit] = {}
-        self._log_fact: dict[int, float] = {}
 
     def fit(self, s: int, covariates: tuple[int, ...]) -> GlmFit:
         key = (s, covariates)
         cached = self._store.get(key)
         if cached is not None:
             return cached
-        y = self._variables[s]
-        log_fact = self._log_fact.get(s)
-        if log_fact is None:
-            log_fact = float(np.mean(_log_factorial(y)))
-            self._log_fact[s] = log_fact
-        X = self._variables[list(covariates)].T
-        result = _fit_core(y, X, self._opts, covariates, log_fact)
+        y, X, counts = self._rows.design(s, covariates)
+        result = _fit_core(y, X, self._opts, covariates, self._rows.log_fact(s), counts)
         self._report.fits.add(result)
         self._store[key] = result
         return result
@@ -156,7 +151,7 @@ def or_ppgm_detailed(
     alpha = report.alpha
     m = cfg.m if cfg.m is not None else p - 2
     m = min(m, p - 2)
-    cache = _FitCache(data.variables_as_float(), cfg.fit_options, report)
+    cache = _FitCache(data, cfg.fit_options, report)
 
     # Parent sets of the working graph, indexed by child node.
     parents: list[set[int]] = [set() for _ in range(p)]
@@ -238,7 +233,7 @@ def or_lpgm_detailed(
         raise GraphError(f"need at least 2 observations, got {n}")
 
     alpha = report.alpha
-    cache = _FitCache(data.variables_as_float(), cfg.fit_options, report)
+    cache = _FitCache(data, cfg.fit_options, report)
 
     def run_node(s: int) -> tuple[list[tuple[int, int]], list[EdgeTest], list[str]]:
         pre = ordering.precedents(s)

@@ -14,10 +14,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import CountMatrix
-from .glm import FitOptions, FitTally, SingularInformation, _fit_core, _log_factorial
+from .glm import FitOptions, FitTally, PatternBuilder, SingularInformation, _fit_core
 from .graphs import Dag, GraphError, Ordering
 
 logger = logging.getLogger(__name__)
@@ -56,27 +54,22 @@ def node_score(
     A fit that fails numerically scores +inf so the search never selects it.
     """
     parents = tuple(sorted(int(t) for t in parents))
-    return _score_from_variables(data.variables_as_float(), s, parents, cfg, {})
+    return _score_from_variables(PatternBuilder(data), s, parents, cfg)
 
 
 def _score_from_variables(
-    variables: np.ndarray,
+    rows: PatternBuilder,
     s: int,
     parents: tuple[int, ...],
     cfg: ScoreConfig,
-    log_fact: dict[int, float],
     tally: FitTally | None = None,
 ) -> NodeScore:
-    """Score of node s from the (p, n) data of CountMatrix.variables_as_float;
-    ``tally``, when given, counts the fit."""
-    n = variables.shape[1]
-    y = variables[s]
-    lf = log_fact.get(s)
-    if lf is None:
-        lf = float(np.mean(_log_factorial(y)))
-        log_fact[s] = lf
+    """Score of node s from the fit inputs ``rows`` gives (patterns or
+    rows, see PatternBuilder); ``tally``, when given, counts the fit."""
+    n = rows.variables.shape[1]
+    y, X, counts = rows.design(s, parents)
     try:
-        node_fit = _fit_core(y, variables[list(parents)].T, cfg.fit_options, parents, lf)
+        node_fit = _fit_core(y, X, cfg.fit_options, parents, rows.log_fact(s), counts)
         if tally is not None:
             tally.add(node_fit)
         value = 2.0 * n * node_fit.nll + cfg.penalty(n) * len(parents)
@@ -117,16 +110,15 @@ def pk2_detailed(
     if p == 0:
         return Dag(0, frozenset(), data.labels), report
 
-    variables = data.variables_as_float()
+    rows = PatternBuilder(data)
     max_parents = cfg.max_parents if cfg.max_parents is not None else p - 1
     cache: dict[tuple[int, tuple[int, ...]], NodeScore] = {}
-    log_fact: dict[int, float] = {}
 
     def score(s: int, parents: frozenset[int]) -> NodeScore:
         key = (s, tuple(sorted(parents)))
         found = cache.get(key)
         if found is None:
-            found = _score_from_variables(variables, s, key[1], cfg, log_fact, report.fits)
+            found = _score_from_variables(rows, s, key[1], cfg, report.fits)
             cache[key] = found
         return found
 
@@ -187,16 +179,15 @@ def exhaustive_search(
 
     if data.p != ordering.p:
         raise GraphError(f"data has {data.p} columns but ordering has {ordering.p} nodes")
-    variables = data.variables_as_float()
+    rows = PatternBuilder(data)
     edges: list[tuple[int, int]] = []
     total = 0.0
-    log_fact: dict[int, float] = {}
     for s in ordering.perm:
         pre = ordering.precedents(s)
         best: NodeScore | None = None
         for size in range(len(pre) + 1):
             for parents in combinations(pre, size):
-                trial = _score_from_variables(variables, s, parents, cfg, log_fact)
+                trial = _score_from_variables(rows, s, parents, cfg)
                 if best is None or trial.score < best.score:
                     best = trial
         assert best is not None

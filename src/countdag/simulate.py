@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import CountMatrix
-from .graphs import Dag, GraphError, Ordering, default_labels
+from .graphs import Dag, GraphError, Ordering, default_labels, is_consistent
 
 GRAPH_KINDS = ("scale_free", "hub", "erdos_renyi")
 
@@ -144,7 +144,7 @@ def sample_data(
     :class:`RowRejectionLimit`.
     """
     dag = wdag.dag
-    if not _consistent(dag, ordering):
+    if not is_consistent(dag, ordering):
         raise GraphError("weighted DAG is not consistent with the ordering")
     p = dag.p
     W = wdag.weight_matrix()
@@ -201,12 +201,6 @@ def sample_data(
             "threshold; weight configuration is explosive"
         )
     return CountMatrix(out, dag.labels)
-
-
-def _consistent(dag: Dag, ordering: Ordering) -> bool:
-    if dag.p != ordering.p:
-        return False
-    return all(ordering.position(t) < ordering.position(s) for t, s in dag.edges)
 
 
 def simulate(cfg: SimConfig) -> tuple[WeightedDag, Ordering, CountMatrix]:

@@ -434,6 +434,156 @@ class TestSolverParity:
         ref, new = self._both(y, X)
         assert ref is None and new is None
 
+    # The solver on (distinct rows, multiplicities, per-row-group sums of
+    # y) against the same solver on every row.
+
+    def _rows_and_patterns(self, y, X, opts=FitOptions()):
+        from countdag.glm import _fit_core, _log_factorial
+
+        patterns, row_map, counts = np.unique(
+            X, axis=0, return_inverse=True, return_counts=True
+        )
+        row_map = row_map.ravel()
+        assert len(patterns) < len(y)  # the problem has repeated rows
+        y_sums = np.bincount(row_map, weights=y, minlength=len(patterns))
+        covariates = tuple(range(X.shape[1]))
+        log_fact = float(np.mean(_log_factorial(y)))
+        outcomes = []
+        for args in ((y, X, None), (y_sums, patterns, counts.astype(float))):
+            try:
+                outcomes.append(_fit_core(args[0], args[1], opts, covariates, log_fact, args[2]))
+            except SingularInformation:
+                outcomes.append(None)
+        return outcomes
+
+    def _assert_same_flags(self, ref, new):
+        self._assert_same(ref, new)
+        if ref is not None:
+            assert new.converged == ref.converged
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_patterns_seeded_problems(self, n, k):
+        rng = np.random.default_rng(7000 + 1000 * n + k)
+        for _ in range(8):
+            y, X = _parity_problem(rng, n, k)
+            X = np.minimum(X, 2.0)  # three levels, so rows repeat
+            rows, patterns = self._rows_and_patterns(y, X)
+            assert rows is not None
+            self._assert_same_flags(rows, patterns)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_patterns_separation(self, k):
+        rng = np.random.default_rng(7031 + k)
+        y, X = _separation_problem(rng, 400, k)
+        rows, patterns = self._rows_and_patterns(y, np.minimum(X, 3.0))
+        assert rows.diverged[0] and rows.theta[0] == -FitOptions().theta_cap
+        self._assert_same_flags(rows, patterns)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_patterns_linear_predictor_cap(self, k):
+        rng = np.random.default_rng(7041 + k)
+        X = np.minimum(rng.poisson(2.0, size=(600, k)), 4).astype(float)
+        y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
+        rows, patterns = self._rows_and_patterns(y, X, FitOptions(lp_cap=1.0))
+        assert rows.lp_capped
+        self._assert_same_flags(rows, patterns)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_patterns_singular_then_ridge(self, k):
+        rng = np.random.default_rng(7051 + k)
+        y, X = _parity_problem(rng, 400, k)
+        X = np.minimum(X, 2.0)
+        X[:, -1] = 0.0
+        rows, patterns = self._rows_and_patterns(y, X)
+        assert rows is not None and rows.theta[-1] == 0.0
+        assert np.linalg.matrix_rank(rows.fisher) == k - 1
+        self._assert_same_flags(rows, patterns)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_patterns_singular_raised_alike(self, k):
+        rng = np.random.default_rng(7061 + k)
+        y, X = _parity_problem(rng, 50, k)
+        X[:] = 0.0
+        rows, patterns = self._rows_and_patterns(y, X)
+        assert rows is None and patterns is None
+
+
+class TestPatternBuilder:
+    """Distinct covariate patterns of a count matrix, and the path choice."""
+
+    @staticmethod
+    def _data(n=3000, p=5, seed=3):
+        from countdag.data import CountMatrix
+
+        rng = np.random.default_rng(seed)
+        return CountMatrix(rng.poisson(rng.uniform(0.5, 4.0, size=p), size=(n, p)))
+
+    @pytest.mark.parametrize("covariates", [(0,), (1, 3), (0, 2, 4), (4, 1, 3)])
+    def test_patterns_rebuild_rows(self, covariates, monkeypatch):
+        from countdag import glm
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        data = self._data()
+        builder = glm.PatternBuilder(data)
+        X, counts, row_map = builder.patterns(covariates)
+        rows = data.values[:, list(covariates)].astype(float)
+        assert len(np.unique(X, axis=0)) == len(X)
+        assert counts.sum() == data.n and counts.min() >= 1
+        assert np.array_equal(X[row_map], rows)
+        assert np.array_equal(np.bincount(row_map, minlength=len(X)), counts)
+        y, X_fit, counts_fit = builder.design(2, covariates)
+        assert np.array_equal(X_fit, X) and np.array_equal(counts_fit, counts)
+        for x, total in zip(X, y):
+            assert total == data.values[(rows == x).all(axis=1), 2].sum()
+
+    def test_level_codes_in_smallest_type(self):
+        from countdag.data import CountMatrix
+        from countdag.glm import PatternBuilder
+
+        rng = np.random.default_rng(4)
+        values = np.column_stack([
+            rng.integers(0, 5, size=2000),
+            rng.permutation(np.arange(2000) % 300),
+            rng.integers(0, 10**12, size=2000),  # too sparse to count by bincount
+        ])
+        builder = PatternBuilder(CountMatrix(values))
+        for j, dtype in enumerate((np.uint8, np.uint16, np.uint16)):
+            levels, codes = builder.levels(j)
+            expected_levels, expected_codes = np.unique(values[:, j], return_inverse=True)
+            assert codes.dtype == dtype
+            assert np.array_equal(levels, expected_levels.astype(float))
+            assert np.array_equal(codes, expected_codes.ravel())
+
+    def test_code_space_beyond_int64_takes_rows(self, monkeypatch):
+        from countdag import glm
+        from countdag.data import CountMatrix
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        # 70 binary columns: 2**70 codes, a product that wraps to 0 in int64.
+        values = np.random.default_rng(5).integers(0, 2, size=(16, 70))
+        values[:2] = [[0] * 70, [1] * 70]
+        builder = glm.PatternBuilder(CountMatrix(values))
+        covariates = tuple(range(70))
+        assert math.prod(builder.levels(j)[0].size for j in covariates) > 2**63
+        assert builder.patterns(covariates) is None
+        y, X, counts = builder.design(0, covariates[1:])
+        assert counts is None and X.shape == (16, 69)
+
+    def test_path_choice(self, monkeypatch):
+        from countdag import glm
+
+        data = self._data(n=400)
+        builder = glm.PatternBuilder(data)
+        assert builder.patterns((0, 1)) is None  # fewer rows than the cut-off
+        assert builder.patterns(()) is None
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 400)
+        assert builder.patterns((0, 1)) is not None
+        # A code space larger than n takes the rows, whatever the cut-off.
+        space = math.prod(builder.levels(j)[0].size for j in range(5))
+        assert space > 400
+        assert builder.patterns(tuple(range(5))) is None
+
 
 class TestWaldAll:
     """One factorisation per fit gives the same tests as wald per covariate."""

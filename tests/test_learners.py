@@ -253,3 +253,58 @@ class TestFitTally:
                          diverged=np.array([True, False]), lp_capped=True))
         assert tally == FitTally(fits=2, nonconverged=1, lp_capped=1, diverged=1,
                                  newton_iterations=11)
+
+    def test_counts_halvings(self):
+        from countdag.glm import FitTally, GlmFit
+
+        tally = FitTally()
+        base = dict(covariates=(0,), theta=np.zeros(1), fisher=np.eye(1), nll=1.0,
+                    converged=True, iterations=2, diverged=np.zeros(1, dtype=bool))
+        tally.add(GlmFit(**base))
+        tally.add(GlmFit(**base, halvings=5))
+        tally.add(GlmFit(**base, halvings=31))
+        assert tally.halvings == 36 and tally.fits == 3
+
+
+class TestPatternPath:
+    """Node regressions on distinct covariate patterns give the learners'
+    output on the rows, for any worker count."""
+
+    @pytest.fixture(scope="class")
+    def tall(self):
+        rng = np.random.default_rng(2024)
+        edges = [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (3, 5)]
+        weights = dict(zip(edges, (0.3, -0.4, 0.25, 0.3, -0.2, 0.2)))
+        return sample_recursive(edges, weights, 6, 20_000, rng), Ordering(tuple(range(6)))
+
+    @staticmethod
+    def _run(monkeypatch, min_rows, learner, threads, data, ordering):
+        from countdag import glm, learn, scores
+        from countdag.scores import ScoreConfig, pk2_detailed
+
+        grouped = []
+        with monkeypatch.context() as m:
+            m.setattr(glm, "PATTERN_MIN_ROWS", min_rows)
+            for module in (learn, scores):
+                def recording(*args, original=module._fit_core):
+                    grouped.append(len(args) > 5 and args[5] is not None)
+                    return original(*args)
+
+                m.setattr(module, "_fit_core", recording)
+            if learner == "pkbic":
+                dag, report = pk2_detailed(data, ordering, ScoreConfig())
+            else:
+                runner = or_ppgm_detailed if learner == "or_ppgm" else or_lpgm_detailed
+                dag, report = runner(data, ordering, LearnConfig(alpha=0.01, m=2, threads=threads))
+        return dag.edges, report.fits.fits, sum(grouped), len(grouped)
+
+    @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
+    def test_same_edges_and_fits_on_either_path(self, tall, learner, monkeypatch):
+        data, ordering = tall
+        edges, fits, grouped, calls = self._run(monkeypatch, 10**12, learner, 1, data, ordering)
+        assert grouped == 0 and fits == calls > 0
+        for threads in (1, 3):
+            for min_rows in (0, 10**12):
+                out = self._run(monkeypatch, min_rows, learner, threads, data, ordering)
+                assert out[:2] == (edges, fits)
+                assert (out[2] > 0) == (min_rows == 0)

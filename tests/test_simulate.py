@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from countdag.graphs import Dag, Ordering, is_consistent
+from countdag.graphs import Dag, GraphError, Ordering, is_consistent
 from countdag.simulate import (
     RowRejectionLimit,
     SimConfig,
@@ -126,6 +126,13 @@ class TestSampleData:
         cfg = cfg_for("erdos_renyi", 2, er_gamma=0.0)
         with pytest.raises(Exception):
             sample_data(wdag, Ordering((1, 0)), 10, cfg, make_rng(11))
+
+    @pytest.mark.parametrize("ordering", [(1, 0), (0, 1, 2)])
+    def test_inconsistent_or_wrongly_sized_graph_is_graph_error(self, ordering):
+        wdag = WeightedDag(Dag(2, {(0, 1)}), {(0, 1): 0.3})
+        cfg = cfg_for("erdos_renyi", 2, er_gamma=0.0)
+        with pytest.raises(GraphError):
+            sample_data(wdag, Ordering(ordering), 10, cfg, make_rng(11))
 
     def test_explosive_weights_raise(self):
         cfg = cfg_for("erdos_renyi", 2, n=200, er_gamma=0.0,
