@@ -6,8 +6,11 @@ The shapes are those the learners produce: (n, k) = (1000, 1) and
 table-2 data. X is taken from a (p, n) array, one row per variable, as
 the learners take it. The pattern cases time what a learner pays per fit
 on the 50,000-row workload: the distinct covariate patterns and
-per-pattern response sums from a PatternBuilder whose level codes are
-built, then the fit on them.
+per-pattern response sums from a PatternBuilder that has the set cached,
+then the fit on them. The design cases time the builder alone at n=50,000:
+cold (level codes built, the set not yet cached) against warm (the set
+cached, so only the response sums are left), and log_fact times one
+column's log-factorial mean from its level counts.
 """
 import numpy as np
 import pytest
@@ -70,3 +73,43 @@ def test_wald_all_wide(benchmark):
     fit = _fit_core(y, X, FitOptions(), cov, log_fact)
     tests = benchmark(wald_all, fit, 500, 0.05)
     assert len(tests) == 99
+
+
+def _builder(k, n=50000):
+    """A PatternBuilder over (k + 1, n) counts with every level code built."""
+    variables = _variables(n, k)
+    builder = PatternBuilder(CountMatrix(variables.T.astype(np.int64)))
+    for j in range(k + 1):
+        builder.levels(j)
+    return builder, tuple(range(1, k + 1))
+
+
+@pytest.mark.parametrize("k", PATTERN_KS, ids=[f"n50000-k{k}" for k in PATTERN_KS])
+def test_design_cold(benchmark, k):
+    def fresh():
+        builder, cov = _builder(k)
+        return (builder, cov), {}
+
+    def design(builder, cov):
+        assert builder.design(0, cov)[2] is not None
+
+    benchmark.pedantic(design, setup=fresh, rounds=20)
+
+
+@pytest.mark.parametrize("k", PATTERN_KS, ids=[f"n50000-k{k}" for k in PATTERN_KS])
+def test_design_warm(benchmark, k):
+    builder, cov = _builder(k)
+    assert builder.design(0, cov)[2] is not None
+    benchmark(builder.design, 0, cov)
+
+
+def test_log_fact(benchmark):
+    variables = _variables(50000, 1)
+    data = CountMatrix(variables.T.astype(np.int64))
+    expected = float(np.mean(_log_factorial(variables[0])))
+
+    def fresh():
+        return (PatternBuilder(data), 0), {}
+
+    result = benchmark.pedantic(PatternBuilder.log_fact, setup=fresh, rounds=50)
+    assert result == pytest.approx(expected, rel=1e-12)

@@ -30,10 +30,17 @@ multiplicities and the per-row-group sums of y is the fit on all rows
 Linear Models*). Count covariates repeat, so on tall data a node
 regression has far fewer distinct covariate patterns than rows, and
 :class:`PatternBuilder` hands the learners that form whenever it pays.
+The learners regress many nodes on the same few covariate sets, so the
+builder keeps each set's patterns for the life of one learner call,
+builds a new set from the cached patterns of its longest prefix, and
+drops the least recently used sets once their row maps take as many bytes
+as the float rows.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -101,6 +108,11 @@ class GlmFit:
         return float(self.theta[self.covariates.index(target)])
 
 
+#: Serialises :meth:`FitTally.add`, so tallies shared by learner threads
+#: stay exact.
+_TALLY_LOCK = threading.Lock()
+
+
 @dataclass
 class FitTally:
     """Running counts over the fits a learner made (cache hits excluded)."""
@@ -113,12 +125,13 @@ class FitTally:
     halvings: int = 0
 
     def add(self, fit: GlmFit) -> None:
-        self.fits += 1
-        self.nonconverged += not fit.converged
-        self.lp_capped += bool(fit.lp_capped)
-        self.diverged += bool(fit.diverged.any())
-        self.newton_iterations += fit.iterations
-        self.halvings += fit.halvings
+        with _TALLY_LOCK:
+            self.fits += 1
+            self.nonconverged += not fit.converged
+            self.lp_capped += bool(fit.lp_capped)
+            self.diverged += bool(fit.diverged.any())
+            self.newton_iterations += fit.iterations
+            self.halvings += fit.halvings
 
 
 @dataclass(frozen=True)
@@ -274,38 +287,73 @@ class PatternBuilder:
     longer than a column, and there are at most n patterns) and n is at
     least :data:`PATTERN_MIN_ROWS`. The product is taken in Python ints,
     so it cannot overflow.
+
+    The learners regress many nodes on the same few covariate sets, so the
+    builder also keeps each set's patterns, multiplicities and row map
+    (each row's pattern index, in the smallest unsigned type), keyed by the
+    covariate tuple and read-only. A set asked for the first time is built
+    from its longest cached prefix ``K[:j]``: the prefix's row map is the
+    leading mixed-radix digit and only the remaining columns' level codes
+    are added, in one code pass, one bincount and one lookup. With no
+    cached prefix it starts from the first column's level codes, and a
+    single column's patterns are its levels. Only sets that were asked for
+    are built, so a build never costs more than one from the level codes.
+    Patterns stay in lexicographic order either way, so a fit does not
+    depend on what was cached. The cached row maps take at most as many
+    bytes as the float rows (p * n * 8); beyond that the least recently
+    used set is dropped. One lock guards the caches, so learner threads
+    may share a builder.
     """
 
     def __init__(self, data: CountMatrix):
         self.variables = data.variables_as_float()
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._log_fact: dict[int, float] = {}
+        self._patterns: OrderedDict[
+            tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = OrderedDict()
+        self._row_map_bytes = 0
+        self._lock = threading.RLock()
 
     def log_fact(self, s: int) -> float:
-        """mean(log y!) of variable s, the objective's constant term."""
-        found = self._log_fact.get(s)
-        if found is None:
-            found = self._log_fact[s] = float(np.mean(_log_factorial(self.variables[s])))
+        """mean(log y!) of variable s, the objective's constant term: from
+        its value counts, sum_v c_v log(v!) / n, unless its largest value is
+        at least 4n (then the value counts would cost more than log y! on
+        every row)."""
+        with self._lock:
+            found = self._log_fact.get(s)
+            if found is None:
+                y = self.variables[s]
+                column = y.astype(np.intp)
+                if column.size and int(column.max()) < 4 * column.size:
+                    counts = np.bincount(column)
+                    values = np.flatnonzero(counts)
+                    found = float(counts[values] @ _log_factorial(values.astype(np.float64)))
+                    found /= column.size
+                else:
+                    found = float(np.mean(_log_factorial(y)))
+                self._log_fact[s] = found
         return found
 
     def levels(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Variable j's distinct values (ascending, as floats) and the row
         codes indexing them."""
-        found = self._levels.get(j)
-        if found is None:
-            # The float rows hold the validated counts exactly (below 2**53)
-            # and, unlike the count matrix's columns, contiguously.
-            column = self.variables[j].astype(np.intp)
-            top = int(column.max())
-            if top < 4 * column.size:
-                seen = np.bincount(column, minlength=top + 1).astype(bool)
-                values = np.flatnonzero(seen)
-                rank = np.cumsum(seen) - 1
-                codes = rank.astype(np.min_scalar_type(values.size - 1))[column]
-            else:
-                values, codes = np.unique(column, return_inverse=True)
-                codes = codes.astype(np.min_scalar_type(values.size - 1))
-            found = self._levels[j] = (values.astype(np.float64), codes)
+        with self._lock:
+            found = self._levels.get(j)
+            if found is None:
+                # The float rows hold the validated counts exactly (below
+                # 2**53) and, unlike the count matrix's columns, contiguously.
+                column = self.variables[j].astype(np.intp)
+                top = int(column.max())
+                if top < 4 * column.size:
+                    seen = np.bincount(column, minlength=top + 1).astype(bool)
+                    values = np.flatnonzero(seen)
+                    rank = np.cumsum(seen) - 1
+                    codes = rank.astype(np.min_scalar_type(values.size - 1))[column]
+                else:
+                    values, codes = np.unique(column, return_inverse=True)
+                    codes = codes.astype(np.min_scalar_type(values.size - 1))
+                found = self._levels[j] = (values.astype(np.float64), codes)
         return found
 
     def patterns(
@@ -313,35 +361,63 @@ class PatternBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The distinct rows X of the covariates' columns (in lexicographic
         order), their multiplicities as floats and the map from each row to
-        its pattern; None when the fit should run on the rows."""
+        its pattern, all read-only; None when the fit should run on the
+        rows."""
         n = self.variables.shape[1]
         if not covariates or n < PATTERN_MIN_ROWS:
             return None
-        space = 1
-        for j in covariates:
-            space *= self.levels(j)[0].size
-            if space > n:
-                return None
-        columns = [self._levels[j] for j in covariates]
-        code = columns[0][1].astype(np.intp)
-        for values, codes in columns[1:]:
-            code *= values.size
+        with self._lock:
+            found = self._patterns.get(covariates)
+            if found is not None:
+                self._patterns.move_to_end(covariates)
+                return found
+            space = 1
+            for j in covariates:
+                space *= self.levels(j)[0].size
+                if space > n:
+                    return None
+            found = self._build(covariates)
+            for array in found:
+                array.flags.writeable = False
+            self._patterns[covariates] = found
+            self._row_map_bytes += found[2].nbytes
+            while self._row_map_bytes > self.variables.nbytes:
+                _, (_, _, row_map) = self._patterns.popitem(last=False)
+                self._row_map_bytes -= row_map.nbytes
+        return found
+
+    def _build(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`patterns` of a set that is not cached and whose level-count
+        product is at most n."""
+        for start in range(len(covariates) - 1, 0, -1):
+            prefix = self._patterns.get(covariates[:start])
+            if prefix is not None:
+                self._patterns.move_to_end(covariates[:start])
+                head, _, code = prefix
+                break
+        else:
+            values, codes = self._levels[covariates[0]]
+            if len(covariates) == 1:
+                return values[:, None], np.bincount(codes).astype(np.float64), codes
+            start, head, code = 1, values[:, None], codes
+        space = len(head)
+        for j in covariates[start:]:
+            values, codes = self._levels[j]
+            code = np.multiply(code, values.size, dtype=np.intp)
             code += codes
+            space *= values.size
         counts = np.bincount(code, minlength=space)
         present = np.flatnonzero(counts)
-        if present.size == space:  # every code occurs: codes are patterns
-            row_map = code
-        else:
-            lookup = np.empty(space, dtype=np.intp)
-            lookup[present] = np.arange(present.size)
-            row_map = lookup[code]
-        X = np.empty((present.size, len(columns)))
+        lookup = np.empty(space, dtype=np.min_scalar_type(present.size - 1))
+        lookup[present] = np.arange(present.size)
+        X = np.empty((present.size, len(covariates)))
         rest = present
-        for col in range(len(columns) - 1, -1, -1):
-            values = columns[col][0]
+        for col in range(len(covariates) - 1, start - 1, -1):
+            values = self._levels[covariates[col]][0]
             rest, index = np.divmod(rest, values.size)
             X[:, col] = values[index]
-        return X, counts[present].astype(np.float64), row_map
+        X[:, :start] = head[rest]
+        return X, counts[present].astype(np.float64), lookup[code]
 
     def design(
         self, s: int, covariates: tuple[int, ...]

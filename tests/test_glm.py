@@ -584,6 +584,123 @@ class TestPatternBuilder:
         assert space > 400
         assert builder.patterns(tuple(range(5))) is None
 
+    @staticmethod
+    def _recording(builder, monkeypatch):
+        """Covariate sets the builder builds, in order."""
+        built = []
+
+        def build(covariates, original=builder._build):
+            built.append(covariates)
+            return original(covariates)
+
+        monkeypatch.setattr(builder, "_build", build)
+        return built
+
+    def test_warm_matches_cold_in_any_order(self, monkeypatch):
+        from countdag import glm
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        data = self._data()
+        sets = [(0,), (0, 1), (0, 1, 2), (1, 3), (1, 3, 4), (2,), (2, 0), (4, 1, 3),
+                (0, 2, 4), (3, 4), (0, 1, 3), (1,), (1, 3, 4, 0)]  # the last takes the rows
+        order = [sets[i] for i in np.random.default_rng(6).permutation(2 * len(sets)) % len(sets)]
+        warm = glm.PatternBuilder(data)
+        built = self._recording(warm, monkeypatch)
+        for covariates in order:
+            cold = glm.PatternBuilder(data)
+            found, expected = warm.patterns(covariates), cold.patterns(covariates)
+            assert (found is None) == (expected is None) == (len(covariates) == 4)
+            for got, want in zip(found or (), expected or ()):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for s in range(data.p):
+                assert np.array_equal(warm.design(s, covariates)[0], cold.design(s, covariates)[0])
+        # Each set is built once, and only sets that were asked for.
+        assert sorted(built) == sorted(sets[:-1])
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        from countdag import glm
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        builder = glm.PatternBuilder(self._data())
+        for covariates in [(0,), (0, 2), (0, 2, 3)]:
+            found = builder.patterns(covariates)
+            assert builder.patterns(covariates) is found
+            for array in found:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_eviction_keeps_row_maps_within_the_rows(self, monkeypatch):
+        from countdag import glm
+        from countdag.data import CountMatrix
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        # 20 levels per column: 400 patterns per pair, so every ordered pair
+        # holds a 2n-byte row map and all 36 sets need 66n > 6 * 8n bytes.
+        values = np.random.default_rng(7).integers(0, 20, size=(3000, 6))
+        builder = glm.PatternBuilder(CountMatrix(values))
+        built = self._recording(builder, monkeypatch)
+        first = [a.copy() for a in builder.patterns((0, 1))]
+        sets = [(j,) for j in range(6)] + [(a, b) for a in range(6) for b in range(6) if a != b]
+        for covariates in sets:
+            builder.patterns(covariates)
+            cached = sum(row_map.nbytes for _, _, row_map in builder._patterns.values())
+            assert cached == builder._row_map_bytes <= builder.variables.nbytes
+        assert len(builder._patterns) < len(sets) and (0, 1) not in builder._patterns
+        again = builder.patterns((0, 1))
+        for got, want in zip(again, first):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert built.count((0, 1)) == 2
+
+    def test_nothing_cached_below_the_cut_off(self, monkeypatch):
+        from countdag import glm
+
+        data = self._data(n=glm.PATTERN_MIN_ROWS - 1)
+        builder = glm.PatternBuilder(data)
+        built = self._recording(builder, monkeypatch)
+        for covariates in [(0,), (0, 1), (0, 1, 2)]:
+            assert builder.design(3, covariates)[2] is None
+        assert built == [] and not builder._patterns
+
+    def test_threads_share_a_builder(self, monkeypatch):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from countdag import glm
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        data = self._data()
+        sets = [(0,), (0, 1), (0, 1, 2), (1, 3), (0, 2), (0, 2, 4), (2, 4)] * 4
+        builder = glm.PatternBuilder(data)
+        built = self._recording(builder, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(builder.patterns, covariates) for covariates in sets]
+                found = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for covariates, got in zip(sets, found):
+            for array, want in zip(got, glm.PatternBuilder(data).patterns(covariates)):
+                assert np.array_equal(array, want)
+        assert sorted(built) == sorted(set(sets))
+
+    @pytest.mark.parametrize("high", [9, 10**12])  # from value counts, and from every row
+    def test_log_fact_from_value_counts(self, high):
+        from scipy.special import gammaln
+
+        from countdag.data import CountMatrix
+        from countdag.glm import PatternBuilder
+
+        rng = np.random.default_rng(8)
+        values = rng.integers(0, high, size=(5000, 3))
+        values[:, 1] = rng.poisson(2.5, size=5000)
+        builder = PatternBuilder(CountMatrix(values))
+        for s in range(3):
+            expected = np.mean(gammaln(values[:, s] + 1.0))
+            assert builder.log_fact(s) == pytest.approx(expected, rel=1e-12)
+
 
 class TestWaldAll:
     """One factorisation per fit gives the same tests as wald per covariate."""

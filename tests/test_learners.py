@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,33 @@ class TestFitTally:
         tally.add(GlmFit(**base, halvings=31))
         assert tally.halvings == 36 and tally.fits == 3
 
+    def test_no_update_lost_under_threads(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from countdag.glm import FitTally, GlmFit
+
+        fit = GlmFit((0,), np.zeros(1), np.eye(1), 1.0, False, 3, np.ones(1, dtype=bool),
+                     lp_capped=True, halvings=2)
+        tally = FitTally()
+
+        def add_many():
+            for _ in range(20_000):
+                tally.add(fit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(add_many) for _ in range(4)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        total = 4 * 20_000
+        assert tally == FitTally(fits=total, nonconverged=total, lp_capped=total,
+                                 diverged=total, newton_iterations=3 * total,
+                                 halvings=2 * total)
+
 
 class TestPatternPath:
     """Node regressions on distinct covariate patterns give the learners'
@@ -296,15 +325,18 @@ class TestPatternPath:
             else:
                 runner = or_ppgm_detailed if learner == "or_ppgm" else or_lpgm_detailed
                 dag, report = runner(data, ordering, LearnConfig(alpha=0.01, m=2, threads=threads))
-        return dag.edges, report.fits.fits, sum(grouped), len(grouped)
+        return dag.edges, dataclasses.asdict(report.fits), sum(grouped), len(grouped)
 
     @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
     def test_same_edges_and_fits_on_either_path(self, tall, learner, monkeypatch):
         data, ordering = tall
-        edges, fits, grouped, calls = self._run(monkeypatch, 10**12, learner, 1, data, ordering)
-        assert grouped == 0 and fits == calls > 0
-        for threads in (1, 3):
-            for min_rows in (0, 10**12):
-                out = self._run(monkeypatch, min_rows, learner, threads, data, ordering)
-                assert out[:2] == (edges, fits)
-                assert (out[2] > 0) == (min_rows == 0)
+        edges, tally, grouped, calls = self._run(monkeypatch, 10**12, learner, 1, data, ordering)
+        assert grouped == 0 and tally["fits"] == calls > 0
+        for min_rows in (0, 10**12):
+            serial = self._run(monkeypatch, min_rows, learner, 1, data, ordering)
+            assert serial[0] == edges and serial[1]["fits"] == tally["fits"]
+            assert (serial[2] > 0) == (min_rows == 0)
+            # Workers share the builder and the report: the tally is exact,
+            # field by field, at any worker count.
+            threaded = self._run(monkeypatch, min_rows, learner, 3, data, ordering)
+            assert threaded[0] == edges and threaded[1] == serial[1]
