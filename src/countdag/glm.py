@@ -31,8 +31,7 @@ Linear Models*). Count covariates repeat, so on tall data a node
 regression has far fewer distinct covariate patterns than rows, and
 :class:`PatternBuilder` hands the learners that form whenever it pays.
 The learners regress many nodes on the same few covariate sets, so the
-builder keeps each set's patterns for the life of one learner call,
-builds a new set from the cached patterns of its longest prefix, and
+builder keeps each set's patterns for the life of one learner call and
 drops the least recently used sets once their row maps take as many bytes
 as the float rows.
 """
@@ -292,17 +291,12 @@ class PatternBuilder:
     builder also keeps each set's patterns, multiplicities and row map
     (each row's pattern index, in the smallest unsigned type), keyed by the
     covariate tuple and read-only. A set asked for the first time is built
-    from its longest cached prefix ``K[:j]``: the prefix's row map is the
-    leading mixed-radix digit and only the remaining columns' level codes
-    are added, in one code pass, one bincount and one lookup. With no
-    cached prefix it starts from the first column's level codes, and a
-    single column's patterns are its levels. Only sets that were asked for
-    are built, so a build never costs more than one from the level codes.
-    Patterns stay in lexicographic order either way, so a fit does not
-    depend on what was cached. The cached row maps take at most as many
-    bytes as the float rows (p * n * 8); beyond that the least recently
-    used set is dropped. One lock guards the caches, so learner threads
-    may share a builder.
+    from its columns' level codes, in one code pass, one bincount and one
+    lookup; only sets that were asked for are built. Patterns are in
+    lexicographic order, so a fit does not depend on what was cached. The
+    cached row maps take at most as many bytes as the float rows
+    (p * n * 8); beyond that the least recently used set is dropped. One
+    lock guards the caches, so learner threads may share a builder.
     """
 
     def __init__(self, data: CountMatrix):
@@ -389,19 +383,9 @@ class PatternBuilder:
     def _build(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`patterns` of a set that is not cached and whose level-count
         product is at most n."""
-        for start in range(len(covariates) - 1, 0, -1):
-            prefix = self._patterns.get(covariates[:start])
-            if prefix is not None:
-                self._patterns.move_to_end(covariates[:start])
-                head, _, code = prefix
-                break
-        else:
-            values, codes = self._levels[covariates[0]]
-            if len(covariates) == 1:
-                return values[:, None], np.bincount(codes).astype(np.float64), codes
-            start, head, code = 1, values[:, None], codes
-        space = len(head)
-        for j in covariates[start:]:
+        values, code = self._levels[covariates[0]]
+        space = values.size
+        for j in covariates[1:]:
             values, codes = self._levels[j]
             code = np.multiply(code, values.size, dtype=np.intp)
             code += codes
@@ -412,11 +396,10 @@ class PatternBuilder:
         lookup[present] = np.arange(present.size)
         X = np.empty((present.size, len(covariates)))
         rest = present
-        for col in range(len(covariates) - 1, start - 1, -1):
+        for col in range(len(covariates) - 1, -1, -1):
             values = self._levels[covariates[col]][0]
             rest, index = np.divmod(rest, values.size)
             X[:, col] = values[index]
-        X[:, :start] = head[rest]
         return X, counts[present].astype(np.float64), lookup[code]
 
     def design(

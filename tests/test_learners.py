@@ -340,3 +340,4 @@ class TestPatternPath:
             # field by field, at any worker count.
             threaded = self._run(monkeypatch, min_rows, learner, 3, data, ordering)
             assert threaded[0] == edges and threaded[1] == serial[1]
+            assert (threaded[2] > 0) == (min_rows == 0)
