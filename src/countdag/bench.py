@@ -9,16 +9,19 @@ precision/recall left undefined in a replicate (zero denominator) are
 excluded from their averages, and F1 of such replicates is 0, so table
 cells never contain NaN.
 
-Replicates run in a thread pool when asked; every replicate derives its own
-Philox substream and results are reduced in replicate order, so output is
-identical for any thread count.
+Replicates run in worker processes when asked; every replicate derives its
+own Philox substream and records are kept in replicate order, so output
+other than runtimes is identical for any worker count.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 from .data import CountMatrix
@@ -184,49 +187,72 @@ def _aggregate(
     )
 
 
+def make_truth(exp: Experiment, index: int) -> tuple[WeightedDag, Ordering]:
+    """The weighted graph and ordering of replicate ``index``: one shared
+    graph when ``exp.fixed_graph`` is set, else one per replicate."""
+    sim = exp.sim
+    key = (0,) if exp.fixed_graph else (0, index)
+    rng = make_rng(sim.seed, *key)
+    dag, ordering = gen_graph(sim, rng)
+    return gen_weights(dag, rng), ordering
+
+
+def run_replicate(
+    exp: Experiment, shared: tuple[WeightedDag, Ordering] | None, r: int
+) -> tuple[WeightedDag, list[ReplicateRecord]]:
+    """Sample replicate ``r``'s data and run every learner on it. ``shared``
+    is the fixed graph, or None to draw the replicate's own."""
+    sim = exp.sim
+    wdag, ordering = shared if shared is not None else make_truth(exp, r)
+    data = sample_data(wdag, ordering, sim.n, sim, make_rng(sim.seed, 1, r))
+    records = []
+    for spec in exp.learners:
+        start = time.perf_counter()
+        try:
+            estimate = spec.run(data, ordering, wdag.dag)
+            metrics: RecoveryMetrics | None = compare(estimate, wdag.dag)
+            error = None
+        except Exception as exc:  # noqa: BLE001 - failure isolation by contract
+            metrics = None
+            error = f"{type(exc).__name__}: {exc}"
+        records.append(
+            ReplicateRecord(r, spec.name, metrics, time.perf_counter() - start, error)
+        )
+    return wdag, records
+
+
+def _process_context():
+    """Workers fork from a server that imported countdag once, so a pool
+    starts in milliseconds and never forks a process running threads;
+    spawn where the platform has no fork server."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
+
+
 def run(exp: Experiment, threads: int = 1) -> RunResult:
     """Execute every replicate and collect per-replicate recovery records.
+
+    ``threads`` counts worker processes. Above 1, replicates run in a
+    process pool of at most one worker per replicate and per CPU, so
+    replicates do not compete for a core and each runtime compares with a
+    serial one; records stay in replicate order either way.
 
     A learner failure inside one replicate is recorded and excluded from the
     aggregates; the run aborts only if a learner fails in every replicate.
     """
-    sim = exp.sim
-
-    def make_truth(index: int) -> tuple[WeightedDag, Ordering]:
-        key = (0,) if exp.fixed_graph else (0, index)
-        rng = make_rng(sim.seed, *key)
-        dag, ordering = gen_graph(sim, rng)
-        return gen_weights(dag, rng), ordering
-
-    if exp.fixed_graph:
-        shared = make_truth(0)
-
-    def run_replicate(r: int) -> list[ReplicateRecord]:
-        wdag, ordering = shared if exp.fixed_graph else make_truth(r)
-        data = sample_data(wdag, ordering, sim.n, sim, make_rng(sim.seed, 1, r))
-        records = []
-        for spec in exp.learners:
-            start = time.perf_counter()
-            try:
-                estimate = spec.run(data, ordering, wdag.dag)
-                metrics: RecoveryMetrics | None = compare(estimate, wdag.dag)
-                error = None
-            except Exception as exc:  # noqa: BLE001 - failure isolation by contract
-                metrics = None
-                error = f"{type(exc).__name__}: {exc}"
-            records.append(
-                ReplicateRecord(r, spec.name, metrics, time.perf_counter() - start, error)
-            )
-        return records
-
+    shared = make_truth(exp, 0) if exp.fixed_graph else None
     indices = range(exp.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(run_replicate, indices))
+    workers = min(threads, exp.replicates, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=_process_context()) as pool:
+            outcomes = list(pool.map(partial(run_replicate, exp, shared), indices))
     else:
-        nested = [run_replicate(r) for r in indices]
+        outcomes = [run_replicate(exp, shared, r) for r in indices]
 
-    records = tuple(rec for batch in nested for rec in batch)
+    records = tuple(rec for _, batch in outcomes for rec in batch)
     for spec in exp.learners:
         if all(r.metrics is None for r in records if r.learner == spec.name):
             failures = [r.error for r in records if r.learner == spec.name]
@@ -234,7 +260,7 @@ def run(exp: Experiment, threads: int = 1) -> RunResult:
                 f"learner {spec.name!r} failed in all {exp.replicates} replicates; "
                 f"first error: {failures[0]}"
             )
-    truths = (shared[0],) if exp.fixed_graph else tuple(make_truth(r)[0] for r in indices)
+    truths = (shared[0],) if shared is not None else tuple(wdag for wdag, _ in outcomes)
     return RunResult(experiment=exp, truth=truths, records=records)
 
 
@@ -361,7 +387,7 @@ _SIM_KEYS = {
     "sf_zero_appeal", "root_log_rate", "overflow_threshold",
 }
 _FIT_KEYS = {"tol", "max_iter", "theta_cap", "lp_cap"}
-_LEARN_KEYS = {"alpha", "alpha_b", "m", "threads"} | _FIT_KEYS
+_LEARN_KEYS = {"alpha", "alpha_b", "m"} | _FIT_KEYS
 _SCORE_KEYS = {"max_parents"} | _FIT_KEYS
 
 
@@ -383,7 +409,6 @@ def learner_from_dict(obj: dict) -> LearnerSpec:
             alpha=opts.get("alpha"),
             alpha_b=opts.get("alpha_b"),
             m=opts.get("m"),
-            threads=opts.get("threads", 1),
             fit_options=_fit_options(opts),
         )
     elif algo in ("pkbic", "pkaic"):

@@ -9,22 +9,20 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import secrets
 import sys
 from pathlib import Path
 
 from . import bench
 from .data import InvalidData, counts_from_csv, counts_to_csv, outlier_filter
-from .glm import FitOptions
 from .graphs import (
     GraphError,
     edges_to_text,
     ordering_from_text,
     ordering_to_text,
 )
-from .learn import LearnConfig, or_lpgm_detailed, or_ppgm_detailed
-from .scores import ScoreConfig, pk2_detailed
+from .learn import or_lpgm_detailed, or_ppgm_detailed
+from .scores import pk2_detailed
 from .simulate import SimConfig, make_rng, gen_graph, gen_weights, sample_data
 
 EXIT_OK = 0
@@ -40,21 +38,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_threads() -> int:
-    env = os.environ.get("COUNTDAG_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance")
-    parser.add_argument("--max-iter", type=int, default=100, help="Newton iteration cap")
-    parser.add_argument("--theta-cap", type=float, default=20.0,
+    parser.add_argument("--tol", type=float, help="gradient tolerance")
+    parser.add_argument("--max-iter", type=int, help="Newton iteration cap")
+    parser.add_argument("--theta-cap", type=float,
                         help="freeze coefficients diverging below -theta-cap")
-    parser.add_argument("--lp-cap", type=float, default=30.0,
+    parser.add_argument("--lp-cap", type=float,
                         help="clamp linear predictors inside exp during fitting")
+
+
+#: learn flags that configure the learner, named as bench.learner_from_dict
+#: keys; a flag left unset keeps the learner's default.
+_LEARNER_FLAGS = (
+    "alpha", "alpha_b", "m", "max_parents", "tol", "max_iter", "theta_cap", "lp_cap",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,15 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exponent b for the schedule 2(1-Phi(n^b))")
     learn.add_argument("--m", type=int, default=None,
                        help="max conditioning-set cardinality (or-ppgm)")
-    learn.add_argument("--criterion", choices=("bic", "aic"), default=None,
-                       help="override score criterion (pkbic/pkaic)")
     learn.add_argument("--max-parents", type=int, default=None,
                        help="parent cap for the score search")
     learn.add_argument("--out", default=None, help="edge-list output path (default stdout)")
     learn.add_argument("--report", default=None, help="JSON report output path")
     learn.add_argument("--filter-outliers", action="store_true",
                        help="drop rows with entries beyond 3 sd of the column mean")
-    learn.add_argument("--threads", type=int, default=_default_threads())
+    # Accepted and ignored: the learners run serially.
+    learn.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     _add_fit_flags(learn)
 
     simulate = sub.add_parser("simulate", help="generate a benchmark graph and dataset")
@@ -105,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--config", required=True, help="experiment JSON path")
     bench_p.add_argument("--out-prefix", default=None,
                          help="also write PREFIX.csv and PREFIX.json")
-    bench_p.add_argument("--threads", type=int, default=_default_threads())
+    bench_p.add_argument("--threads", type=int, default=1,
+                         help="worker processes running replicates (default 1)")
 
     return parser
 
@@ -117,25 +114,20 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _learn_config(args: argparse.Namespace) -> LearnConfig:
-    alpha, alpha_b = args.alpha, args.alpha_b
-    if alpha is not None and alpha_b is not None:
+def _learner(args: argparse.Namespace) -> bench.LearnerSpec:
+    options = {k: v for k in _LEARNER_FLAGS if (v := getattr(args, k)) is not None}
+    if "alpha" in options and "alpha_b" in options:
         raise CliError("give only one of --alpha / --alpha-b")
-    if alpha is None and alpha_b is None:
-        alpha = 0.05
-    return LearnConfig(
-        alpha=alpha,
-        alpha_b=alpha_b,
-        m=args.m,
-        threads=max(1, args.threads),
-        fit_options=FitOptions(
-            tol=args.tol, max_iter=args.max_iter,
-            theta_cap=args.theta_cap, lp_cap=args.lp_cap,
-        ),
-    )
+    if args.algo in ("or-ppgm", "or-lpgm") and "alpha_b" not in options:
+        options.setdefault("alpha", 0.05)
+    try:
+        return bench.learner_from_dict({"algo": args.algo, **options})
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    cfg = _learner(args).config
     try:
         data = counts_from_csv(_read_text(args.counts, "counts CSV"))
     except InvalidData as exc:
@@ -164,7 +156,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
     }
     try:
         if args.algo in ("or-ppgm", "or-lpgm"):
-            cfg = _learn_config(args)
             runner = or_ppgm_detailed if args.algo == "or-ppgm" else or_lpgm_detailed
             dag, learn_report = runner(data, ordering, cfg)
             report["alpha"] = learn_report.alpha
@@ -183,17 +174,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 for (t, s), test in sorted(learn_report.edge_tests.items())
             ]
         else:
-            criterion = args.criterion or ("bic" if args.algo == "pkbic" else "aic")
-            cfg = ScoreConfig(
-                criterion=criterion,
-                max_parents=args.max_parents,
-                fit_options=FitOptions(
-                    tol=args.tol, max_iter=args.max_iter,
-                    theta_cap=args.theta_cap, lp_cap=args.lp_cap,
-                ),
-            )
             dag, score_report = pk2_detailed(data, ordering, cfg)
-            report["criterion"] = criterion
+            report["criterion"] = cfg.criterion
             report["total_score"] = score_report.total_score
             report["fits"] = dataclasses.asdict(score_report.fits)
             report["forward_moves"] = [
@@ -268,7 +250,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(f"experiment config {args.config!r}: {exc}") from exc
     print(f"seed: {exp.sim.seed}")
     try:
-        result = bench.run(exp, threads=max(1, args.threads)).aggregate()
+        result = bench.run(exp, threads=args.threads).aggregate()
     except RuntimeError as exc:
         raise CliError(str(exc), EXIT_ALGORITHM) from exc
     rows = bench.table_rows([result])

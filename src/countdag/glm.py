@@ -107,8 +107,8 @@ class GlmFit:
         return float(self.theta[self.covariates.index(target)])
 
 
-#: Serialises :meth:`FitTally.add`, so tallies shared by learner threads
-#: stay exact.
+#: Serialises :meth:`FitTally.add`, so a tally shared between threads stays
+#: exact.
 _TALLY_LOCK = threading.Lock()
 
 
@@ -296,7 +296,7 @@ class PatternBuilder:
     lexicographic order, so a fit does not depend on what was cached. The
     cached row maps take at most as many bytes as the float rows
     (p * n * 8); beyond that the least recently used set is dropped. One
-    lock guards the caches, so learner threads may share a builder.
+    lock guards the caches, so threads may share a builder.
     """
 
     def __init__(self, data: CountMatrix):

@@ -17,7 +17,6 @@ node indices.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -52,7 +51,6 @@ class LearnConfig:
     alpha_b: float | None = None
     m: int | None = None
     fit_options: FitOptions = field(default_factory=FitOptions)
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if (self.alpha is None) == (self.alpha_b is None):
@@ -61,8 +59,6 @@ class LearnConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.m is not None and self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def resolve_alpha(self, n: int) -> float:
         if self.alpha is not None:
@@ -160,52 +156,31 @@ def or_ppgm_detailed(
 
     level = 0
     while True:
-        # Children in ordering position; each child's edges are independent
-        # of every other child's within a level, so this grouping is also the
-        # unit of (optional) parallelism. Workers touch only parents[s] of
-        # their own child and return local diagnostics, merged in child order.
-        children = [s for s in ordering.perm if len(parents[s]) >= 1]
-
-        def run_child(s: int) -> tuple[bool, list[EdgeTest], list[str]]:
-            tested_any = False
-            tests: list[EdgeTest] = []
-            warnings: list[str] = []
+        # Children in ordering position; a child's tests touch only its own
+        # parent set.
+        any_tested = False
+        for s in ordering.perm:
             for t in sorted(parents[s], key=ordering.position):
                 pool = parents[s] - {t}
                 if len(pool) < level:
                     continue
-                tested_any = True
+                any_tested = True
                 for subset in combinations(sorted(pool), level):
                     key = tuple(sorted(subset + (t,)))
                     try:
                         test = wald(cache.fit(s, key), t, n, alpha)
                         z, rejected = test.z, test.reject
                     except SingularInformation as exc:
-                        warnings.append(
+                        report.warn(
                             f"edge {t}->{s} | K={key}: singular information "
                             f"({exc}); treated as non-rejection"
                         )
                         z, rejected = float("nan"), False
-                    tests.append(EdgeTest((t, s), subset, z, rejected))
+                    report.tests_run += 1
+                    report.edge_tests[(t, s)] = EdgeTest((t, s), subset, z, rejected)
                     if not rejected:
                         parents[s].discard(t)
                         break
-            return tested_any, tests, warnings
-
-        if cfg.threads > 1 and len(children) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool_exec:
-                outcomes = list(pool_exec.map(run_child, children))
-        else:
-            outcomes = [run_child(s) for s in children]
-
-        any_tested = False
-        for tested, tests, warnings in outcomes:
-            any_tested |= tested
-            report.tests_run += len(tests)
-            for record in tests:
-                report.edge_tests[record.edge] = record
-            for message in warnings:
-                report.warn(message)
 
         if level >= m or not any_tested:
             break
@@ -235,52 +210,34 @@ def or_lpgm_detailed(
     alpha = report.alpha
     cache = _FitCache(data, cfg.fit_options, report)
 
-    def run_node(s: int) -> tuple[list[tuple[int, int]], list[EdgeTest], list[str]]:
+    edges = set()
+    for s in ordering.perm:
         pre = ordering.precedents(s)
-        tests: list[EdgeTest] = []
-        warnings: list[str] = []
         if not pre:
-            return [], tests, warnings
+            continue
         if n <= len(pre):
-            warnings.append(
+            report.warn(
                 f"node {s}: regression on {len(pre)} precedents with only "
                 f"{n} rows is rank-deficient"
             )
         try:
             node_fit = cache.fit(s, pre)
         except SingularInformation as exc:
-            warnings.append(f"node {s}: fit failed ({exc}); all tests non-rejecting")
-            return [], tests, warnings
-        kept = []
+            report.warn(f"node {s}: fit failed ({exc}); all tests non-rejecting")
+            continue
         for t, test in zip(pre, wald_all(node_fit, n, alpha)):
             if isinstance(test, SingularInformation):
-                warnings.append(
+                report.warn(
                     f"node {s}, covariate {t}: singular information ({test}); "
                     "treated as non-rejection"
                 )
                 z, rejected = float("nan"), False
             else:
                 z, rejected = test.z, test.reject
-            tests.append(
-                EdgeTest((t, s), tuple(u for u in pre if u != t), z, rejected)
+            report.tests_run += 1
+            report.edge_tests[(t, s)] = EdgeTest(
+                (t, s), tuple(u for u in pre if u != t), z, rejected
             )
             if rejected:
-                kept.append((t, s))
-        return kept, tests, warnings
-
-    nodes = list(ordering.perm)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool_exec:
-            outcomes = list(pool_exec.map(run_node, nodes))
-    else:
-        outcomes = [run_node(s) for s in nodes]
-
-    edges = set()
-    for kept, tests, warnings in outcomes:
-        edges.update(kept)
-        report.tests_run += len(tests)
-        for record in tests:
-            report.edge_tests[record.edge] = record
-        for message in warnings:
-            report.warn(message)
+                edges.add((t, s))
     return Dag(p, frozenset(edges), data.labels), report

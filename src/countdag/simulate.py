@@ -10,7 +10,7 @@ parents.
 All randomness flows through a counter-based Philox generator; substreams
 are derived with explicit spawn keys so any row chunk can be (re)drawn
 independently of scheduling, which keeps output byte-identical across runs
-and thread counts.
+and worker counts.
 """
 from __future__ import annotations
 

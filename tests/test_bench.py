@@ -49,21 +49,24 @@ class TestRun:
         assert empty.mean["precision"] is None  # undefined in every replicate
 
     def test_seed_stability_across_runs_and_threads(self):
-        exp = hub_experiment(
-            n=400,
-            replicates=6,
-            learners=(
-                LearnerSpec("or-lpgm", "or-lpgm", LearnConfig(alpha_b=0.15)),
-                LearnerSpec("pkbic", "pkbic"),
-            ),
-        )
-        base = run(exp).aggregate()
-        repeat = run(exp).aggregate()
-        threaded = run(exp, threads=4).aggregate()
-        for other in (repeat, threaded):
-            for name in ("or-lpgm", "pkbic"):
-                assert base.summary(name).mean == other.summary(name).mean
-                assert base.summary(name).se == other.summary(name).se
+        def outcome(result):
+            return [(r.replicate, r.learner, r.metrics, r.error) for r in result.records]
+
+        for fixed_graph in (True, False):
+            exp = Experiment(
+                sim=SimConfig(graph_kind="hub", p=10, n=400, seed=17),
+                learners=(
+                    LearnerSpec("or-lpgm", "or-lpgm", LearnConfig(alpha_b=0.15)),
+                    LearnerSpec("pkbic", "pkbic"),
+                ),
+                replicates=6,
+                fixed_graph=fixed_graph,
+            )
+            base = run(exp)
+            assert [r.replicate for r in base.records] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+            for other in (run(exp), run(exp, threads=4)):
+                assert outcome(other) == outcome(base)
+                assert other.truth == base.truth
 
     def test_fresh_graph_per_replicate_mode(self):
         exp = Experiment(
@@ -236,6 +239,14 @@ class TestExperimentJson:
                     "seed": 1,
                     "sim": {"graph_kind": "hub", "p": 4, "n": 10, "bogus": 1},
                     "learners": [{"name": "x", "algo": "oracle"}],
+                }
+            )
+        with pytest.raises(ValueError, match=r"unknown keys \['threads'\]"):
+            experiment_from_dict(
+                {
+                    "seed": 1,
+                    "sim": {"graph_kind": "hub", "p": 4, "n": 10, "hub_count": 2},
+                    "learners": [{"name": "x", "algo": "or-ppgm", "alpha": 0.05, "threads": 2}],
                 }
             )
 

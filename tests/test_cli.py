@@ -125,6 +125,22 @@ class TestLearn:
         assert rc == EXIT_BAD_INPUT
         assert "only one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algo", "pkbic", "--m", "2"], "unknown keys ['m']"),  # or-ppgm's flag
+            (["--alpha", "2"], "alpha must be in (0, 1)"),
+        ],
+    )
+    def test_bad_learner_option_exit_2(self, tmp_path, capsys, flags, message):
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b\n1,2\n2,1\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b\n")
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering), *flags])
+        assert rc == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_fixed_seed_is_byte_identical(self, tmp_path):
@@ -176,7 +192,7 @@ class TestSimulate:
                 "learn",
                 "--counts", str(tmp_path / "s.counts.csv"),
                 "--ordering", str(tmp_path / "s.ordering.txt"),
-                "--algo", "or-lpgm", "--alpha-b", "0.15",
+                "--algo", "or-lpgm", "--alpha-b", "0.15", "--threads", "1",
                 "--out", str(tmp_path / "est.edges"),
             ]
         )
@@ -219,13 +235,3 @@ class TestBench:
         path = tmp_path / "exp.json"
         path.write_text("{not json")
         assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
-
-
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("COUNTDAG_THREADS", "3")
-        from countdag.cli import _default_threads
-
-        assert _default_threads() == 3
-        monkeypatch.setenv("COUNTDAG_THREADS", "junk")
-        assert _default_threads() == 1

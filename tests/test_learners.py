@@ -94,7 +94,7 @@ class TestOrPpgm:
             dag = or_ppgm(data, Ordering(perm), LearnConfig(alpha=0.2))
             assert is_consistent(dag, Ordering(perm))
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(13)
         data = sample_recursive(
             [(0, 2), (1, 2), (2, 3)],
@@ -104,8 +104,7 @@ class TestOrPpgm:
         ordering = Ordering((0, 1, 2, 3))
         first = or_ppgm(data, ordering, ALPHA01)
         again = or_ppgm(data, ordering, ALPHA01)
-        threaded = or_ppgm(data, ordering, LearnConfig(alpha=0.01, threads=4))
-        assert first == again == threaded
+        assert first == again
 
     def test_zero_column_deletes_edge_with_warning(self):
         values = np.zeros((100, 2), dtype=np.int64)
@@ -191,13 +190,13 @@ class TestOrLpgm:
         )
         assert any("rank-deficient" in w for w in report.warnings)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(29)
         data = CountMatrix(rng.poisson(1.0, size=(500, 5)))
         ordering = Ordering((4, 2, 0, 3, 1))
         base = or_lpgm(data, ordering, LearnConfig(alpha=0.1))
-        threaded = or_lpgm(data, ordering, LearnConfig(alpha=0.1, threads=3))
-        assert base == threaded
+        again = or_lpgm(data, ordering, LearnConfig(alpha=0.1))
+        assert base == again
         assert is_consistent(base, ordering)
 
 
@@ -297,7 +296,7 @@ class TestFitTally:
 
 class TestPatternPath:
     """Node regressions on distinct covariate patterns give the learners'
-    output on the rows, for any worker count."""
+    output on the rows."""
 
     @pytest.fixture(scope="class")
     def tall(self):
@@ -307,7 +306,7 @@ class TestPatternPath:
         return sample_recursive(edges, weights, 6, 20_000, rng), Ordering(tuple(range(6)))
 
     @staticmethod
-    def _run(monkeypatch, min_rows, learner, threads, data, ordering):
+    def _run(monkeypatch, min_rows, learner, data, ordering):
         from countdag import glm, learn, scores
         from countdag.scores import ScoreConfig, pk2_detailed
 
@@ -324,20 +323,15 @@ class TestPatternPath:
                 dag, report = pk2_detailed(data, ordering, ScoreConfig())
             else:
                 runner = or_ppgm_detailed if learner == "or_ppgm" else or_lpgm_detailed
-                dag, report = runner(data, ordering, LearnConfig(alpha=0.01, m=2, threads=threads))
+                dag, report = runner(data, ordering, LearnConfig(alpha=0.01, m=2))
         return dag.edges, dataclasses.asdict(report.fits), sum(grouped), len(grouped)
 
     @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
     def test_same_edges_and_fits_on_either_path(self, tall, learner, monkeypatch):
         data, ordering = tall
-        edges, tally, grouped, calls = self._run(monkeypatch, 10**12, learner, 1, data, ordering)
+        edges, tally, grouped, calls = self._run(monkeypatch, 10**12, learner, data, ordering)
         assert grouped == 0 and tally["fits"] == calls > 0
         for min_rows in (0, 10**12):
-            serial = self._run(monkeypatch, min_rows, learner, 1, data, ordering)
-            assert serial[0] == edges and serial[1]["fits"] == tally["fits"]
-            assert (serial[2] > 0) == (min_rows == 0)
-            # Workers share the builder and the report: the tally is exact,
-            # field by field, at any worker count.
-            threaded = self._run(monkeypatch, min_rows, learner, 3, data, ordering)
-            assert threaded[0] == edges and threaded[1] == serial[1]
-            assert (threaded[2] > 0) == (min_rows == 0)
+            forced = self._run(monkeypatch, min_rows, learner, data, ordering)
+            assert forced[0] == edges and forced[1]["fits"] == tally["fits"]
+            assert (forced[2] > 0) == (min_rows == 0)
