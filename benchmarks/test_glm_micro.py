@@ -4,13 +4,14 @@ The shapes are those the learners produce: (n, k) = (1000, 1) and
 (1000, 3) are table-1 conditioning-set fits, (50000, 2) a fit on the
 50,000-row CSV workload, and (500, 99) an OR-LPGM node regression on
 table-2 data. X is taken from a (p, n) array, one row per variable, as
-the learners take it. The pattern cases time what a learner pays per fit
-on the 50,000-row workload: the distinct covariate patterns and
-per-pattern response sums from a PatternBuilder that has the set cached,
-then the fit on them. The design cases time the builder alone at n=50,000:
-cold (level codes built, the set not yet cached) against warm (the set
-cached, so only the response sums are left), and log_fact times one
-column's log-factorial mean from its level counts.
+the learners take it, and X^T y is given, as the learners give it. The
+pattern cases time what a learner pays per fit on the 50,000-row workload:
+X^T y, the distinct covariate patterns and their multiplicities from a
+PatternBuilder that has the node's cross products and the set cached, then
+the fit on them. The design cases time the builder alone at n=50,000: cold
+(level codes built, neither the set nor the node's cross products cached)
+against warm (both cached, so only the lookups are left), and log_fact
+times one column's log-factorial mean from its level counts.
 """
 import numpy as np
 import pytest
@@ -35,13 +36,14 @@ def _problem(n, k, seed=2993):
     variables = _variables(n, k, seed)
     cov = tuple(range(1, k + 1))
     y = variables[0]
-    return y, variables[list(cov)].T, cov, float(np.mean(_log_factorial(y)))
+    X = variables[list(cov)].T
+    return X.T @ y, X, cov, float(np.mean(_log_factorial(y)))
 
 
 @pytest.mark.parametrize("n,k", SHAPES, ids=[f"n{n}-k{k}" for n, k in SHAPES])
 def test_fit_core(benchmark, n, k):
-    y, X, cov, log_fact = _problem(n, k)
-    result = benchmark(_fit_core, y, X, FitOptions(), cov, log_fact)
+    xty, X, cov, log_fact = _problem(n, k)
+    result = benchmark(_fit_core, xty, X, FitOptions(), cov, log_fact)
     assert result.converged
 
 
@@ -55,22 +57,22 @@ def test_fit_core_patterns(benchmark, k):
         builder.levels(j)
 
     def build_and_fit():
-        y, X, counts = builder.design(0, cov)
+        xty, X, counts = builder.design(0, cov)
         assert counts is not None
-        return _fit_core(y, X, FitOptions(), cov, log_fact, counts)
+        return _fit_core(xty, X, FitOptions(), cov, log_fact, counts)
 
     assert benchmark(build_and_fit).converged
 
 
 def test_wald(benchmark):
-    y, X, cov, log_fact = _problem(1000, 3)
-    fit = _fit_core(y, X, FitOptions(), cov, log_fact)
+    xty, X, cov, log_fact = _problem(1000, 3)
+    fit = _fit_core(xty, X, FitOptions(), cov, log_fact)
     benchmark(wald, fit, cov[0], 1000, 0.05)
 
 
 def test_wald_all_wide(benchmark):
-    y, X, cov, log_fact = _problem(500, 99)
-    fit = _fit_core(y, X, FitOptions(), cov, log_fact)
+    xty, X, cov, log_fact = _problem(500, 99)
+    fit = _fit_core(xty, X, FitOptions(), cov, log_fact)
     tests = benchmark(wald_all, fit, 500, 0.05)
     assert len(tests) == 99
 

@@ -12,33 +12,34 @@ expected Fisher information coincide; the fitted Hessian is reported as the
 sample Fisher information and feeds the Wald test of a single coefficient.
 
 The solver works on sufficient statistics. With rates w = exp(X theta),
-the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so
-X^T y is computed once per fit and each Newton iteration needs only X^T w
-and X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
-matrix-vector product ``Zt @ w``, where the moment matrix ``Zt`` holds X's
-columns and their pairwise products as rows; wider fits form X^T W X from a
-Fortran-ordered copy of X. The step-halving line search moves along the
-linear predictor, lp - eta * (X step), and evaluates the objective as
+the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so y
+enters only through X^T y, which the solver takes as given, and each
+Newton iteration needs only X^T w and X^T W X. For up to
+:data:`MOMENT_MAX_K` covariates both come from one matrix-vector product
+``Zt @ w``, where the moment matrix ``Zt`` holds X's columns and their
+pairwise products as rows; wider fits form X^T W X from a Fortran-ordered
+copy of X. The step-halving line search moves along the linear predictor,
+lp - eta * (X step), and evaluates the objective as
 (sum(w) - <theta, X^T y>) / n + mean(log y!), so a trial point costs one
 pass over the rows; X theta is recomputed only when a coefficient is
 clamped at the theta cap.
 
 The rows may carry multiplicities c: the rates become w = c * exp(X theta)
 and n becomes sum(c), so a fit on the distinct rows of X, their
-multiplicities and the per-row-group sums of y is the fit on all rows
-(the grouped form of a Poisson GLM; McCullagh and Nelder, *Generalized
-Linear Models*). Count covariates repeat, so on tall data a node
-regression has far fewer distinct covariate patterns than rows, and
-:class:`PatternBuilder` hands the learners that form whenever it pays.
-The learners regress many nodes on the same few covariate sets, so the
-builder keeps each set's patterns for the life of one learner call and
-drops the least recently used sets once their row maps take as many bytes
-as the float rows.
+multiplicities and X^T y over all rows is the fit on all rows (the grouped
+form of a Poisson GLM; McCullagh and Nelder, *Generalized Linear Models*).
+Count covariates repeat, so on tall data a node regression has far fewer
+distinct covariate patterns than rows, and :class:`PatternBuilder` hands
+the learners that form whenever it pays. X^T y is a slice of the node's
+cross products with every variable, which the builder forms once per node,
+so no fit passes over the rows for it. The learners regress many nodes on
+the same few covariate sets, so the builder keeps each set's patterns for
+the life of one learner call and drops the least recently used sets once
+they take as many bytes as the float rows.
 """
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,14 +103,10 @@ class GlmFit:
     diverged: np.ndarray
     lp_capped: bool = False
     halvings: int = 0            # step halvings over all line searches
+    ridge_rescues: int = 0       # Newton systems solved only with the ridge
 
     def coefficient(self, target: int) -> float:
         return float(self.theta[self.covariates.index(target)])
-
-
-#: Serialises :meth:`FitTally.add`, so a tally shared between threads stays
-#: exact.
-_TALLY_LOCK = threading.Lock()
 
 
 @dataclass
@@ -122,15 +119,16 @@ class FitTally:
     diverged: int = 0
     newton_iterations: int = 0
     halvings: int = 0
+    ridge_rescues: int = 0
 
     def add(self, fit: GlmFit) -> None:
-        with _TALLY_LOCK:
-            self.fits += 1
-            self.nonconverged += not fit.converged
-            self.lp_capped += bool(fit.lp_capped)
-            self.diverged += bool(fit.diverged.any())
-            self.newton_iterations += fit.iterations
-            self.halvings += fit.halvings
+        self.fits += 1
+        self.nonconverged += not fit.converged
+        self.lp_capped += bool(fit.lp_capped)
+        self.diverged += bool(fit.diverged.any())
+        self.newton_iterations += fit.iterations
+        self.halvings += fit.halvings
+        self.ridge_rescues += fit.ridge_rescues
 
 
 @dataclass(frozen=True)
@@ -220,11 +218,12 @@ def _solve_plain(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs, adding ridge 1e-10 * trace/k on failure."""
+def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve H x = rhs, adding ridge 1e-10 * trace/k on failure; the flag
+    tells whether the ridge was needed."""
     out = _solve_plain(H, rhs)
     if out is not None:
-        return out
+        return out, False
     k = H.shape[0]
     ridge = 1e-10 * float(np.trace(H)) / max(k, 1)
     if ridge <= 0.0 or not math.isfinite(ridge):
@@ -232,7 +231,7 @@ def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     out = _solve_plain(H + ridge * np.eye(k), rhs)
     if out is None:
         raise SingularInformation("information matrix singular after ridge rescue")
-    return out
+    return out, True
 
 
 def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
@@ -265,122 +264,114 @@ def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
     if opts.intercept:
         X = np.hstack([X, np.ones((n, 1))])
         covariates = covariates + (INTERCEPT,)
-    return _fit_core(y, X, opts, covariates, float(np.mean(_log_factorial(y))))
+    return _fit_core(X.T @ y, X, opts, covariates, float(np.mean(_log_factorial(y))))
 
 
 class PatternBuilder:
     """Fit inputs of node regressions on the columns of one count matrix.
 
     The Poisson likelihood depends on the rows only through the distinct
-    rows of X (patterns), their multiplicities and the sum of y over the
-    rows of each pattern: the grouped form of the model. :meth:`design`
-    returns that form whenever :meth:`patterns` finds it, so Newton
-    iterations cost O(patterns) rather than O(n), and the rows otherwise.
+    rows of X (patterns), their multiplicities and X^T y: the grouped form
+    of the model. :meth:`design` returns that form whenever :meth:`patterns`
+    finds it, so Newton iterations cost O(patterns) rather than O(n), and
+    the rows otherwise. Either way X^T y is read off the node's cross
+    products with every variable, ``variables @ variables[s]``, formed on
+    first use and kept for the life of the builder, one learner call, so no
+    fit passes over the rows for it.
 
     Patterns come from per-variable level codes (each row's rank among the
     variable's distinct values, in the smallest unsigned type that holds
-    it), built on first use and kept for the life of the builder, one
-    learner call. A covariate set's mixed-radix code over those levels
-    ranges over the product of the level counts. Patterns are used when
-    that product is at most n (so the count and lookup arrays are no
-    longer than a column, and there are at most n patterns) and n is at
-    least :data:`PATTERN_MIN_ROWS`. The product is taken in Python ints,
-    so it cannot overflow.
+    it), built on first use and kept for the life of the builder. A
+    covariate set's mixed-radix code over those levels ranges over the
+    product of the level counts. Patterns are used when that product is at
+    most n (so the count array is no longer than a column, and there are at
+    most n patterns) and n is at least :data:`PATTERN_MIN_ROWS`. The
+    product is taken in Python ints, so it cannot overflow.
 
     The learners regress many nodes on the same few covariate sets, so the
-    builder also keeps each set's patterns, multiplicities and row map
-    (each row's pattern index, in the smallest unsigned type), keyed by the
+    builder also keeps each set's patterns and multiplicities, keyed by the
     covariate tuple and read-only. A set asked for the first time is built
-    from its columns' level codes, in one code pass, one bincount and one
-    lookup; only sets that were asked for are built. Patterns are in
-    lexicographic order, so a fit does not depend on what was cached. The
-    cached row maps take at most as many bytes as the float rows
-    (p * n * 8); beyond that the least recently used set is dropped. One
-    lock guards the caches, so threads may share a builder.
+    from its columns' level codes, in one code pass and one bincount; only
+    sets that were asked for are built. Patterns are in lexicographic
+    order, so a fit does not depend on what was cached. The cached sets
+    take at most as many bytes as the float rows (p * n * 8); beyond that
+    the least recently used set is dropped.
     """
 
     def __init__(self, data: CountMatrix):
         self.variables = data.variables_as_float()
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._log_fact: dict[int, float] = {}
-        self._patterns: OrderedDict[
-            tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = OrderedDict()
-        self._row_map_bytes = 0
-        self._lock = threading.RLock()
+        self._cross: dict[int, np.ndarray] = {}
+        self._patterns: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._pattern_bytes = 0
 
     def log_fact(self, s: int) -> float:
         """mean(log y!) of variable s, the objective's constant term: from
         its value counts, sum_v c_v log(v!) / n, unless its largest value is
         at least 4n (then the value counts would cost more than log y! on
         every row)."""
-        with self._lock:
-            found = self._log_fact.get(s)
-            if found is None:
-                y = self.variables[s]
-                column = y.astype(np.intp)
-                if column.size and int(column.max()) < 4 * column.size:
-                    counts = np.bincount(column)
-                    values = np.flatnonzero(counts)
-                    found = float(counts[values] @ _log_factorial(values.astype(np.float64)))
-                    found /= column.size
-                else:
-                    found = float(np.mean(_log_factorial(y)))
-                self._log_fact[s] = found
+        found = self._log_fact.get(s)
+        if found is None:
+            y = self.variables[s]
+            column = y.astype(np.intp)
+            if column.size and int(column.max()) < 4 * column.size:
+                counts = np.bincount(column)
+                values = np.flatnonzero(counts)
+                found = float(counts[values] @ _log_factorial(values.astype(np.float64)))
+                found /= column.size
+            else:
+                found = float(np.mean(_log_factorial(y)))
+            self._log_fact[s] = found
         return found
 
     def levels(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Variable j's distinct values (ascending, as floats) and the row
         codes indexing them."""
-        with self._lock:
-            found = self._levels.get(j)
-            if found is None:
-                # The float rows hold the validated counts exactly (below
-                # 2**53) and, unlike the count matrix's columns, contiguously.
-                column = self.variables[j].astype(np.intp)
-                top = int(column.max())
-                if top < 4 * column.size:
-                    seen = np.bincount(column, minlength=top + 1).astype(bool)
-                    values = np.flatnonzero(seen)
-                    rank = np.cumsum(seen) - 1
-                    codes = rank.astype(np.min_scalar_type(values.size - 1))[column]
-                else:
-                    values, codes = np.unique(column, return_inverse=True)
-                    codes = codes.astype(np.min_scalar_type(values.size - 1))
-                found = self._levels[j] = (values.astype(np.float64), codes)
+        found = self._levels.get(j)
+        if found is None:
+            # The float rows hold the validated counts exactly (below
+            # 2**53) and, unlike the count matrix's columns, contiguously.
+            column = self.variables[j].astype(np.intp)
+            top = int(column.max())
+            if top < 4 * column.size:
+                seen = np.bincount(column, minlength=top + 1).astype(bool)
+                values = np.flatnonzero(seen)
+                rank = np.cumsum(seen) - 1
+                codes = rank.astype(np.min_scalar_type(values.size - 1))[column]
+            else:
+                values, codes = np.unique(column, return_inverse=True)
+                codes = codes.astype(np.min_scalar_type(values.size - 1))
+            found = self._levels[j] = (values.astype(np.float64), codes)
         return found
 
-    def patterns(
-        self, covariates: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def patterns(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
         """The distinct rows X of the covariates' columns (in lexicographic
-        order), their multiplicities as floats and the map from each row to
-        its pattern, all read-only; None when the fit should run on the
-        rows."""
+        order) and their multiplicities as floats, both read-only; None
+        when the fit should run on the rows."""
         n = self.variables.shape[1]
         if not covariates or n < PATTERN_MIN_ROWS:
             return None
-        with self._lock:
-            found = self._patterns.get(covariates)
-            if found is not None:
-                self._patterns.move_to_end(covariates)
-                return found
-            space = 1
-            for j in covariates:
-                space *= self.levels(j)[0].size
-                if space > n:
-                    return None
-            found = self._build(covariates)
-            for array in found:
-                array.flags.writeable = False
-            self._patterns[covariates] = found
-            self._row_map_bytes += found[2].nbytes
-            while self._row_map_bytes > self.variables.nbytes:
-                _, (_, _, row_map) = self._patterns.popitem(last=False)
-                self._row_map_bytes -= row_map.nbytes
+        found = self._patterns.get(covariates)
+        if found is not None:
+            self._patterns.move_to_end(covariates)
+            return found
+        space = 1
+        for j in covariates:
+            space *= self.levels(j)[0].size
+            if space > n:
+                return None
+        found = self._build(covariates)
+        for array in found:
+            array.flags.writeable = False
+        self._patterns[covariates] = found
+        self._pattern_bytes += found[0].nbytes + found[1].nbytes
+        while self._pattern_bytes > self.variables.nbytes:
+            _, (X, counts) = self._patterns.popitem(last=False)
+            self._pattern_bytes -= X.nbytes + counts.nbytes
         return found
 
-    def _build(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`patterns` of a set that is not cached and whose level-count
         product is at most n."""
         values, code = self._levels[covariates[0]]
@@ -392,29 +383,29 @@ class PatternBuilder:
             space *= values.size
         counts = np.bincount(code, minlength=space)
         present = np.flatnonzero(counts)
-        lookup = np.empty(space, dtype=np.min_scalar_type(present.size - 1))
-        lookup[present] = np.arange(present.size)
         X = np.empty((present.size, len(covariates)))
         rest = present
         for col in range(len(covariates) - 1, -1, -1):
             values = self._levels[covariates[col]][0]
             rest, index = np.divmod(rest, values.size)
             X[:, col] = values[index]
-        return X, counts[present].astype(np.float64), lookup[code]
+        return X, counts[present].astype(np.float64)
 
     def design(
         self, s: int, covariates: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(y, X, counts)`` for :func:`_fit_core`'s regression of variable
-        s on the covariates: per-pattern sums of y, the patterns and their
-        multiplicities, or y, the rows and None. The sums are exact while
-        they stay below 2**53, as sums of integers."""
-        y = self.variables[s]
+        """``(xty, X, counts)`` for :func:`_fit_core`'s regression of variable
+        s on the covariates: X^T y over all rows, then the patterns and their
+        multiplicities, or the rows and None. X^T y holds sums of products
+        of counts, so it is exact while they stay below 2**53."""
+        cross = self._cross.get(s)
+        if cross is None:
+            cross = self._cross[s] = self.variables @ self.variables[s]
+        xty = cross[list(covariates)]
         found = self.patterns(covariates)
         if found is None:
-            return y, self.variables[list(covariates)].T, None
-        X, counts, row_map = found
-        return np.bincount(row_map, weights=y, minlength=counts.size), X, counts
+            return xty, self.variables[list(covariates)].T, None
+        return (xty, *found)
 
 
 @lru_cache(maxsize=None)
@@ -460,7 +451,7 @@ def _newton_moments(X: np.ndarray, inv_n: float):
 
 
 def _fit_core(
-    y: np.ndarray,
+    xty: np.ndarray,
     X: np.ndarray,
     opts: FitOptions,
     covariates: tuple[int, ...],
@@ -469,12 +460,14 @@ def _fit_core(
 ) -> GlmFit:
     """Newton solver on pre-validated float arrays (hot path for learners).
 
-    ``counts``, when given, holds each row's multiplicity: every rate is
+    ``xty`` is X^T y, unscaled, over all rows of the regression; y enters
+    the fit only through it and ``log_fact``, mean(log y!). ``counts``,
+    when given, holds each row's multiplicity: every rate is
     counts * exp(lp), at the start point, at every trial point and in the
     moments, and the objective is scaled by 1 / sum(counts). With the
-    distinct rows of a design, their multiplicities and per-row-group sums
-    of y, the fit equals the one on the full rows up to rounding, for the
-    price of the distinct rows (see :class:`PatternBuilder`).
+    distinct rows of a design and their multiplicities, the fit equals the
+    one on the full rows up to rounding, for the price of the distinct rows
+    (see :class:`PatternBuilder`).
 
     Each iteration takes X^T w and X^T W X at the current rates w from one
     call of the fit's moment map (see the module docstring), solves for the
@@ -512,12 +505,12 @@ def _fit_core(
         raise InvalidData("objective non-finite at theta = 0")
     if k == 1:
         return _fit_single(
-            y, X[:, 0], opts, covariates, log_fact, counts, inv_n, w, current, lp_capped
+            xty, X[:, 0], opts, covariates, log_fact, counts, inv_n, w, current, lp_capped
         )
 
     floor = -opts.theta_cap
     Xf, moments = _newton_moments(X, inv_n)
-    Xty = (y @ Xf) * inv_n
+    Xty = xty * inv_n
     theta = np.zeros(k)
     lp = np.zeros(n)
     # Row buffers: the trial point's linear predictor and rates, and the
@@ -527,7 +520,7 @@ def _fit_core(
     any_diverged = False
     converged = False
     fresh = False  # grad and H belong to the current w
-    iterations = halvings = 0
+    iterations = halvings = ridge_rescues = 0
     for _ in range(opts.max_iter):
         xw, H = moments(w)
         grad = xw - Xty
@@ -538,12 +531,14 @@ def _fit_core(
                 converged = True
                 break
             grad_free = grad[free]
-            step_free = _solve_with_ridge(H[np.ix_(free, free)], grad_free)
+            step_free, rescued = _solve_with_ridge(H[np.ix_(free, free)], grad_free)
             step = np.zeros(k)
             step[free] = step_free
         else:
             grad_free = grad
-            step = step_free = _solve_with_ridge(H, grad)
+            step_free, rescued = _solve_with_ridge(H, grad)
+            step = step_free
+        ridge_rescues += rescued
         # Under separation the gradient vanishes while the Newton step stays
         # O(1) (curvature collapses as fast as the gradient), so a small
         # gradient alone cannot certify an interior optimum.
@@ -615,11 +610,12 @@ def _fit_core(
         diverged=diverged,
         lp_capped=lp_capped,
         halvings=halvings,
+        ridge_rescues=ridge_rescues,
     )
 
 
 def _fit_single(
-    y: np.ndarray,
+    xty: np.ndarray,
     x: np.ndarray,
     opts: FitOptions,
     covariates: tuple[int, ...],
@@ -635,11 +631,12 @@ def _fit_single(
     Starts from theta = 0 with rates ``w`` and objective ``current``; rows
     weigh ``counts`` (None: 1 each) and ``inv_n`` is one over their total.
     Each trial forms the linear predictor x * theta exactly and reads its
-    maximum off the extremes of x.
+    maximum off the extremes of x. The 1x1 ridge cannot rescue a singular
+    information, so no fit here counts a ridge rescue.
     """
     cap = opts.lp_cap
     floor = -opts.theta_cap
-    xty = float(x @ y) * inv_n
+    xty = float(xty[0]) * inv_n
     Zt = np.vstack((x, x * x))
     x_hi, x_lo = float(x.max()), float(x.min())
     w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
@@ -727,7 +724,7 @@ def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
     k = len(fit.covariates)
     rhs = np.zeros(k)
     rhs[idx] = 1.0
-    inv_col = _solve_with_ridge(fit.fisher, rhs)
+    inv_col, _ = _solve_with_ridge(fit.fisher, rhs)
     return _wald_from_variance(fit, idx, n, alpha, float(inv_col[idx]))
 
 
@@ -743,7 +740,7 @@ def wald_all(fit: GlmFit, n: int, alpha: float) -> list[WaldTest | SingularInfor
     variances: np.ndarray | SingularInformation | None = None
     if not fit.diverged.all():
         try:
-            variances = np.diag(_solve_with_ridge(fit.fisher, np.eye(len(fit.covariates))))
+            variances = np.diag(_solve_with_ridge(fit.fisher, np.eye(len(fit.covariates)))[0])
         except SingularInformation as exc:
             variances = exc
     tests: list[WaldTest | SingularInformation] = []

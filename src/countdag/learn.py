@@ -103,10 +103,10 @@ class _FitCache:
 
     The data come from a validated CountMatrix, so the fast pre-validated
     solver entry point applies. A PatternBuilder over the data gives each
-    fit its inputs: the distinct covariate patterns with their
-    multiplicities and per-pattern response sums where that pays, the rows
-    otherwise, and shares each node's log-factorial mean across its
-    conditioning sets.
+    fit its inputs: X^T y, then the distinct covariate patterns with their
+    multiplicities where that pays and the rows otherwise, and shares each
+    node's cross products and log-factorial mean across its conditioning
+    sets.
     """
 
     def __init__(self, data: CountMatrix, opts: FitOptions, report: LearnReport):
@@ -120,8 +120,8 @@ class _FitCache:
         cached = self._store.get(key)
         if cached is not None:
             return cached
-        y, X, counts = self._rows.design(s, covariates)
-        result = _fit_core(y, X, self._opts, covariates, self._rows.log_fact(s), counts)
+        xty, X, counts = self._rows.design(s, covariates)
+        result = _fit_core(xty, X, self._opts, covariates, self._rows.log_fact(s), counts)
         self._report.fits.add(result)
         self._store[key] = result
         return result

@@ -67,9 +67,9 @@ def _score_from_variables(
     """Score of node s from the fit inputs ``rows`` gives (patterns or
     rows, see PatternBuilder); ``tally``, when given, counts the fit."""
     n = rows.variables.shape[1]
-    y, X, counts = rows.design(s, parents)
+    xty, X, counts = rows.design(s, parents)
     try:
-        node_fit = _fit_core(y, X, cfg.fit_options, parents, rows.log_fact(s), counts)
+        node_fit = _fit_core(xty, X, cfg.fit_options, parents, rows.log_fact(s), counts)
         if tally is not None:
             tally.add(node_fit)
         value = 2.0 * n * node_fit.nll + cfg.penalty(n) * len(parents)

@@ -305,7 +305,7 @@ def _reference_fit_core(y, X, opts, covariates, log_fact):
             free = None
             H = ((X.T * w) @ X) * inv_n
             grad_free = grad
-        step = _solve_with_ridge(H, grad_free)
+        step, _ = _solve_with_ridge(H, grad_free)
         if (
             float(np.abs(grad_free).max()) <= opts.tol
             and float(np.abs(step).max()) <= 1e-4
@@ -371,9 +371,9 @@ class TestSolverParity:
         covariates = tuple(range(X.shape[1]))
         log_fact = float(np.mean(_log_factorial(y)))
         outcomes = []
-        for solver in (_reference_fit_core, _fit_core):
+        for solver, first in ((_reference_fit_core, y), (_fit_core, X.T @ y)):
             try:
-                outcomes.append(solver(y, X.copy(), opts, covariates, log_fact))
+                outcomes.append(solver(first, X.copy(), opts, covariates, log_fact))
             except SingularInformation:
                 outcomes.append(None)
         return outcomes
@@ -426,6 +426,20 @@ class TestSolverParity:
         assert np.linalg.matrix_rank(ref.fisher) == k - 1
         self._assert_same(ref, new)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_ridge_rescues_counted(self, k):
+        # A repeated column makes the information singular in floating
+        # point, so the ridge solves the Newton systems; a well-posed fit
+        # needs it for none.
+        from countdag.glm import fit
+
+        rng = np.random.default_rng(71 + k)
+        y, X = _parity_problem(rng, 200, k)
+        assert fit(y, X).ridge_rescues == 0
+        X[:, -1] = X[:, 0]
+        rescued = fit(y, X)
+        assert 1 <= rescued.ridge_rescues <= rescued.iterations + 1
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_singular_raised_alike(self, k):
         rng = np.random.default_rng(61 + k)
@@ -434,22 +448,19 @@ class TestSolverParity:
         ref, new = self._both(y, X)
         assert ref is None and new is None
 
-    # The solver on (distinct rows, multiplicities, per-row-group sums of
-    # y) against the same solver on every row.
+    # The solver on (X^T y, distinct rows, multiplicities) against the same
+    # solver on every row.
 
     def _rows_and_patterns(self, y, X, opts=FitOptions()):
         from countdag.glm import _fit_core, _log_factorial
 
-        patterns, row_map, counts = np.unique(
-            X, axis=0, return_inverse=True, return_counts=True
-        )
-        row_map = row_map.ravel()
+        patterns, counts = np.unique(X, axis=0, return_counts=True)
         assert len(patterns) < len(y)  # the problem has repeated rows
-        y_sums = np.bincount(row_map, weights=y, minlength=len(patterns))
+        xty = X.T @ y
         covariates = tuple(range(X.shape[1]))
         log_fact = float(np.mean(_log_factorial(y)))
         outcomes = []
-        for args in ((y, X, None), (y_sums, patterns, counts.astype(float))):
+        for args in ((xty, X, None), (xty, patterns, counts.astype(float))):
             try:
                 outcomes.append(_fit_core(args[0], args[1], opts, covariates, log_fact, args[2]))
             except SingularInformation:
@@ -526,16 +537,39 @@ class TestPatternBuilder:
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
         data = self._data()
         builder = glm.PatternBuilder(data)
-        X, counts, row_map = builder.patterns(covariates)
+        X, counts = builder.patterns(covariates)
         rows = data.values[:, list(covariates)].astype(float)
-        assert len(np.unique(X, axis=0)) == len(X)
-        assert counts.sum() == data.n and counts.min() >= 1
-        assert np.array_equal(X[row_map], rows)
-        assert np.array_equal(np.bincount(row_map, minlength=len(X)), counts)
-        y, X_fit, counts_fit = builder.design(2, covariates)
+        expected, multiplicities = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(X, expected)
+        assert np.array_equal(counts, multiplicities)
+        assert counts.dtype == np.float64
+        _, X_fit, counts_fit = builder.design(2, covariates)
         assert np.array_equal(X_fit, X) and np.array_equal(counts_fit, counts)
-        for x, total in zip(X, y):
-            assert total == data.values[(rows == x).all(axis=1), 2].sum()
+
+    def test_design_xty_is_exact(self, monkeypatch):
+        # X^T y from the cross products equals rows.T @ y exactly, on the
+        # pattern path, on the row path and after the set was evicted.
+        from countdag import glm
+        from countdag.data import CountMatrix
+
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
+        values = np.random.default_rng(9).integers(0, 20, size=(3000, 6))
+        values[:, 5] = np.random.default_rng(10).integers(0, 10**6, size=3000)
+        data = CountMatrix(values)
+        builder = glm.PatternBuilder(data)
+        built = self._recording(builder, monkeypatch)
+        on_rows = [(0, 2, 4), (0, 5)]  # code spaces of 8,000 and ~60,000 > n
+        sets = [(0,), (0, 1), (1, 3), *on_rows]
+        sets += [(a, b) for a in range(5) for b in range(5) if a != b]
+        sets += [(0, 1)]  # evicted by the pairs before it
+        for covariates in sets:
+            rows = data.values[:, list(covariates)].astype(float)
+            for s in sorted(set(range(6)) - set(covariates)):
+                xty, X, counts = builder.design(s, covariates)
+                assert (counts is None) == (covariates in on_rows)
+                want = rows.T @ data.values[:, s].astype(float)
+                assert xty.tolist() == want.tolist()
+        assert built.count((0, 1)) == 2
 
     def test_level_codes_in_smallest_type(self):
         from countdag.data import CountMatrix
@@ -630,13 +664,14 @@ class TestPatternBuilder:
                 with pytest.raises(ValueError):
                     array[0] = 0
 
-    def test_eviction_keeps_row_maps_within_the_rows(self, monkeypatch):
+    def test_eviction_keeps_patterns_within_the_rows(self, monkeypatch):
         from countdag import glm
         from countdag.data import CountMatrix
 
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
-        # 20 levels per column: 400 patterns per pair, so every ordered pair
-        # holds a 2n-byte row map and all 36 sets need 66n > 6 * 8n bytes.
+        # 20 levels per column: about 400 patterns per pair, so every ordered
+        # pair holds up to 400 * 3 * 8 = 3.2n bytes of patterns and
+        # multiplicities, and the 30 pairs need about 96n > 6 * 8n bytes.
         values = np.random.default_rng(7).integers(0, 20, size=(3000, 6))
         builder = glm.PatternBuilder(CountMatrix(values))
         built = self._recording(builder, monkeypatch)
@@ -644,8 +679,8 @@ class TestPatternBuilder:
         sets = [(j,) for j in range(6)] + [(a, b) for a in range(6) for b in range(6) if a != b]
         for covariates in sets:
             builder.patterns(covariates)
-            cached = sum(row_map.nbytes for _, _, row_map in builder._patterns.values())
-            assert cached == builder._row_map_bytes <= builder.variables.nbytes
+            cached = sum(X.nbytes + counts.nbytes for X, counts in builder._patterns.values())
+            assert cached == builder._pattern_bytes <= builder.variables.nbytes
         assert len(builder._patterns) < len(sets) and (0, 1) not in builder._patterns
         again = builder.patterns((0, 1))
         for got, want in zip(again, first):
@@ -661,30 +696,6 @@ class TestPatternBuilder:
         for covariates in [(0,), (0, 1), (0, 1, 2)]:
             assert builder.design(3, covariates)[2] is None
         assert built == [] and not builder._patterns
-
-    def test_threads_share_a_builder(self, monkeypatch):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        from countdag import glm
-
-        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
-        data = self._data()
-        sets = [(0,), (0, 1), (0, 1, 2), (1, 3), (0, 2), (0, 2, 4), (2, 4)] * 4
-        builder = glm.PatternBuilder(data)
-        built = self._recording(builder, monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(builder.patterns, covariates) for covariates in sets]
-                found = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for covariates, got in zip(sets, found):
-            for array, want in zip(got, glm.PatternBuilder(data).patterns(covariates)):
-                assert np.array_equal(array, want)
-        assert sorted(built) == sorted(set(sets))
 
     @pytest.mark.parametrize("high", [9, 10**12])  # from value counts, and from every row
     def test_log_fact_from_value_counts(self, high):
