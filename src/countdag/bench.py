@@ -31,15 +31,31 @@ from .learn import LearnConfig, or_lpgm, or_ppgm
 from .scores import ScoreConfig, pk2
 from .simulate import SimConfig, WeightedDag, gen_graph, gen_weights, make_rng, sample_data
 
-#: Learner algorithms the harness can dispatch. "oracle" returns the true
-#: graph and "empty" the edgeless graph; both serve as reference rows.
-ALGORITHMS = ("or_ppgm", "or_lpgm", "pkbic", "pkaic", "oracle", "empty")
+_FIT_KEYS = frozenset({"tol", "max_iter", "theta_cap", "lp_cap"})
+_LEARN_KEYS = frozenset({"alpha", "alpha_b", "m"}) | _FIT_KEYS
+_SCORE_KEYS = frozenset({"max_parents"}) | _FIT_KEYS
+
+#: Learner algorithms the harness can dispatch, each with its config type
+#: and the option keys an experiment's learner entry may give it. "oracle"
+#: returns the true graph and "empty" the edgeless graph; both serve as
+#: reference rows and take no config.
+ALGORITHMS: dict[str, tuple[type | None, frozenset[str]]] = {
+    "or_ppgm": (LearnConfig, _LEARN_KEYS),
+    "or_lpgm": (LearnConfig, _LEARN_KEYS),
+    "pkbic": (ScoreConfig, _SCORE_KEYS),
+    "pkaic": (ScoreConfig, _SCORE_KEYS),
+    "oracle": (None, frozenset()),
+    "empty": (None, frozenset()),
+}
 
 _METRIC_FIELDS = ("tp", "fp", "fn", "precision", "recall", "f1")
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
+    """A named learner. A pkbic/pkaic spec without a config gets the default
+    ScoreConfig, and its criterion always follows the algorithm."""
+
     name: str
     algo: str
     config: LearnConfig | ScoreConfig | None = None
@@ -49,11 +65,15 @@ class LearnerSpec:
         object.__setattr__(self, "algo", algo)
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown learner algorithm {self.algo!r}")
-        if algo in ("or_ppgm", "or_lpgm") and not isinstance(self.config, LearnConfig):
-            raise ValueError(f"{algo} requires a LearnConfig")
-        if algo in ("pkbic", "pkaic"):
+        config_type, _ = ALGORITHMS[algo]
+        config = self.config
+        if config is None and config_type is ScoreConfig:
+            config = ScoreConfig()
+        if not isinstance(config, config_type or type(None)):
+            wanted = f"a {config_type.__name__}" if config_type else "no config"
+            raise ValueError(f"{algo} takes {wanted}, got {type(config).__name__}")
+        if config_type is ScoreConfig:
             criterion = "bic" if algo == "pkbic" else "aic"
-            config = self.config if isinstance(self.config, ScoreConfig) else ScoreConfig()
             object.__setattr__(self, "config", replace(config, criterion=criterion))
 
     def run(self, data: CountMatrix, ordering: Ordering, truth: Dag) -> Dag:
@@ -386,13 +406,6 @@ _SIM_KEYS = {
     "graph_kind", "p", "n", "er_gamma", "hub_count", "sf_power",
     "sf_zero_appeal", "root_log_rate", "overflow_threshold",
 }
-_FIT_KEYS = {"tol", "max_iter", "theta_cap", "lp_cap"}
-_LEARN_KEYS = {"alpha", "alpha_b", "m"} | _FIT_KEYS
-_SCORE_KEYS = {"max_parents"} | _FIT_KEYS
-
-
-def _fit_options(obj: dict) -> FitOptions:
-    return FitOptions(**{k: obj[k] for k in _FIT_KEYS if k in obj})
 
 
 def learner_from_dict(obj: dict) -> LearnerSpec:
@@ -400,32 +413,17 @@ def learner_from_dict(obj: dict) -> LearnerSpec:
         raise ValueError(f"learner entry missing 'algo': {obj}")
     algo = str(obj["algo"]).replace("-", "_")
     name = str(obj.get("name", obj["algo"]))
-    opts = {k: v for k, v in obj.items() if k not in ("name", "algo")}
-    if algo in ("or_ppgm", "or_lpgm"):
-        unknown = set(opts) - _LEARN_KEYS
-        if unknown:
-            raise ValueError(f"learner {name!r}: unknown keys {sorted(unknown)}")
-        config: LearnConfig | ScoreConfig | None = LearnConfig(
-            alpha=opts.get("alpha"),
-            alpha_b=opts.get("alpha_b"),
-            m=opts.get("m"),
-            fit_options=_fit_options(opts),
-        )
-    elif algo in ("pkbic", "pkaic"):
-        unknown = set(opts) - _SCORE_KEYS
-        if unknown:
-            raise ValueError(f"learner {name!r}: unknown keys {sorted(unknown)}")
-        config = ScoreConfig(
-            criterion="bic" if algo == "pkbic" else "aic",
-            max_parents=opts.get("max_parents"),
-            fit_options=_fit_options(opts),
-        )
-    elif algo in ("oracle", "empty"):
-        if opts:
-            raise ValueError(f"learner {name!r}: {algo} takes no options")
-        config = None
-    else:
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown learner algorithm {obj['algo']!r}")
+    config_type, keys = ALGORITHMS[algo]
+    opts = {k: v for k, v in obj.items() if k not in ("name", "algo")}
+    unknown = set(opts) - keys
+    if unknown:
+        raise ValueError(f"learner {name!r}: unknown keys {sorted(unknown)}")
+    config = None
+    if config_type is not None:
+        fit = FitOptions(**{k: opts.pop(k) for k in _FIT_KEYS & opts.keys()})
+        config = config_type(**opts, fit_options=fit)
     return LearnerSpec(name=name, algo=algo, config=config)
 
 

@@ -29,7 +29,8 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_ALGORITHM = 3
 
-ALGOS = ("or-ppgm", "or-lpgm", "pkbic", "pkaic")
+#: The learners `learn` runs: every bench algorithm that takes a config.
+ALGOS = tuple(a.replace("_", "-") for a, (cfg, _) in bench.ALGORITHMS.items() if cfg is not None)
 
 
 class CliError(Exception):
@@ -118,7 +119,8 @@ def _learner(args: argparse.Namespace) -> bench.LearnerSpec:
     options = {k: v for k in _LEARNER_FLAGS if (v := getattr(args, k)) is not None}
     if "alpha" in options and "alpha_b" in options:
         raise CliError("give only one of --alpha / --alpha-b")
-    if args.algo in ("or-ppgm", "or-lpgm") and "alpha_b" not in options:
+    _, keys = bench.ALGORITHMS[args.algo.replace("-", "_")]
+    if "alpha" in keys and "alpha_b" not in options:
         options.setdefault("alpha", 0.05)
     try:
         return bench.learner_from_dict({"algo": args.algo, **options})

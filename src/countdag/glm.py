@@ -53,9 +53,6 @@ from .data import CountMatrix, InvalidData
 
 _STD_NORMAL = NormalDist()
 
-#: Sentinel covariate index used for the optional intercept column.
-INTERCEPT = -1
-
 #: Widest fit whose Newton moments come from the precomputed moment matrix
 #: (k + k(k+1)/2 rows); wider fits form X^T W X by a matrix product.
 MOMENT_MAX_K = 4
@@ -87,7 +84,6 @@ class FitOptions:
     theta_cap: float = 20.0      # freeze coefficients diverging below -theta_cap
     lp_cap: float = 30.0         # clamp linear predictors inside exp during fitting
     max_halvings: int = 30
-    intercept: bool = False
 
 
 @dataclass
@@ -261,9 +257,6 @@ def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
         covariates = tuple(int(c) for c in covariates)
         if len(covariates) != X.shape[1]:
             raise InvalidData("covariate name list does not match X columns")
-    if opts.intercept:
-        X = np.hstack([X, np.ones((n, 1))])
-        covariates = covariates + (INTERCEPT,)
     return _fit_core(X.T @ y, X, opts, covariates, float(np.mean(_log_factorial(y))))
 
 

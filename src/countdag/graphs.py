@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GraphError(ValueError):
@@ -67,16 +67,6 @@ class Dag:
         """Parent set pa(s), ascending by node index."""
         return tuple(sorted(t for t, c in self.edges if c == s))
 
-    def children(self, t: int) -> tuple[int, ...]:
-        return tuple(sorted(s for u, s in self.edges if u == t))
-
-    def parent_map(self) -> list[set[int]]:
-        """Parent sets for every node, as a fresh mutable list of sets."""
-        pa: list[set[int]] = [set() for _ in range(self.p)]
-        for t, s in self.edges:
-            pa[s].add(t)
-        return pa
-
     def topological_sort(self) -> list[int]:
         """Kahn's algorithm; raises :class:`CycleError` if no order exists."""
         indeg = [0] * self.p
@@ -96,12 +86,6 @@ class Dag:
         if len(order) != self.p:
             raise CycleError("edge set contains a directed cycle")
         return order
-
-    def add_edges(self, new: Iterable[tuple[int, int]]) -> "Dag":
-        return Dag(self.p, self.edges | frozenset(new), self.labels)
-
-    def remove_edges(self, gone: Iterable[tuple[int, int]]) -> "Dag":
-        return Dag(self.p, self.edges - frozenset(gone), self.labels)
 
 
 @dataclass(frozen=True)
@@ -216,36 +200,6 @@ def edges_from_text(text: str, labels: Sequence[str]) -> Dag:
                 raise GraphError(f"line {lineno}: unknown node label {name!r}")
         edges.append((index[parts[0]], index[parts[1]]))
     return Dag(len(labels), frozenset(edges), labels)
-
-
-def adjacency_to_csv(dag: Dag) -> str:
-    labels = dag.labels or default_labels(dag.p)
-    rows = [",".join(labels)]
-    adj = [[0] * dag.p for _ in range(dag.p)]
-    for t, s in dag.edges:
-        adj[t][s] = 1
-    rows.extend(",".join(str(v) for v in row) for row in adj)
-    return "\n".join(rows) + "\n"
-
-def adjacency_from_csv(text: str) -> Dag:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise GraphError("empty adjacency CSV")
-    labels = tuple(name.strip() for name in lines[0].split(","))
-    p = len(labels)
-    if len(lines) - 1 != p:
-        raise GraphError(f"adjacency CSV: expected {p} rows, got {len(lines) - 1}")
-    edges = []
-    for t, line in enumerate(lines[1:]):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != p:
-            raise GraphError(f"adjacency CSV row {t + 2}: expected {p} cells")
-        for s, cell in enumerate(cells):
-            if cell not in ("0", "1"):
-                raise GraphError(f"adjacency CSV row {t + 2}: cell {cell!r} is not 0/1")
-            if cell == "1":
-                edges.append((t, s))
-    return Dag(p, frozenset(edges), labels)
 
 
 def ordering_to_text(ordering: Ordering, labels: Sequence[str] | None = None) -> str:

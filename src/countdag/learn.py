@@ -1,18 +1,24 @@
-"""Ordering-guided DAG structure learners for count data.
+"""Ordering-guided DAG structure learners for count data, and the one
+node-fit engine of every learner.
 
-Two learners share the same ingredients (Poisson node regressions and Wald
-conditional-independence tests on single coefficients):
+Given the ordering, every learner comes down to Poisson regressions of a
+node s on covariate sets K within pre(s). :class:`NodeFitter` fits each
+(s, K) once per learner call; OR-PPGM, OR-LPGM and the score search in
+:mod:`countdag.scores` all fit through it. The two learners here test
+single coefficients with Wald conditional-independence tests:
 
-* ``or_ppgm`` walks conditioning sets of growing cardinality, PC-style,
-  deleting an edge t -> s on the first non-rejected test of
-  H0: theta_{st|K} = 0 with K = S + {t}, S drawn from the current parents
-  of s.
+* ``or_ppgm`` is PC-style and child-major: the tests of a child read and
+  delete only its own parent set, so each child s in ordering position runs
+  levels l = 0..m alone. At level l every remaining parent t, in ordering
+  position, is tested given each l-subset S of the other remaining parents
+  of s, and t -> s is deleted on the first non-rejected test of
+  H0: theta_{st|K} = 0 with K = S + {t}. The child is done after level m,
+  or when no remaining parent has l others to condition on.
 * ``or_lpgm`` fits each node once on all of its precedents and keeps the
   covariates whose coefficient test rejects.
 
-Both are deterministic: edges are visited sorted by (ord(s), ord(t)) and
-conditioning subsets are enumerated in lexicographic order over ascending
-node indices.
+Both are deterministic: conditioning subsets are enumerated in
+lexicographic order over ascending node indices.
 """
 from __future__ import annotations
 
@@ -98,33 +104,51 @@ def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
         )
 
 
-class _FitCache:
-    """Per-run cache of node regressions keyed by (node, covariate tuple).
+def _wald_report(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> LearnReport:
+    """The checked inputs' report for a Wald-test learner; its alpha is nan
+    when there is no edge to test (p <= 1)."""
+    _check_inputs(data, ordering)
+    if data.p <= 1:
+        return LearnReport(alpha=float("nan"))
+    if data.n < 2:
+        raise GraphError(f"need at least 2 observations, got {data.n}")
+    return LearnReport(alpha=cfg.resolve_alpha(data.n))
 
-    The data come from a validated CountMatrix, so the fast pre-validated
-    solver entry point applies. A PatternBuilder over the data gives each
-    fit its inputs: X^T y, then the distinct covariate patterns with their
-    multiplicities where that pays and the rows otherwise, and shares each
-    node's cross products and log-factorial mean across its conditioning
-    sets.
+
+class NodeFitter:
+    """The one engine behind every learner: the Poisson regression of a node
+    s on an ascending covariate tuple K, fitted once per learner call.
+
+    A PatternBuilder over the validated data gives each fit its inputs for
+    the pre-validated solver (X^T y, then the distinct covariate patterns
+    with their multiplicities where that pays and the rows otherwise). Each
+    fit is counted in ``tally``. A SingularInformation is cached like a
+    fit, so a set is attempted once and every request for it raises.
+    OR-PPGM asks child by child, levels 0..m within each child; OR-LPGM
+    asks once per node; the score searches ask per candidate parent set.
     """
 
-    def __init__(self, data: CountMatrix, opts: FitOptions, report: LearnReport):
+    def __init__(self, data: CountMatrix, opts: FitOptions, tally: FitTally):
         self._rows = PatternBuilder(data)
         self._opts = opts
-        self._report = report
-        self._store: dict[tuple[int, tuple[int, ...]], GlmFit] = {}
+        self._tally = tally
+        self._store: dict[tuple[int, tuple[int, ...]], GlmFit | SingularInformation] = {}
 
     def fit(self, s: int, covariates: tuple[int, ...]) -> GlmFit:
+        """The fit of s on ``covariates``, which must be ascending."""
         key = (s, covariates)
-        cached = self._store.get(key)
-        if cached is not None:
-            return cached
-        xty, X, counts = self._rows.design(s, covariates)
-        result = _fit_core(xty, X, self._opts, covariates, self._rows.log_fact(s), counts)
-        self._report.fits.add(result)
-        self._store[key] = result
-        return result
+        found = self._store.get(key)
+        if found is None:
+            xty, X, counts = self._rows.design(s, covariates)
+            try:
+                found = _fit_core(xty, X, self._opts, covariates, self._rows.log_fact(s), counts)
+                self._tally.add(found)
+            except SingularInformation as exc:
+                found = exc
+            self._store[key] = found
+        if isinstance(found, SingularInformation):
+            raise found.with_traceback(None)
+        return found
 
 
 def or_ppgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
@@ -136,58 +160,44 @@ def or_ppgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
 def or_ppgm_detailed(
     data: CountMatrix, ordering: Ordering, cfg: LearnConfig
 ) -> tuple[Dag, LearnReport]:
-    _check_inputs(data, ordering)
-    p, n = data.p, data.n
-    report = LearnReport(alpha=cfg.resolve_alpha(n) if p > 1 else float("nan"))
-    if p <= 1:
-        return Dag(p, frozenset(), data.labels), report
-    if n < 2:
-        raise GraphError(f"need at least 2 observations, got {n}")
+    report = _wald_report(data, ordering, cfg)
+    m = data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2)
+    fitter = NodeFitter(data, cfg.fit_options, report.fits)
+    edges = frozenset(
+        (t, s)
+        for s in ordering.perm
+        for t in _ppgm_parents(fitter, report, data.n, ordering, s, m)
+    )
+    return Dag(data.p, edges, data.labels), report
 
-    alpha = report.alpha
-    m = cfg.m if cfg.m is not None else p - 2
-    m = min(m, p - 2)
-    cache = _FitCache(data, cfg.fit_options, report)
 
-    # Parent sets of the working graph, indexed by child node.
-    parents: list[set[int]] = [set() for _ in range(p)]
-    for pos, s in enumerate(ordering.perm):
-        parents[s].update(ordering.perm[:pos])
-
-    level = 0
-    while True:
-        # Children in ordering position; a child's tests touch only its own
-        # parent set.
-        any_tested = False
-        for s in ordering.perm:
-            for t in sorted(parents[s], key=ordering.position):
-                pool = parents[s] - {t}
-                if len(pool) < level:
-                    continue
-                any_tested = True
-                for subset in combinations(sorted(pool), level):
-                    key = tuple(sorted(subset + (t,)))
-                    try:
-                        test = wald(cache.fit(s, key), t, n, alpha)
-                        z, rejected = test.z, test.reject
-                    except SingularInformation as exc:
-                        report.warn(
-                            f"edge {t}->{s} | K={key}: singular information "
-                            f"({exc}); treated as non-rejection"
-                        )
-                        z, rejected = float("nan"), False
-                    report.tests_run += 1
-                    report.edge_tests[(t, s)] = EdgeTest((t, s), subset, z, rejected)
-                    if not rejected:
-                        parents[s].discard(t)
-                        break
-
-        if level >= m or not any_tested:
-            break
-        level += 1
-
-    edges = frozenset((t, s) for s in range(p) for t in parents[s])
-    return Dag(p, edges, data.labels), report
+def _ppgm_parents(
+    fitter: NodeFitter, report: LearnReport, n: int, ordering: Ordering, s: int, m: int
+) -> set[int]:
+    """OR-PPGM's parents of s: starting from pre(s), test levels 0..m in
+    turn until no target of s can be tested."""
+    parents = set(ordering.precedents(s))
+    for level in range(min(m + 1, len(parents))):
+        for t in sorted(parents, key=ordering.position):
+            if len(parents) <= level:
+                break  # t has fewer than `level` other parents to condition on
+            for subset in combinations(sorted(parents - {t}), level):
+                key = tuple(sorted(subset + (t,)))
+                try:
+                    test = wald(fitter.fit(s, key), t, n, report.alpha)
+                    z, rejected = test.z, test.reject
+                except SingularInformation as exc:
+                    report.warn(
+                        f"edge {t}->{s} | K={key}: singular information "
+                        f"({exc}); treated as non-rejection"
+                    )
+                    z, rejected = float("nan"), False
+                report.tests_run += 1
+                report.edge_tests[(t, s)] = EdgeTest((t, s), subset, z, rejected)
+                if not rejected:
+                    parents.discard(t)
+                    break
+    return parents
 
 
 def or_lpgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
@@ -199,17 +209,9 @@ def or_lpgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
 def or_lpgm_detailed(
     data: CountMatrix, ordering: Ordering, cfg: LearnConfig
 ) -> tuple[Dag, LearnReport]:
-    _check_inputs(data, ordering)
-    p, n = data.p, data.n
-    report = LearnReport(alpha=cfg.resolve_alpha(n) if p > 1 else float("nan"))
-    if p <= 1:
-        return Dag(p, frozenset(), data.labels), report
-    if n < 2:
-        raise GraphError(f"need at least 2 observations, got {n}")
-
-    alpha = report.alpha
-    cache = _FitCache(data, cfg.fit_options, report)
-
+    report = _wald_report(data, ordering, cfg)
+    n = data.n
+    fitter = NodeFitter(data, cfg.fit_options, report.fits)
     edges = set()
     for s in ordering.perm:
         pre = ordering.precedents(s)
@@ -221,11 +223,11 @@ def or_lpgm_detailed(
                 f"{n} rows is rank-deficient"
             )
         try:
-            node_fit = cache.fit(s, pre)
+            node_fit = fitter.fit(s, pre)
         except SingularInformation as exc:
             report.warn(f"node {s}: fit failed ({exc}); all tests non-rejecting")
             continue
-        for t, test in zip(pre, wald_all(node_fit, n, alpha)):
+        for t, test in zip(pre, wald_all(node_fit, n, report.alpha)):
             if isinstance(test, SingularInformation):
                 report.warn(
                     f"node {s}, covariate {t}: singular information ({test}); "
@@ -240,4 +242,4 @@ def or_lpgm_detailed(
             )
             if rejected:
                 edges.add((t, s))
-    return Dag(p, frozenset(edges), data.labels), report
+    return Dag(data.p, frozenset(edges), data.labels), report

@@ -7,16 +7,27 @@ the single best parent per node, walking nodes in ordering position) and
 a backward phase (greedily delete the globally best edge). Every accepted
 move strictly decreases the total score, so termination is immediate from
 the finite move budget. Ties are broken toward the smallest node index.
+
+This module holds only the score arithmetic and the searches: every fit
+goes through the learners' one engine, :class:`countdag.learn.NodeFitter`,
+which fits each (node, parent set) once per search, so a revisited set
+costs no fit.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable
 
 from .data import CountMatrix
-from .glm import FitOptions, FitTally, PatternBuilder, SingularInformation, _fit_core
-from .graphs import Dag, GraphError, Ordering
+from .glm import FitOptions, FitTally, SingularInformation
+# Unused here since every fit goes through learn.NodeFitter; kept because
+# perfbench/tracing.py wraps this name and needs it to exist.
+from .glm import _fit_core  # noqa: F401
+from .graphs import Dag, Ordering
+from .learn import NodeFitter, _check_inputs
 
 logger = logging.getLogger(__name__)
 
@@ -53,26 +64,17 @@ def node_score(
 
     A fit that fails numerically scores +inf so the search never selects it.
     """
-    parents = tuple(sorted(int(t) for t in parents))
-    return _score_from_variables(PatternBuilder(data), s, parents, cfg)
+    parents = [int(t) for t in parents]
+    return _score(NodeFitter(data, cfg.fit_options, FitTally()), data.n, s, parents, cfg)
 
 
-def _score_from_variables(
-    rows: PatternBuilder,
-    s: int,
-    parents: tuple[int, ...],
-    cfg: ScoreConfig,
-    tally: FitTally | None = None,
+def _score(
+    fitter: NodeFitter, n: int, s: int, parents: Iterable[int], cfg: ScoreConfig
 ) -> NodeScore:
-    """Score of node s from the fit inputs ``rows`` gives (patterns or
-    rows, see PatternBuilder); ``tally``, when given, counts the fit."""
-    n = rows.variables.shape[1]
-    xty, X, counts = rows.design(s, parents)
+    """Score of node s given ``parents``, from ``fitter``'s fit."""
+    parents = tuple(sorted(parents))
     try:
-        node_fit = _fit_core(xty, X, cfg.fit_options, parents, rows.log_fact(s), counts)
-        if tally is not None:
-            tally.add(node_fit)
-        value = 2.0 * n * node_fit.nll + cfg.penalty(n) * len(parents)
+        value = 2.0 * n * fitter.fit(s, parents).nll + cfg.penalty(n) * len(parents)
     except SingularInformation as exc:
         logger.warning("node %d | parents %s: fit failed (%s); score +inf", s, parents, exc)
         value = math.inf
@@ -103,24 +105,11 @@ def pk2(data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig())
 def pk2_detailed(
     data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()
 ) -> tuple[Dag, ScoreReport]:
-    if data.p != ordering.p:
-        raise GraphError(f"data has {data.p} columns but ordering has {ordering.p} nodes")
+    _check_inputs(data, ordering)
     p = data.p
     report = ScoreReport(criterion=cfg.criterion)
-    if p == 0:
-        return Dag(0, frozenset(), data.labels), report
-
-    rows = PatternBuilder(data)
+    fitter = NodeFitter(data, cfg.fit_options, report.fits)
     max_parents = cfg.max_parents if cfg.max_parents is not None else p - 1
-    cache: dict[tuple[int, tuple[int, ...]], NodeScore] = {}
-
-    def score(s: int, parents: frozenset[int]) -> NodeScore:
-        key = (s, tuple(sorted(parents)))
-        found = cache.get(key)
-        if found is None:
-            found = _score_from_variables(rows, s, key[1], cfg, report.fits)
-            cache[key] = found
-        return found
 
     parent_sets: dict[int, frozenset[int]] = {}
 
@@ -129,12 +118,12 @@ def pk2_detailed(
     # unaffected, so per-node improvement equals total improvement.
     for s in ordering.perm:
         pre = set(ordering.precedents(s))
-        current = score(s, frozenset())
+        current = _score(fitter, data.n, s, (), cfg)
         pa: frozenset[int] = frozenset()
         while len(pa) < max_parents:
             best: NodeScore | None = None
             for t in sorted(pre - pa):
-                trial = score(s, pa | {t})
+                trial = _score(fitter, data.n, s, pa | {t}, cfg)
                 if best is None or trial.score < best.score:
                     best = trial
             if best is None or not best.score < current.score:
@@ -154,7 +143,7 @@ def pk2_detailed(
         best_delta = 0.0
         best_move: tuple[int, int, NodeScore] | None = None
         for s, t in candidates:
-            trial = score(s, parent_sets[s] - {t})
+            trial = _score(fitter, data.n, s, parent_sets[s] - {t}, cfg)
             delta = trial.score - report.node_scores[s].score
             if delta < best_delta:
                 best_delta = delta
@@ -175,11 +164,8 @@ def exhaustive_search(
 ) -> tuple[Dag, float]:
     """Exact minimum-score DAG by enumerating every ordering-consistent
     parent set per node. Exponential in p; intended as a small-p oracle."""
-    from itertools import combinations
-
-    if data.p != ordering.p:
-        raise GraphError(f"data has {data.p} columns but ordering has {ordering.p} nodes")
-    rows = PatternBuilder(data)
+    _check_inputs(data, ordering)
+    fitter = NodeFitter(data, cfg.fit_options, FitTally())
     edges: list[tuple[int, int]] = []
     total = 0.0
     for s in ordering.perm:
@@ -187,7 +173,7 @@ def exhaustive_search(
         best: NodeScore | None = None
         for size in range(len(pre) + 1):
             for parents in combinations(pre, size):
-                trial = _score_from_variables(rows, s, parents, cfg)
+                trial = _score(fitter, data.n, s, parents, cfg)
                 if best is None or trial.score < best.score:
                     best = trial
         assert best is not None

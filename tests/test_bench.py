@@ -134,6 +134,28 @@ class TestRun:
         assert f1 == pytest.approx(0.961, abs=0.05)
 
 
+class TestLearnerSpec:
+    @pytest.mark.parametrize(
+        "algo, config",
+        [
+            ("pkbic", LearnConfig(alpha=0.01)),
+            ("pkaic", LearnConfig(alpha=0.01)),
+            ("or-ppgm", ScoreConfig()),
+            ("or-lpgm", None),
+            ("oracle", LearnConfig(alpha=0.01)),
+            ("empty", ScoreConfig()),
+        ],
+    )
+    def test_rejects_a_config_the_algorithm_does_not_take(self, algo, config):
+        with pytest.raises(ValueError):
+            LearnerSpec("x", algo, config)
+
+    def test_score_criterion_follows_the_algorithm(self):
+        assert LearnerSpec("x", "pkbic").config == ScoreConfig("bic")
+        spec = LearnerSpec("x", "pkaic", ScoreConfig("bic", max_parents=2))
+        assert spec.config == ScoreConfig("aic", max_parents=2)
+
+
 class TestAggregation:
     def make_records(self, pr_pairs):
         records = []
@@ -239,6 +261,14 @@ class TestExperimentJson:
                     "seed": 1,
                     "sim": {"graph_kind": "hub", "p": 4, "n": 10, "bogus": 1},
                     "learners": [{"name": "x", "algo": "oracle"}],
+                }
+            )
+        with pytest.raises(ValueError, match=r"unknown keys \['alpha'\]"):
+            experiment_from_dict(
+                {
+                    "seed": 1,
+                    "sim": {"graph_kind": "hub", "p": 4, "n": 10, "hub_count": 2},
+                    "learners": [{"name": "x", "algo": "oracle", "alpha": 0.05}],
                 }
             )
         with pytest.raises(ValueError, match=r"unknown keys \['threads'\]"):

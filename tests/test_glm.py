@@ -192,14 +192,6 @@ class TestFit:
                 g = gradient(result.theta, y, X)
                 assert np.abs(g).max() <= FitOptions().tol * 1.01
 
-    def test_intercept_flag(self):
-        rng = np.random.default_rng(79)
-        y = rng.poisson(3.0, size=60).astype(float)
-        x = rng.poisson(1.0, size=60).astype(float)
-        result = fit(y, x[:, None], FitOptions(intercept=True))
-        assert len(result.theta) == 2
-        assert result.covariates[-1] == -1  # intercept sentinel
-
 
 class TestWald:
     def test_closed_form_single_covariate(self):

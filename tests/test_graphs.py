@@ -8,8 +8,6 @@ from countdag.graphs import (
     GraphError,
     Ordering,
     RecoveryMetrics,
-    adjacency_from_csv,
-    adjacency_to_csv,
     compare,
     complete_dag,
     edges_from_text,
@@ -196,14 +194,6 @@ class TestFileFormats:
     def test_edge_list_bad_label(self):
         with pytest.raises(GraphError, match="unknown node label"):
             edges_from_text("a -> z\n", ("a", "b"))
-
-    def test_adjacency_round_trip(self):
-        g = Dag(4, {(0, 3), (1, 2)}, labels=("w", "x", "y", "z"))
-        assert adjacency_from_csv(adjacency_to_csv(g)) == g
-
-    def test_adjacency_rejects_non_binary(self):
-        with pytest.raises(GraphError):
-            adjacency_from_csv("a,b\n0,2\n0,0\n")
 
     def test_ordering_round_trip(self):
         labels = ("n1", "n2", "n3")

@@ -115,6 +115,51 @@ class TestOrPpgm:
         assert dag.edge_count == 0
         assert any("singular" in w.lower() for w in report.warnings)
 
+    def test_each_child_is_searched_alone(self, monkeypatch):
+        """A child's tests read and delete only its own parents, so on the
+        columns pre(s) + {s} alone s gets the same parents, edge tests and
+        fit requests as in the run on every column."""
+        from countdag import learn
+
+        requests = []
+        fit = learn.NodeFitter.fit
+
+        def recording(self, s, covariates):
+            result = fit(self, s, covariates)
+            requests.append((s, covariates, result.theta.tolist()))
+            return result
+
+        monkeypatch.setattr(learn.NodeFitter, "fit", recording)
+        edges = [(0, 2), (1, 2), (2, 3), (0, 4), (3, 4), (1, 5), (4, 5)]
+        weights = {e: 0.35 if i % 2 else -0.3 for i, e in enumerate(edges)}
+        data = sample_recursive(edges, weights, 6, 400, np.random.default_rng(21))
+        ordering = Ordering((1, 0, 2, 3, 4, 5))
+        cfg = LearnConfig(alpha=0.05, m=2)
+        dag, report = or_ppgm_detailed(data, ordering, cfg)
+        full = list(requests)
+        for s in ordering.perm:
+            keep = sorted((*ordering.precedents(s), s))
+            index = {v: i for i, v in enumerate(keep)}
+            requests.clear()
+            sub_dag, sub_report = or_ppgm_detailed(
+                CountMatrix(data.values[:, keep]),
+                Ordering(tuple(index[v] for v in ordering.perm if v in index)),
+                cfg,
+            )
+            assert tuple(keep[t] for t in sub_dag.parents(index[s])) == dag.parents(s)
+            assert {
+                (keep[t], s): (tuple(keep[u] for u in e.conditioning), e.z, e.rejected)
+                for (t, c), e in sub_report.edge_tests.items() if c == index[s]
+            } == {
+                edge: (e.conditioning, e.z, e.rejected)
+                for edge, e in report.edge_tests.items() if edge[1] == s
+            }
+            assert [
+                (s, tuple(keep[u] for u in K), theta)
+                for c, K, theta in requests if c == index[s]
+            ] == [r for r in full if r[0] == s]
+        assert dag.edge_count > 0 and report.tests_run > len(edges)
+
     def test_ordering_invariance_of_the_limit(self):
         # Two valid topological orderings of one DAG; identifiability makes
         # the large-sample estimates agree, so mean F1 gaps stay small.
@@ -265,6 +310,73 @@ class TestFitTally:
         tally.add(GlmFit(**base, halvings=5, ridge_rescues=2))
         tally.add(GlmFit(**base, halvings=31, ridge_rescues=1))
         assert tally.halvings == 36 and tally.ridge_rescues == 3 and tally.fits == 3
+
+
+class TestNodeFitter:
+    """Every learner fits each (node, covariate set) at most once per call."""
+
+    @staticmethod
+    def _zero_column_data():
+        """Node 1 is all zeros and first in the ordering, so every learner
+        attempts a singular fit on (1,)."""
+        edges = [(0, 2), (2, 3), (0, 4)]
+        data = sample_recursive(edges, dict.fromkeys(edges, 0.4), 5, 300,
+                                np.random.default_rng(14))
+        values = data.values.copy()
+        values[:, 1] = 0
+        return CountMatrix(values), Ordering((1, 0, 2, 3, 4))
+
+    @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
+    def test_each_set_fitted_at_most_once(self, learner, monkeypatch):
+        from countdag import glm, learn
+        from countdag.scores import pk2_detailed
+
+        keys, fitted, singular = [], [], []
+        design, fit_core = glm.PatternBuilder.design, learn._fit_core
+
+        def recording_design(self, s, covariates):
+            keys.append((s, covariates))
+            return design(self, s, covariates)
+
+        def recording_fit(*args):
+            fitted.append(keys[-1])
+            try:
+                return fit_core(*args)
+            except glm.SingularInformation:
+                singular.append(keys[-1])
+                raise
+
+        monkeypatch.setattr(glm.PatternBuilder, "design", recording_design)
+        monkeypatch.setattr(learn, "_fit_core", recording_fit)
+        data, ordering = self._zero_column_data()
+        if learner == "pkbic":
+            pk2_detailed(data, ordering)
+        else:
+            runner = or_ppgm_detailed if learner == "or_ppgm" else or_lpgm_detailed
+            runner(data, ordering, LearnConfig(alpha=0.05, m=2))
+        assert len(fitted) == len(set(fitted)) > 0
+        assert (0, (1,)) in singular
+
+    def test_singular_fit_is_attempted_once(self, monkeypatch):
+        from countdag import learn
+        from countdag.glm import FitOptions, FitTally, SingularInformation
+
+        calls = []
+        fit_core = learn._fit_core
+
+        def recording_fit(*args):
+            calls.append(args[3])
+            return fit_core(*args)
+
+        monkeypatch.setattr(learn, "_fit_core", recording_fit)
+        data, _ = self._zero_column_data()
+        tally = FitTally()
+        fitter = learn.NodeFitter(data, FitOptions(), tally)
+        for _ in range(2):
+            with pytest.raises(SingularInformation):
+                fitter.fit(0, (1,))
+            assert fitter.fit(0, (2,)) is fitter.fit(0, (2,))
+        assert calls == [(1,), (2,)] and tally.fits == 1
 
 
 class TestPatternPath:

@@ -139,18 +139,18 @@ class TestScoreConfig:
 
 class TestFitTally:
     def test_counts_every_uncached_fit(self, monkeypatch):
-        from countdag import scores
+        from countdag import learn
         from countdag.glm import FitTally
 
         returned = []
-        original = scores._fit_core
+        original = learn._fit_core
 
         def recording(*args):
             fit = original(*args)
             returned.append(fit)
             return fit
 
-        monkeypatch.setattr(scores, "_fit_core", recording)
+        monkeypatch.setattr(learn, "_fit_core", recording)
         rng = np.random.default_rng(8)
         x = rng.poisson(1.0, size=(300, 3))
         x[:, 2] = rng.poisson(np.exp(0.4 * x[:, 0]))
