@@ -1,10 +1,15 @@
 """Per-call timings of glm._fit_core, wald and wald_all (pytest-benchmark).
 
 The shapes are those the learners produce: (n, k) = (1000, 1) and
-(1000, 3) are table-1 conditioning-set fits, (50000, 2) a fit on the
-50,000-row CSV workload, and (500, 99) an OR-LPGM node regression on
-table-2 data. X is taken from a (p, n) array, one row per variable, as
-the learners take it, and X^T y is given, as the learners give it. The
+(1000, 3) are table-1 conditioning-set fits, (100, 2) and (100, 4) the
+same at n = 100, where the per-iteration overhead of the Newton loop
+outweighs the passes over the rows, (50000, 2) a fit on the 50,000-row CSV
+workload, and (500, 99) an OR-LPGM node regression on table-2 data. X is
+taken from a (p, n) array, one row per variable, as the learners take it,
+and X^T y is given, as the learners give it. The stalled case is a
+(1000, 3) fit whose last full Newton step is rejected at floating-point
+resolution, so its line search ends after that one trial (see
+glm.RESOLUTION); it times what the stall costs. The
 pattern cases time what a learner pays per fit on the 50,000-row workload:
 X^T y, the distinct covariate patterns and their multiplicities from a
 PatternBuilder that has the node's cross products and the set cached, then
@@ -19,7 +24,9 @@ import pytest
 from countdag.data import CountMatrix
 from countdag.glm import FitOptions, PatternBuilder, _fit_core, _log_factorial, wald, wald_all
 
-SHAPES = [(1000, 1), (1000, 3), (50000, 2), (500, 99)]
+SHAPES = [(1000, 1), (1000, 3), (100, 2), (100, 4), (50000, 2), (500, 99)]
+#: Seed of a (1000, 3) problem whose last line search stalls.
+STALLED_SEED = 20
 PATTERN_KS = [1, 2, 3]
 
 
@@ -43,6 +50,12 @@ def _problem(n, k, seed=2993):
 @pytest.mark.parametrize("n,k", SHAPES, ids=[f"n{n}-k{k}" for n, k in SHAPES])
 def test_fit_core(benchmark, n, k):
     xty, X, cov, log_fact = _problem(n, k)
+    result = benchmark(_fit_core, xty, X, FitOptions(), cov, log_fact)
+    assert result.converged
+
+
+def test_fit_core_stalled(benchmark):
+    xty, X, cov, log_fact = _problem(1000, 3, STALLED_SEED)
     result = benchmark(_fit_core, xty, X, FitOptions(), cov, log_fact)
     assert result.converged
 

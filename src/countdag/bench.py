@@ -32,7 +32,8 @@ from .scores import ScoreConfig, pk2
 from .simulate import SimConfig, WeightedDag, gen_graph, gen_weights, make_rng, sample_data
 
 _FIT_KEYS = frozenset({"tol", "max_iter", "theta_cap", "lp_cap"})
-_LEARN_KEYS = frozenset({"alpha", "alpha_b", "m"}) | _FIT_KEYS
+_LPGM_KEYS = frozenset({"alpha", "alpha_b"}) | _FIT_KEYS
+_PPGM_KEYS = _LPGM_KEYS | {"m"}
 _SCORE_KEYS = frozenset({"max_parents"}) | _FIT_KEYS
 
 #: Learner algorithms the harness can dispatch, each with its config type
@@ -40,8 +41,8 @@ _SCORE_KEYS = frozenset({"max_parents"}) | _FIT_KEYS
 #: returns the true graph and "empty" the edgeless graph; both serve as
 #: reference rows and take no config.
 ALGORITHMS: dict[str, tuple[type | None, frozenset[str]]] = {
-    "or_ppgm": (LearnConfig, _LEARN_KEYS),
-    "or_lpgm": (LearnConfig, _LEARN_KEYS),
+    "or_ppgm": (LearnConfig, _PPGM_KEYS),
+    "or_lpgm": (LearnConfig, _LPGM_KEYS),
     "pkbic": (ScoreConfig, _SCORE_KEYS),
     "pkaic": (ScoreConfig, _SCORE_KEYS),
     "oracle": (None, frozenset()),

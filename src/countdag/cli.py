@@ -21,7 +21,7 @@ from .graphs import (
     ordering_from_text,
     ordering_to_text,
 )
-from .learn import or_lpgm_detailed, or_ppgm_detailed
+from .learn import or_lpgm_detailed, or_ppgm_detailed, ppgm_depth
 from .scores import pk2_detailed
 from .simulate import SimConfig, make_rng, gen_graph, gen_weights, sample_data
 
@@ -161,7 +161,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
             runner = or_ppgm_detailed if args.algo == "or-ppgm" else or_lpgm_detailed
             dag, learn_report = runner(data, ordering, cfg)
             report["alpha"] = learn_report.alpha
-            report["m"] = cfg.m if cfg.m is not None else max(data.p - 2, 0)
+            if args.algo == "or-ppgm":
+                report["m"] = ppgm_depth(cfg, data.p)
             report["tests_run"] = learn_report.tests_run
             report["fits"] = dataclasses.asdict(learn_report.fits)
             report["warnings"] = learn_report.warnings

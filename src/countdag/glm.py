@@ -22,7 +22,12 @@ copy of X. The step-halving line search moves along the linear predictor,
 lp - eta * (X step), and evaluates the objective as
 (sum(w) - <theta, X^T y>) / n + mean(log y!), so a trial point costs one
 pass over the rows; X theta is recomputed only when a coefficient is
-clamped at the theta cap.
+clamped at the theta cap. A fit that reaches the optimum at floating-point
+resolution ends with a rejected full step whose promised decrease,
+<grad, step> / 2, is within :data:`RESOLUTION` of the objective's terms;
+the search ends there (a stall) and the fit counts as converged (Boyd and
+Vandenberghe, *Convex Optimization*, 9.5). The check runs only after a
+rejected full step, so accepted iterations pay nothing for it.
 
 The rows may carry multiplicities c: the rates become w = c * exp(X theta)
 and n becomes sum(c), so a fit on the distinct rows of X, their
@@ -46,22 +51,30 @@ from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
-from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 from scipy.special import gammaln
 
 from .data import CountMatrix, InvalidData
 
 _STD_NORMAL = NormalDist()
 
+# The ufunc reductions behind ndarray.sum and ndarray.max, called without
+# the method's Python wrapper: the Newton loop calls them on every trial.
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
 #: Widest fit whose Newton moments come from the precomputed moment matrix
 #: (k + k(k+1)/2 rows); wider fits form X^T W X by a matrix product.
 MOMENT_MAX_K = 4
 
 #: Share of the magnitude of the objective's terms below which a decrease
-#: is lost to rounding: a line search that fails although the Newton step
-#: promised less than this has converged at floating-point resolution.
-#: (Every such stall on the benchmark workloads promised at most 1.6 eps.)
-RESOLUTION = 64 * np.finfo(np.float64).eps
+#: is lost to rounding. A full Newton step that is rejected although it
+#: promised less than this is a stall: the fit has converged at
+#: floating-point resolution, so the line search ends at that first trial
+#: rather than trying 30 halved steps that can win only rounding noise, and
+#: ``halvings`` counts none for it. (Every such stall on the benchmark
+#: workloads promised at most 1.6 eps.)
+RESOLUTION = 64 * math.ulp(1.0)
 
 #: Fewest rows for which a node regression may run on distinct covariate
 #: patterns (see :class:`PatternBuilder`); smaller fits run on the rows.
@@ -190,10 +203,21 @@ def fisher_information(theta, y, X, lp_cap: float | None = None) -> np.ndarray:
     return (J + J.T) / 2.0
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _gesv(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(H, rhs)`` for a float H, bit for bit, without the
+    Python wrapper that costs more than the solve at the learners' sizes:
+    the same LAPACK gesv gufunc under the same floating-point state, except
+    that a singular H, which sets the invalid flag, raises
+    FloatingPointError rather than LinAlgError."""
+    solve = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    return solve(H, rhs, signature="dd->d")
+
+
 def _solve_plain(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve H x = rhs for a vector or a matrix rhs; None signals a singular
     system. Small systems are solved directly, avoiding LAPACK call overhead
-    in the learner hot loop."""
+    in the learner hot loop; larger ones call LAPACK through :func:`_gesv`."""
     k = H.shape[0]
     if k == 1:
         h = H[0, 0]
@@ -201,16 +225,17 @@ def _solve_plain(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
             return None
         return rhs / h
     if k == 2:
-        det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
+        (a, b), (c, d) = H.tolist()
+        det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             return None
         out = np.empty(rhs.shape)
-        out[0] = (H[1, 1] * rhs[0] - H[0, 1] * rhs[1]) / det
-        out[1] = (H[0, 0] * rhs[1] - H[1, 0] * rhs[0]) / det
+        out[0] = (d * rhs[0] - b * rhs[1]) / det
+        out[1] = (a * rhs[1] - c * rhs[0]) / det
         return out
     try:
-        return np.linalg.solve(H, rhs)
-    except LinAlgError:
+        return _gesv(H, rhs)
+    except FloatingPointError:
         return None
 
 
@@ -465,7 +490,9 @@ def _fit_core(
     Each iteration takes X^T w and X^T W X at the current rates w from one
     call of the fit's moment map (see the module docstring), solves for the
     Newton step on the free coefficients and halves the step until the
-    objective falls. A trial point moves the linear predictor along
+    objective falls, unless the full step stalls: it is rejected although
+    it promised a decrease within RESOLUTION, so the loop stops there,
+    converged. A trial point moves the linear predictor along
     d = X step, so it costs one pass over the rows for exp and the sum of
     the rates; only a trial that clamps a coefficient at -theta_cap (which
     then stays frozen) recomputes X theta. The moments of the accepted rates
@@ -487,13 +514,13 @@ def _fit_core(
         )
 
     cap = opts.lp_cap
-    inv_n = 1.0 / (n if counts is None else float(counts.sum()))
+    inv_n = 1.0 / (n if counts is None else float(_sum(counts)))
     # At theta = 0 every linear predictor is 0.
     lp_capped = cap < 0.0
     w = np.full(n, math.exp(min(0.0, cap)))
     if counts is not None:
         w *= counts
-    current = float(w.sum()) * inv_n + log_fact
+    current = float(_sum(w)) * inv_n + log_fact
     if not math.isfinite(current):
         raise InvalidData("objective non-finite at theta = 0")
     if k == 1:
@@ -545,7 +572,7 @@ def _fit_core(
         # Halving by 0.5 is exact, so step and d stay eta * (full step).
         np.matmul(Xf, step, out=d)
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for trial_index in range(opts.max_halvings + 1):
             trial = theta - step
             clamped = min(trial.tolist()) <= floor
             if clamped:
@@ -558,11 +585,11 @@ def _fit_core(
                 np.matmul(Xf, trial, out=lp_t)
             else:
                 np.subtract(lp, d, out=lp_t)
-            capped = bool(lp_t.max() > cap)
+            capped = bool(_max(lp_t) > cap)
             np.exp(np.minimum(lp_t, cap, out=w_t) if capped else lp_t, out=w_t)
             if counts is not None:
                 w_t *= counts
-            value = (float(w_t.sum()) * inv_n - float(trial @ Xty)) + log_fact
+            value = (float(_sum(w_t)) * inv_n - float(trial @ Xty)) + log_fact
             if value < current and math.isfinite(value):
                 theta, current = trial, value
                 lp, lp_t = lp_t, lp
@@ -574,17 +601,22 @@ def _fit_core(
                 accepted = True
                 fresh = False
                 break
+            if trial_index == 0:
+                # The full step failed. If it promised a decrease within the
+                # objective's rounding error, the optimum is reached at
+                # floating-point resolution and a shorter step could win at
+                # most rounding noise: the search stalls here (see
+                # RESOLUTION). Otherwise, if no trial lowers the objective,
+                # the final gradient check below decides the flag.
+                scale = float(_sum(w)) * inv_n + abs(float(theta @ Xty)) + abs(log_fact)
+                converged = 0.5 * float(grad_free @ step_free) <= RESOLUTION * scale
+                if converged:
+                    break
             step = step * 0.5
             d *= 0.5
             halvings += 1
         iterations += 1
         if not accepted:
-            # No trial lowered the objective. A Newton step that promised a
-            # decrease within the objective's rounding error has reached the
-            # optimum at floating-point resolution; otherwise the final
-            # gradient check below decides the flag.
-            scale = float(w.sum()) * inv_n + abs(float(theta @ Xty)) + abs(log_fact)
-            converged = 0.5 * float(grad_free @ step_free) <= RESOLUTION * scale
             break
 
     if not fresh:
@@ -593,10 +625,11 @@ def _fit_core(
     if not converged:
         free_grad = grad[~diverged]
         converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= opts.tol
+    # Moment-map Hessians are exactly symmetric (see _newton_moments).
     return GlmFit(
         covariates=covariates,
         theta=theta,
-        fisher=(H + H.T) * 0.5,
+        fisher=H if k <= MOMENT_MAX_K else (H + H.T) * 0.5,
         nll=current,
         converged=converged,
         iterations=iterations,
@@ -624,14 +657,17 @@ def _fit_single(
     Starts from theta = 0 with rates ``w`` and objective ``current``; rows
     weigh ``counts`` (None: 1 each) and ``inv_n`` is one over their total.
     Each trial forms the linear predictor x * theta exactly and reads its
-    maximum off the extremes of x. The 1x1 ridge cannot rescue a singular
-    information, so no fit here counts a ridge rescue.
+    maximum off the extremes of x. A stalled full step ends the loop as in
+    :func:`_fit_core`. The 1x1 ridge cannot rescue a singular information,
+    so no fit here counts a ridge rescue.
     """
     cap = opts.lp_cap
     floor = -opts.theta_cap
     xty = float(xty[0]) * inv_n
-    Zt = np.vstack((x, x * x))
-    x_hi, x_lo = float(x.max()), float(x.min())
+    Zt = np.empty((2, x.size))
+    Zt[0] = x
+    np.multiply(x, x, out=Zt[1])
+    x_hi, x_lo = float(_max(x)), float(np.minimum.reduce(x))
     w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
     theta = 0.0
     diverged = False
@@ -654,7 +690,7 @@ def _fit_single(
             break
 
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for trial_index in range(opts.max_halvings + 1):
             trial = theta - step
             clamped = trial <= floor
             if clamped:
@@ -664,7 +700,7 @@ def _fit_single(
             np.exp(np.minimum(w_t, cap, out=w_t) if capped else w_t, out=w_t)
             if counts is not None:
                 w_t *= counts
-            value = (float(w_t.sum()) * inv_n - trial * xty) + log_fact
+            value = (float(_sum(w_t)) * inv_n - trial * xty) + log_fact
             if value < current and math.isfinite(value):
                 theta, current = trial, value
                 w, w_t = w_t, w
@@ -673,12 +709,15 @@ def _fit_single(
                 accepted = True
                 fresh = False
                 break
+            if trial_index == 0:
+                scale = float(_sum(w)) * inv_n + abs(theta * xty) + abs(log_fact)
+                converged = 0.5 * g * g / h <= RESOLUTION * scale
+                if converged:
+                    break  # a stall, as in _fit_core
             step *= 0.5
             halvings += 1
         iterations += 1
         if not accepted:
-            scale = float(w.sum()) * inv_n + abs(theta * xty) + abs(log_fact)
-            converged = 0.5 * g * g / h <= RESOLUTION * scale
             break
 
     if not fresh:

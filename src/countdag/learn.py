@@ -161,7 +161,7 @@ def or_ppgm_detailed(
     data: CountMatrix, ordering: Ordering, cfg: LearnConfig
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
-    m = data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2)
+    m = ppgm_depth(cfg, data.p)
     fitter = NodeFitter(data, cfg.fit_options, report.fits)
     edges = frozenset(
         (t, s)
@@ -169,6 +169,12 @@ def or_ppgm_detailed(
         for t in _ppgm_parents(fitter, report, data.n, ordering, s, m)
     )
     return Dag(data.p, edges, data.labels), report
+
+
+def ppgm_depth(cfg: LearnConfig, p: int) -> int:
+    """The largest conditioning-set size OR-PPGM tests on p variables:
+    ``cfg.m``, at most p - 2 (a child's other parents) and at least 0."""
+    return max(p - 2 if cfg.m is None else min(cfg.m, p - 2), 0)
 
 
 def _ppgm_parents(

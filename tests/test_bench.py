@@ -7,6 +7,7 @@ from countdag.bench import (
     ReplicateRecord,
     _aggregate,
     experiment_from_dict,
+    learner_from_dict,
     parse_csv,
     pool_results,
     render_csv,
@@ -271,6 +272,8 @@ class TestExperimentJson:
                     "learners": [{"name": "x", "algo": "oracle", "alpha": 0.05}],
                 }
             )
+        with pytest.raises(ValueError, match=r"unknown keys \['m'\]"):
+            learner_from_dict({"algo": "or_lpgm", "alpha": 0.05, "m": 2})  # or_ppgm's key
         with pytest.raises(ValueError, match=r"unknown keys \['threads'\]"):
             experiment_from_dict(
                 {

@@ -131,6 +131,7 @@ class TestLearn:
         [
             (["--algo", "pkbic", "--m", "2"], "unknown keys ['m']"),  # or-ppgm's flag
             (["--alpha", "2"], "alpha must be in (0, 1)"),
+            (["--algo", "or-lpgm", "--m", "2"], "unknown keys ['m']"),
         ],
     )
     def test_bad_learner_option_exit_2(self, tmp_path, capsys, flags, message):
@@ -141,6 +142,24 @@ class TestLearn:
         rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering), *flags])
         assert rc == EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("algo, m, reported", [
+        ("or-ppgm", [], 1), ("or-ppgm", ["--m", "5"], 1), ("or-ppgm", ["--m", "0"], 0),
+        ("or-lpgm", [], None),
+    ])
+    def test_report_echoes_the_m_used(self, tmp_path, algo, m, reported):
+        # With 3 columns OR-PPGM conditions on at most p - 2 = 1 other parent;
+        # OR-LPGM has no m.
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b,c\n1,2,0\n2,1,3\n0,1,1\n3,0,2\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b,c\n")
+        report = tmp_path / "r.json"
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                   "--algo", algo, *m, "--report", str(report), "--out", str(tmp_path / "e")])
+        assert rc == EXIT_OK
+        assert json.loads(report.read_text()).get("m") == reported
 
 
 class TestSimulate:

@@ -512,6 +512,57 @@ class TestSolverParity:
         assert rows is None and patterns is None
 
 
+class TestStallExit:
+    """A full Newton step rejected although it promised a decrease within
+    RESOLUTION ends the line search at that first trial (a stall). On each
+    problem here the last line search stalls: with RESOLUTION = 0 there is
+    no stall exit, and that search rejects all max_halvings + 1 trials, as
+    every stall did before the exit."""
+
+    @pytest.mark.parametrize("k, n, seed", [(1, 1000, 82), (2, 100, 36), (3, 1000, 27)])
+    def test_stall_ends_after_the_full_step(self, k, n, seed, monkeypatch):
+        from countdag import glm
+
+        y, X = _parity_problem(np.random.default_rng(seed), n, k)
+        opts = FitOptions()
+        covariates = tuple(range(k))
+        log_fact = float(np.mean(glm._log_factorial(y)))
+        args = (X.T @ y, X, opts, covariates, log_fact)
+        fast = glm._fit_core(*args)
+        with monkeypatch.context() as m:
+            m.setattr(glm, "RESOLUTION", 0.0)
+            slow = glm._fit_core(*args)
+        # The same accepted steps; only the stalled search's trials differ.
+        assert fast.iterations == slow.iterations
+        assert np.array_equal(fast.theta, slow.theta) and fast.nll == slow.nll
+        assert slow.halvings - fast.halvings == opts.max_halvings + 1
+        # The flag a search of all trials gave: the promised decrease at the
+        # final point is within RESOLUTION of the objective's terms.
+        w = np.exp(X @ fast.theta)
+        grad = X.T @ (w - y) / n
+        decrease = 0.5 * grad @ np.linalg.solve(fast.fisher, grad)
+        scale = w.mean() + abs(fast.theta @ X.T @ y) / n + log_fact
+        assert decrease <= glm.RESOLUTION * scale
+        assert fast.converged is True
+        ref = _reference_fit_core(y, X.copy(), opts, covariates, log_fact)
+        TestSolverParity()._assert_same(ref, fast)
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_solve_matches_numpy(self, k):
+        from countdag.glm import _solve_plain
+
+        rng = np.random.default_rng(90 + k)
+        A = rng.normal(size=(k, k))
+        H = A @ A.T + 0.1 * np.eye(k)
+        for rhs in (rng.normal(size=k), np.eye(k)):
+            assert np.array_equal(_solve_plain(H, rhs), np.linalg.solve(H, rhs))
+        H[-1] = H[0]
+        H[:, -1] = H[:, 0]
+        H[-1, -1] = H[0, 0]  # two equal rows: exactly singular
+        assert _solve_plain(H, np.ones(k)) is None
+        assert _solve_plain(np.zeros((k, k)), np.eye(k)) is None
+
+
 class TestPatternBuilder:
     """Distinct covariate patterns of a count matrix, and the path choice."""
 

@@ -420,3 +420,48 @@ class TestPatternPath:
             forced = self._run(monkeypatch, min_rows, learner, data, ordering)
             assert forced[0] == edges and forced[1]["fits"] == tally["fits"]
             assert (forced[2] > 0) == (min_rows == 0)
+
+
+class TestPinnedEdges:
+    """Edge lists of the three learners on seeded table-1 data (p=10),
+    recorded from the solver before its line search ended stalls early.
+    Rounding-level solver changes must leave every edge in place."""
+
+    EXPECTED = {
+        ("scale_free", 100, 11): {
+            "or_ppgm": [(0, 1), (2, 3), (4, 0), (5, 7), (6, 1), (7, 1), (8, 9)],
+            "or_lpgm": [(2, 3), (4, 0), (5, 7)],
+            "pkbic": [(2, 3), (4, 0), (4, 1), (5, 7), (6, 1), (7, 1), (8, 9)],
+        },
+        ("hub", 1000, 12): {
+            "or_ppgm": [(0, 4), (1, 3), (2, 0), (5, 1), (6, 0), (7, 1), (9, 1)],
+            "or_lpgm": [(0, 4), (1, 3), (2, 0), (5, 1), (6, 0), (7, 1), (7, 8), (9, 1)],
+            "pkbic": [(0, 4), (1, 3), (2, 0), (5, 1), (6, 0), (7, 1), (9, 1)],
+        },
+        ("erdos_renyi", 1000, 13): {
+            "or_ppgm": [(0, 8), (2, 4), (5, 2), (5, 6), (6, 9), (7, 2), (7, 6), (8, 3), (8, 4)],
+            "or_lpgm": [
+                (0, 8), (1, 9), (2, 4), (2, 9), (5, 2), (5, 6), (6, 9), (7, 2), (7, 6),
+                (8, 3), (8, 4),
+            ],
+            "pkbic": [
+                (0, 8), (1, 9), (2, 4), (2, 9), (5, 2), (5, 6), (6, 9), (7, 2), (7, 6),
+                (8, 3), (8, 4),
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("kind, n, seed", sorted(EXPECTED))
+    def test_table1_edges(self, kind, n, seed):
+        from countdag.scores import ScoreConfig, pk2
+        from countdag.simulate import SimConfig, simulate
+
+        _, ordering, data = simulate(SimConfig(graph_kind=kind, p=10, n=n, seed=seed))
+        edges = {
+            "or_ppgm": or_ppgm(data, ordering, LearnConfig(alpha_b=0.15, m=8)),
+            "or_lpgm": or_lpgm(data, ordering, LearnConfig(alpha_b=0.15)),
+            "pkbic": pk2(data, ordering, ScoreConfig()),
+        }
+        assert {name: sorted(dag.edges) for name, dag in edges.items()} == self.EXPECTED[
+            (kind, n, seed)
+        ]
