@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from countdag.data import CountMatrix
-from countdag.glm import FitOptions, PatternBuilder, _fit_core, _log_factorial, wald, wald_all
+from countdag.glm import PatternBuilder, _fit_core, _log_factorial, wald, wald_all
 
 SHAPES = [(1000, 1), (1000, 3), (100, 2), (100, 4), (50000, 2), (500, 99)]
 #: Seed of a (1000, 3) problem whose last line search stalls.
@@ -50,13 +50,13 @@ def _problem(n, k, seed=2993):
 @pytest.mark.parametrize("n,k", SHAPES, ids=[f"n{n}-k{k}" for n, k in SHAPES])
 def test_fit_core(benchmark, n, k):
     xty, X, cov, log_fact = _problem(n, k)
-    result = benchmark(_fit_core, xty, X, FitOptions(), cov, log_fact)
+    result = benchmark(_fit_core, xty, X, cov, log_fact)
     assert result.converged
 
 
 def test_fit_core_stalled(benchmark):
     xty, X, cov, log_fact = _problem(1000, 3, STALLED_SEED)
-    result = benchmark(_fit_core, xty, X, FitOptions(), cov, log_fact)
+    result = benchmark(_fit_core, xty, X, cov, log_fact)
     assert result.converged
 
 
@@ -72,20 +72,20 @@ def test_fit_core_patterns(benchmark, k):
     def build_and_fit():
         xty, X, counts = builder.design(0, cov)
         assert counts is not None
-        return _fit_core(xty, X, FitOptions(), cov, log_fact, counts)
+        return _fit_core(xty, X, cov, log_fact, counts)
 
     assert benchmark(build_and_fit).converged
 
 
 def test_wald(benchmark):
     xty, X, cov, log_fact = _problem(1000, 3)
-    fit = _fit_core(xty, X, FitOptions(), cov, log_fact)
+    fit = _fit_core(xty, X, cov, log_fact)
     benchmark(wald, fit, cov[0], 1000, 0.05)
 
 
 def test_wald_all_wide(benchmark):
     xty, X, cov, log_fact = _problem(500, 99)
-    fit = _fit_core(xty, X, FitOptions(), cov, log_fact)
+    fit = _fit_core(xty, X, cov, log_fact)
     tests = benchmark(wald_all, fit, 500, 0.05)
     assert len(tests) == 99
 

@@ -25,16 +25,14 @@ from functools import partial
 from typing import Sequence
 
 from .data import CountMatrix
-from .glm import FitOptions
 from .graphs import Dag, Ordering, RecoveryMetrics, compare
 from .learn import LearnConfig, or_lpgm, or_ppgm
 from .scores import ScoreConfig, pk2
 from .simulate import SimConfig, WeightedDag, gen_graph, gen_weights, make_rng, sample_data
 
-_FIT_KEYS = frozenset({"tol", "max_iter", "theta_cap", "lp_cap"})
-_LPGM_KEYS = frozenset({"alpha", "alpha_b"}) | _FIT_KEYS
+_LPGM_KEYS = frozenset({"alpha", "alpha_b"})
 _PPGM_KEYS = _LPGM_KEYS | {"m"}
-_SCORE_KEYS = frozenset({"max_parents"}) | _FIT_KEYS
+_SCORE_KEYS = frozenset({"max_parents"})
 
 #: Learner algorithms the harness can dispatch, each with its config type
 #: and the option keys an experiment's learner entry may give it. "oracle"
@@ -421,10 +419,7 @@ def learner_from_dict(obj: dict) -> LearnerSpec:
     unknown = set(opts) - keys
     if unknown:
         raise ValueError(f"learner {name!r}: unknown keys {sorted(unknown)}")
-    config = None
-    if config_type is not None:
-        fit = FitOptions(**{k: opts.pop(k) for k in _FIT_KEYS & opts.keys()})
-        config = config_type(**opts, fit_options=fit)
+    config = None if config_type is None else config_type(**opts)
     return LearnerSpec(name=name, algo=algo, config=config)
 
 

@@ -23,7 +23,7 @@ from .graphs import (
 )
 from .learn import or_lpgm_detailed, or_ppgm_detailed, ppgm_depth
 from .scores import pk2_detailed
-from .simulate import SimConfig, make_rng, gen_graph, gen_weights, sample_data
+from .simulate import SimConfig, simulate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -39,20 +39,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, help="gradient tolerance")
-    parser.add_argument("--max-iter", type=int, help="Newton iteration cap")
-    parser.add_argument("--theta-cap", type=float,
-                        help="freeze coefficients diverging below -theta-cap")
-    parser.add_argument("--lp-cap", type=float,
-                        help="clamp linear predictors inside exp during fitting")
-
-
 #: learn flags that configure the learner, named as bench.learner_from_dict
 #: keys; a flag left unset keeps the learner's default.
-_LEARNER_FLAGS = (
-    "alpha", "alpha_b", "m", "max_parents", "tol", "max_iter", "theta_cap", "lp_cap",
-)
+_LEARNER_FLAGS = ("alpha", "alpha_b", "m", "max_parents")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop rows with entries beyond 3 sd of the column mean")
     # Accepted and ignored: the learners run serially.
     learn.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    _add_fit_flags(learn)
 
     simulate = sub.add_parser("simulate", help="generate a benchmark graph and dataset")
     simulate.add_argument("--kind", choices=("scale_free", "hub", "erdos_renyi"),
@@ -224,16 +212,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     print(f"seed: {seed}")
 
-    graph_rng = make_rng(seed, 0)
-    dag, ordering = gen_graph(cfg, graph_rng)
-    wdag = gen_weights(dag, graph_rng)
     try:
-        data = sample_data(wdag, ordering, cfg.n, cfg, make_rng(seed, 1))
+        wdag, ordering, data = simulate(cfg)
     except Exception as exc:  # RowRejectionLimit or numeric trouble
         raise CliError(f"sampling failed: {exc}", EXIT_ALGORITHM) from exc
 
     prefix = args.out_prefix
-    labels = dag.labels or tuple(f"X{i + 1}" for i in range(dag.p))
+    dag, labels = wdag.dag, wdag.dag.labels
     Path(f"{prefix}.counts.csv").write_text(counts_to_csv(data))
     Path(f"{prefix}.truth.edges").write_text(edges_to_text(dag))
     weight_lines = ["t,s,theta"]

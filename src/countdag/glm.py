@@ -22,12 +22,18 @@ copy of X. The step-halving line search moves along the linear predictor,
 lp - eta * (X step), and evaluates the objective as
 (sum(w) - <theta, X^T y>) / n + mean(log y!), so a trial point costs one
 pass over the rows; X theta is recomputed only when a coefficient is
-clamped at the theta cap. A fit that reaches the optimum at floating-point
-resolution ends with a rejected full step whose promised decrease,
-<grad, step> / 2, is within :data:`RESOLUTION` of the objective's terms;
-the search ends there (a stall) and the fit counts as converged (Boyd and
-Vandenberghe, *Convex Optimization*, 9.5). The check runs only after a
-rejected full step, so accepted iterations pay nothing for it.
+clamped at -:data:`THETA_CAP`. A fit that reaches the optimum at
+floating-point resolution ends with a rejected full step whose promised
+decrease, <grad, step> / 2, is within :data:`RESOLUTION` of the objective's
+terms; the search ends there (a stall) and the fit counts as converged
+(Boyd and Vandenberghe, *Convex Optimization*, 9.5). The check runs only
+after a rejected full step, so accepted iterations pay nothing for it.
+
+The solver's limits are module constants, the same for every fit:
+:data:`TOL` (gradient max-norm at convergence), :data:`MAX_ITER` (Newton
+iterations), :data:`MAX_HALVINGS` (step halvings per line search),
+:data:`THETA_CAP` (coefficients diverging below -THETA_CAP are frozen) and
+:data:`LP_CAP` (linear predictors are clamped inside exp while fitting).
 
 The rows may carry multiplicities c: the rates become w = c * exp(X theta)
 and n becomes sum(c), so a fit on the distinct rows of X, their
@@ -71,10 +77,18 @@ MOMENT_MAX_K = 4
 #: is lost to rounding. A full Newton step that is rejected although it
 #: promised less than this is a stall: the fit has converged at
 #: floating-point resolution, so the line search ends at that first trial
-#: rather than trying 30 halved steps that can win only rounding noise, and
-#: ``halvings`` counts none for it. (Every such stall on the benchmark
-#: workloads promised at most 1.6 eps.)
+#: rather than trying MAX_HALVINGS halved steps that can win only rounding
+#: noise, and ``halvings`` counts none for it. (Every such stall on the
+#: benchmark workloads promised at most 1.6 eps.)
 RESOLUTION = 64 * math.ulp(1.0)
+
+# The Newton solver's limits, the same for every fit. _fit_core and
+# _fit_single read them when called, so a test may patch them.
+TOL = 1e-8            # gradient max-norm at convergence (see RESOLUTION)
+MAX_ITER = 100
+THETA_CAP = 20.0      # freeze coefficients diverging below -THETA_CAP
+LP_CAP = 30.0         # clamp linear predictors inside exp during fitting
+MAX_HALVINGS = 30
 
 #: Fewest rows for which a node regression may run on distinct covariate
 #: patterns (see :class:`PatternBuilder`); smaller fits run on the rows.
@@ -86,17 +100,6 @@ PATTERN_MIN_ROWS = 5000
 
 class SingularInformation(RuntimeError):
     """Fisher information not invertible, even after the ridge rescue."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Newton solver knobs; the defaults fit every use in this package."""
-
-    tol: float = 1e-8            # gradient max-norm at convergence (see RESOLUTION)
-    max_iter: int = 100
-    theta_cap: float = 20.0      # freeze coefficients diverging below -theta_cap
-    lp_cap: float = 30.0         # clamp linear predictors inside exp during fitting
-    max_halvings: int = 30
 
 
 @dataclass
@@ -113,9 +116,6 @@ class GlmFit:
     lp_capped: bool = False
     halvings: int = 0            # step halvings over all line searches
     ridge_rescues: int = 0       # Newton systems solved only with the ridge
-
-    def coefficient(self, target: int) -> float:
-        return float(self.theta[self.covariates.index(target)])
 
 
 @dataclass
@@ -255,11 +255,13 @@ def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]
     return out, True
 
 
-def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
-    """Minimize :func:`nll` by Newton iterations with step-halving.
+def fit(y, X, covariates=None) -> GlmFit:
+    """Minimize :func:`nll` by Newton iterations with step-halving, within
+    the solver limits :data:`TOL`, :data:`MAX_ITER`, :data:`LP_CAP` and
+    :data:`MAX_HALVINGS`.
 
     ``covariates`` names the columns of X (node indices); defaults to
-    0..k-1. Coefficients trending below ``-theta_cap`` (separation, MLE at
+    0..k-1. Coefficients trending below ``-THETA_CAP`` (separation, MLE at
     -infinity) are frozen at the cap and flagged in ``diverged``.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -282,7 +284,7 @@ def fit(y, X, opts: FitOptions = FitOptions(), covariates=None) -> GlmFit:
         covariates = tuple(int(c) for c in covariates)
         if len(covariates) != X.shape[1]:
             raise InvalidData("covariate name list does not match X columns")
-    return _fit_core(X.T @ y, X, opts, covariates, float(np.mean(_log_factorial(y))))
+    return _fit_core(X.T @ y, X, covariates, float(np.mean(_log_factorial(y))))
 
 
 class PatternBuilder:
@@ -471,7 +473,6 @@ def _newton_moments(X: np.ndarray, inv_n: float):
 def _fit_core(
     xty: np.ndarray,
     X: np.ndarray,
-    opts: FitOptions,
     covariates: tuple[int, ...],
     log_fact: float,
     counts: np.ndarray | None = None,
@@ -490,15 +491,17 @@ def _fit_core(
     Each iteration takes X^T w and X^T W X at the current rates w from one
     call of the fit's moment map (see the module docstring), solves for the
     Newton step on the free coefficients and halves the step until the
-    objective falls, unless the full step stalls: it is rejected although
-    it promised a decrease within RESOLUTION, so the loop stops there,
-    converged. A trial point moves the linear predictor along
-    d = X step, so it costs one pass over the rows for exp and the sum of
-    the rates; only a trial that clamps a coefficient at -theta_cap (which
-    then stays frozen) recomputes X theta. The moments of the accepted rates
-    are kept: when the loop stops with no step taken since they were
-    computed (convergence, or a failed line search), they give the reported
-    Fisher information and the final gradient without another pass.
+    objective falls, at most MAX_HALVINGS times, unless the full step
+    stalls: it is rejected although it promised a decrease within
+    RESOLUTION, so the loop stops there, converged. The loop runs at most
+    MAX_ITER iterations and converges on a gradient max-norm within TOL. A
+    trial point moves the linear predictor along d = X step, clamped at
+    LP_CAP inside exp, so it costs one pass over the rows for exp and the
+    sum of the rates; only a trial that clamps a coefficient at -THETA_CAP
+    (which then stays frozen) recomputes X theta. The moments of the
+    accepted rates are kept: when the loop stops with no step taken since
+    they were computed (convergence, or a failed line search), they give the
+    reported Fisher information and the final gradient without another pass.
     """
     n, k = X.shape
     if k == 0:
@@ -513,11 +516,9 @@ def _fit_core(
             diverged=np.zeros(0, dtype=bool),
         )
 
-    cap = opts.lp_cap
     inv_n = 1.0 / (n if counts is None else float(_sum(counts)))
-    # At theta = 0 every linear predictor is 0.
-    lp_capped = cap < 0.0
-    w = np.full(n, math.exp(min(0.0, cap)))
+    # At theta = 0 every linear predictor is 0, below LP_CAP.
+    w = np.ones(n)
     if counts is not None:
         w *= counts
     current = float(_sum(w)) * inv_n + log_fact
@@ -525,10 +526,11 @@ def _fit_core(
         raise InvalidData("objective non-finite at theta = 0")
     if k == 1:
         return _fit_single(
-            xty, X[:, 0], opts, covariates, log_fact, counts, inv_n, w, current, lp_capped
+            xty, X[:, 0], covariates, log_fact, counts, inv_n, w, current
         )
 
-    floor = -opts.theta_cap
+    cap = LP_CAP
+    floor = -THETA_CAP
     Xf, moments = _newton_moments(X, inv_n)
     Xty = xty * inv_n
     theta = np.zeros(k)
@@ -537,11 +539,11 @@ def _fit_core(
     # direction d. An accepted trial swaps buffers with the current point.
     lp_t, w_t, d = np.empty(n), np.empty(n), np.empty(n)
     diverged = np.zeros(k, dtype=bool)
-    any_diverged = False
+    any_diverged = lp_capped = False
     converged = False
     fresh = False  # grad and H belong to the current w
     iterations = halvings = ridge_rescues = 0
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         xw, H = moments(w)
         grad = xw - Xty
         fresh = True
@@ -563,7 +565,7 @@ def _fit_core(
         # O(1) (curvature collapses as fast as the gradient), so a small
         # gradient alone cannot certify an interior optimum.
         if (
-            max(map(abs, grad_free.tolist())) <= opts.tol
+            max(map(abs, grad_free.tolist())) <= TOL
             and max(map(abs, step_free.tolist())) <= 1e-4
         ):
             converged = True
@@ -572,7 +574,7 @@ def _fit_core(
         # Halving by 0.5 is exact, so step and d stay eta * (full step).
         np.matmul(Xf, step, out=d)
         accepted = False
-        for trial_index in range(opts.max_halvings + 1):
+        for trial_index in range(MAX_HALVINGS + 1):
             trial = theta - step
             clamped = min(trial.tolist()) <= floor
             if clamped:
@@ -624,7 +626,7 @@ def _fit_core(
         grad = xw - Xty
     if not converged:
         free_grad = grad[~diverged]
-        converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= opts.tol
+        converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= TOL
     # Moment-map Hessians are exactly symmetric (see _newton_moments).
     return GlmFit(
         covariates=covariates,
@@ -643,14 +645,12 @@ def _fit_core(
 def _fit_single(
     xty: np.ndarray,
     x: np.ndarray,
-    opts: FitOptions,
     covariates: tuple[int, ...],
     log_fact: float,
     counts: np.ndarray | None,
     inv_n: float,
     w: np.ndarray,
     current: float,
-    lp_capped: bool,
 ) -> GlmFit:
     """:func:`_fit_core` for one covariate, with scalars as Python floats.
 
@@ -661,8 +661,8 @@ def _fit_single(
     :func:`_fit_core`. The 1x1 ridge cannot rescue a singular information,
     so no fit here counts a ridge rescue.
     """
-    cap = opts.lp_cap
-    floor = -opts.theta_cap
+    cap = LP_CAP
+    floor = -THETA_CAP
     xty = float(xty[0]) * inv_n
     Zt = np.empty((2, x.size))
     Zt[0] = x
@@ -670,11 +670,11 @@ def _fit_single(
     x_hi, x_lo = float(_max(x)), float(np.minimum.reduce(x))
     w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
     theta = 0.0
-    diverged = False
+    diverged = lp_capped = False
     converged = False
     fresh = False  # g and h belong to the current w
     iterations = halvings = 0
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         xw, h = (Zt @ w * inv_n).tolist()
         g = xw - xty
         fresh = True
@@ -685,12 +685,12 @@ def _fit_single(
             # The 1x1 ridge, 1e-10 * h, cannot rescue h = 0 or non-finite h.
             raise SingularInformation("information matrix singular; ridge rescue impossible")
         step = g / h
-        if abs(g) <= opts.tol and abs(step) <= 1e-4:
+        if abs(g) <= TOL and abs(step) <= 1e-4:
             converged = True
             break
 
         accepted = False
-        for trial_index in range(opts.max_halvings + 1):
+        for trial_index in range(MAX_HALVINGS + 1):
             trial = theta - step
             clamped = trial <= floor
             if clamped:
@@ -724,7 +724,7 @@ def _fit_single(
         xw, h = (Zt @ w * inv_n).tolist()
         g = xw - xty
     if not converged:
-        converged = diverged or abs(g) <= opts.tol
+        converged = diverged or abs(g) <= TOL
     return GlmFit(
         covariates=covariates,
         theta=np.array([theta]),
@@ -733,7 +733,7 @@ def _fit_single(
         converged=converged,
         iterations=iterations,
         diverged=np.array([diverged]),
-        lp_capped=bool(lp_capped),
+        lp_capped=lp_capped,
         halvings=halvings,
     )
 

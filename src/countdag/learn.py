@@ -28,7 +28,6 @@ from itertools import combinations
 
 from .data import CountMatrix
 from .glm import (
-    FitOptions,
     FitTally,
     GlmFit,
     PatternBuilder,
@@ -56,7 +55,6 @@ class LearnConfig:
     alpha: float | None = None
     alpha_b: float | None = None
     m: int | None = None
-    fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
         if (self.alpha is None) == (self.alpha_b is None):
@@ -128,9 +126,8 @@ class NodeFitter:
     asks once per node; the score searches ask per candidate parent set.
     """
 
-    def __init__(self, data: CountMatrix, opts: FitOptions, tally: FitTally):
+    def __init__(self, data: CountMatrix, tally: FitTally):
         self._rows = PatternBuilder(data)
-        self._opts = opts
         self._tally = tally
         self._store: dict[tuple[int, tuple[int, ...]], GlmFit | SingularInformation] = {}
 
@@ -141,7 +138,7 @@ class NodeFitter:
         if found is None:
             xty, X, counts = self._rows.design(s, covariates)
             try:
-                found = _fit_core(xty, X, self._opts, covariates, self._rows.log_fact(s), counts)
+                found = _fit_core(xty, X, covariates, self._rows.log_fact(s), counts)
                 self._tally.add(found)
             except SingularInformation as exc:
                 found = exc
@@ -162,7 +159,7 @@ def or_ppgm_detailed(
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
     m = ppgm_depth(cfg, data.p)
-    fitter = NodeFitter(data, cfg.fit_options, report.fits)
+    fitter = NodeFitter(data, report.fits)
     edges = frozenset(
         (t, s)
         for s in ordering.perm
@@ -217,7 +214,7 @@ def or_lpgm_detailed(
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
     n = data.n
-    fitter = NodeFitter(data, cfg.fit_options, report.fits)
+    fitter = NodeFitter(data, report.fits)
     edges = set()
     for s in ordering.perm:
         pre = ordering.precedents(s)

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .data import CountMatrix
-from .glm import FitOptions, FitTally, SingularInformation
+from .glm import FitTally, SingularInformation
 # Unused here since every fit goes through learn.NodeFitter; kept because
 # perfbench/tracing.py wraps this name and needs it to exist.
 from .glm import _fit_core  # noqa: F401
@@ -38,7 +38,6 @@ CRITERIA = ("bic", "aic")
 class ScoreConfig:
     criterion: str = "bic"
     max_parents: int | None = None  # None: unrestricted (p - 1)
-    fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
@@ -65,7 +64,7 @@ def node_score(
     A fit that fails numerically scores +inf so the search never selects it.
     """
     parents = [int(t) for t in parents]
-    return _score(NodeFitter(data, cfg.fit_options, FitTally()), data.n, s, parents, cfg)
+    return _score(NodeFitter(data, FitTally()), data.n, s, parents, cfg)
 
 
 def _score(
@@ -108,7 +107,7 @@ def pk2_detailed(
     _check_inputs(data, ordering)
     p = data.p
     report = ScoreReport(criterion=cfg.criterion)
-    fitter = NodeFitter(data, cfg.fit_options, report.fits)
+    fitter = NodeFitter(data, report.fits)
     max_parents = cfg.max_parents if cfg.max_parents is not None else p - 1
 
     parent_sets: dict[int, frozenset[int]] = {}
@@ -165,7 +164,7 @@ def exhaustive_search(
     """Exact minimum-score DAG by enumerating every ordering-consistent
     parent set per node. Exponential in p; intended as a small-p oracle."""
     _check_inputs(data, ordering)
-    fitter = NodeFitter(data, cfg.fit_options, FitTally())
+    fitter = NodeFitter(data, FitTally())
     edges: list[tuple[int, int]] = []
     total = 0.0
     for s in ordering.perm:

@@ -57,6 +57,13 @@ class SimConfig:
             raise ValueError("er_gamma must lie in [0, 1]")
         if self.graph_kind == "hub" and not 1 <= self.hub_count <= self.p:
             raise ValueError("hub_count must lie in [1, p]")
+        if self.graph_kind == "scale_free":
+            if not (math.isfinite(self.zero_appeal) and self.zero_appeal > 0):
+                raise ValueError("sf_zero_appeal must be finite and positive")
+            if not (math.isfinite(self.sf_power) and self.sf_power >= 0):
+                raise ValueError("sf_power must be finite and >= 0")
+        if not math.isfinite(self.root_log_rate):
+            raise ValueError("root_log_rate must be finite")
         if self.overflow_threshold <= 0:
             raise ValueError("overflow_threshold must be positive")
 

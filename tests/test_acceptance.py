@@ -20,7 +20,7 @@ from countdag.bench import (
     run,
 )
 from countdag.data import CountMatrix
-from countdag.glm import FitOptions, alpha_schedule, fisher_information, fit, gradient, nll, wald
+from countdag.glm import alpha_schedule, fisher_information, fit, gradient, nll, wald
 from countdag.graphs import Dag, Ordering, RecoveryMetrics, compare
 from countdag.learn import LearnConfig
 from countdag.scores import ScoreConfig, exhaustive_search, pk2_detailed

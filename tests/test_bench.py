@@ -274,6 +274,8 @@ class TestExperimentJson:
             )
         with pytest.raises(ValueError, match=r"unknown keys \['m'\]"):
             learner_from_dict({"algo": "or_lpgm", "alpha": 0.05, "m": 2})  # or_ppgm's key
+        with pytest.raises(ValueError, match=r"unknown keys \['max_iter'\]"):
+            learner_from_dict({"algo": "pkbic", "max_iter": 0})  # solver limits are fixed
         with pytest.raises(ValueError, match=r"unknown keys \['threads'\]"):
             experiment_from_dict(
                 {

@@ -132,6 +132,9 @@ class TestLearn:
             (["--algo", "pkbic", "--m", "2"], "unknown keys ['m']"),  # or-ppgm's flag
             (["--alpha", "2"], "alpha must be in (0, 1)"),
             (["--algo", "or-lpgm", "--m", "2"], "unknown keys ['m']"),
+            # The solver's limits are fixed (glm constants), not flags.
+            (["--max-iter", "0"], "unrecognized arguments: --max-iter 0"),
+            (["--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
         ],
     )
     def test_bad_learner_option_exit_2(self, tmp_path, capsys, flags, message):
@@ -163,6 +166,17 @@ class TestLearn:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("flags", [
+        ["--sf-zero-appeal", "0"], ["--sf-zero-appeal", "nan"], ["--sf-power", "-1"],
+        ["--root-log-rate", "nan"],
+    ])
+    def test_bad_generator_option_exit_2(self, tmp_path, capsys, flags):
+        rc = main(["simulate", "--kind", "scale_free", "--p", "5", "--n", "10", "--seed", "1",
+                   *flags, "--out-prefix", str(tmp_path / "s")])
+        assert rc == EXIT_BAD_INPUT
+        assert "must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_fixed_seed_is_byte_identical(self, tmp_path):
         args = [
             "simulate", "--kind", "erdos_renyi", "--p", "6", "--n", "100",

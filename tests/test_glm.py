@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countdag import glm
 from countdag.data import InvalidData
 from countdag.glm import (
-    FitOptions,
     SingularInformation,
     alpha_schedule,
     fisher_information,
@@ -144,7 +144,7 @@ class TestFit:
     def test_all_zero_response_diverges(self):
         result = fit([0.0, 0.0, 0.0], [[1.0]] * 3)
         assert result.diverged.tolist() == [True]
-        assert result.theta[0] == -FitOptions().theta_cap
+        assert result.theta[0] == -glm.THETA_CAP
 
     def test_doubling_counts_vs_grid_oracle(self):
         y = [1.0, 2.0, 4.0, 8.0]
@@ -190,7 +190,7 @@ class TestFit:
             result = fit(y, X)
             if result.converged and not result.diverged.any():
                 g = gradient(result.theta, y, X)
-                assert np.abs(g).max() <= FitOptions().tol * 1.01
+                assert np.abs(g).max() <= glm.TOL * 1.01
 
 
 class TestWald:
@@ -257,13 +257,14 @@ class TestAlphaSchedule:
         assert alpha_schedule(n + 1, b) <= a_n
 
 
-def _reference_fit_core(y, X, opts, covariates, log_fact):
+def _reference_fit_core(y, X, covariates, log_fact):
     """The Newton loop before the sufficient-statistic solver: every trial
-    point recomputes X theta, and every iteration forms X^T W X afresh."""
+    point recomputes X theta, and every iteration forms X^T W X afresh. It
+    reads the solver's limits from glm when called, as the solver does."""
     from countdag.glm import GlmFit, _solve_with_ridge
 
     n, k = X.shape
-    cap = opts.lp_cap
+    cap = glm.LP_CAP
     inv_n = 1.0 / n
     theta = np.zeros(k)
     diverged = np.zeros(k, dtype=bool)
@@ -283,7 +284,7 @@ def _reference_fit_core(y, X, opts, covariates, log_fact):
 
     converged = False
     iterations = 0
-    for _ in range(opts.max_iter):
+    for _ in range(glm.MAX_ITER):
         grad = (X.T @ (w - y)) * inv_n
         if diverged.any():
             free = ~diverged
@@ -299,7 +300,7 @@ def _reference_fit_core(y, X, opts, covariates, log_fact):
             grad_free = grad
         step, _ = _solve_with_ridge(H, grad_free)
         if (
-            float(np.abs(grad_free).max()) <= opts.tol
+            float(np.abs(grad_free).max()) <= glm.TOL
             and float(np.abs(step).max()) <= 1e-4
         ):
             converged = True
@@ -307,16 +308,16 @@ def _reference_fit_core(y, X, opts, covariates, log_fact):
 
         eta = 1.0
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(glm.MAX_HALVINGS + 1):
             if free is None:
                 trial = theta - eta * step
             else:
                 trial = theta.copy()
                 trial[free] = theta[free] - eta * step
-            hit = trial <= -opts.theta_cap
+            hit = trial <= -glm.THETA_CAP
             any_hit = bool(hit.any())
             if any_hit:
-                trial[hit] = -opts.theta_cap
+                trial[hit] = -glm.THETA_CAP
             value, lp_t, w_t, capped = evaluate(trial)
             if value < current and math.isfinite(value):
                 theta, current, lp, w = trial, value, lp_t, w_t
@@ -333,7 +334,7 @@ def _reference_fit_core(y, X, opts, covariates, log_fact):
     grad = (X.T @ (w - y)) * inv_n
     if not converged:
         free_grad = grad[~diverged]
-        converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= opts.tol
+        converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= glm.TOL
     J = ((X.T * w) @ X) * inv_n
     J = (J + J.T) / 2.0
     return GlmFit(covariates, theta, J, current, converged, iterations, diverged, lp_capped)
@@ -357,7 +358,7 @@ def _separation_problem(rng, n, k):
 class TestSolverParity:
     """The solver against the Newton loop it replaced, on the same inputs."""
 
-    def _both(self, y, X, opts=FitOptions()):
+    def _both(self, y, X):
         from countdag.glm import _fit_core, _log_factorial
 
         covariates = tuple(range(X.shape[1]))
@@ -365,7 +366,7 @@ class TestSolverParity:
         outcomes = []
         for solver, first in ((_reference_fit_core, y), (_fit_core, X.T @ y)):
             try:
-                outcomes.append(solver(first, X.copy(), opts, covariates, log_fact))
+                outcomes.append(solver(first, X.copy(), covariates, log_fact))
             except SingularInformation:
                 outcomes.append(None)
         return outcomes
@@ -394,15 +395,16 @@ class TestSolverParity:
     def test_separation_freezes_same_coefficient(self, k):
         rng = np.random.default_rng(31 + k)
         ref, new = self._both(*_separation_problem(rng, 200, k))
-        assert ref.diverged[0] and ref.theta[0] == -FitOptions().theta_cap
+        assert ref.diverged[0] and ref.theta[0] == -glm.THETA_CAP
         self._assert_same(ref, new)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
-    def test_linear_predictor_cap(self, k):
+    def test_linear_predictor_cap(self, k, monkeypatch):
         rng = np.random.default_rng(41 + k)
         X = rng.poisson(2.0, size=(300, k)).astype(float)
         y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
-        ref, new = self._both(y, X, FitOptions(lp_cap=2.0))
+        monkeypatch.setattr(glm, "LP_CAP", 2.0)
+        ref, new = self._both(y, X)
         assert ref.lp_capped
         self._assert_same(ref, new)
 
@@ -443,7 +445,7 @@ class TestSolverParity:
     # The solver on (X^T y, distinct rows, multiplicities) against the same
     # solver on every row.
 
-    def _rows_and_patterns(self, y, X, opts=FitOptions()):
+    def _rows_and_patterns(self, y, X):
         from countdag.glm import _fit_core, _log_factorial
 
         patterns, counts = np.unique(X, axis=0, return_counts=True)
@@ -454,7 +456,7 @@ class TestSolverParity:
         outcomes = []
         for args in ((xty, X, None), (xty, patterns, counts.astype(float))):
             try:
-                outcomes.append(_fit_core(args[0], args[1], opts, covariates, log_fact, args[2]))
+                outcomes.append(_fit_core(args[0], args[1], covariates, log_fact, args[2]))
             except SingularInformation:
                 outcomes.append(None)
         return outcomes
@@ -480,15 +482,16 @@ class TestSolverParity:
         rng = np.random.default_rng(7031 + k)
         y, X = _separation_problem(rng, 400, k)
         rows, patterns = self._rows_and_patterns(y, np.minimum(X, 3.0))
-        assert rows.diverged[0] and rows.theta[0] == -FitOptions().theta_cap
+        assert rows.diverged[0] and rows.theta[0] == -glm.THETA_CAP
         self._assert_same_flags(rows, patterns)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
-    def test_patterns_linear_predictor_cap(self, k):
+    def test_patterns_linear_predictor_cap(self, k, monkeypatch):
         rng = np.random.default_rng(7041 + k)
         X = np.minimum(rng.poisson(2.0, size=(600, k)), 4).astype(float)
         y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
-        rows, patterns = self._rows_and_patterns(y, X, FitOptions(lp_cap=1.0))
+        monkeypatch.setattr(glm, "LP_CAP", 1.0)
+        rows, patterns = self._rows_and_patterns(y, X)
         assert rows.lp_capped
         self._assert_same_flags(rows, patterns)
 
@@ -516,18 +519,15 @@ class TestStallExit:
     """A full Newton step rejected although it promised a decrease within
     RESOLUTION ends the line search at that first trial (a stall). On each
     problem here the last line search stalls: with RESOLUTION = 0 there is
-    no stall exit, and that search rejects all max_halvings + 1 trials, as
+    no stall exit, and that search rejects all MAX_HALVINGS + 1 trials, as
     every stall did before the exit."""
 
     @pytest.mark.parametrize("k, n, seed", [(1, 1000, 82), (2, 100, 36), (3, 1000, 27)])
     def test_stall_ends_after_the_full_step(self, k, n, seed, monkeypatch):
-        from countdag import glm
-
         y, X = _parity_problem(np.random.default_rng(seed), n, k)
-        opts = FitOptions()
         covariates = tuple(range(k))
         log_fact = float(np.mean(glm._log_factorial(y)))
-        args = (X.T @ y, X, opts, covariates, log_fact)
+        args = (X.T @ y, X, covariates, log_fact)
         fast = glm._fit_core(*args)
         with monkeypatch.context() as m:
             m.setattr(glm, "RESOLUTION", 0.0)
@@ -535,7 +535,7 @@ class TestStallExit:
         # The same accepted steps; only the stalled search's trials differ.
         assert fast.iterations == slow.iterations
         assert np.array_equal(fast.theta, slow.theta) and fast.nll == slow.nll
-        assert slow.halvings - fast.halvings == opts.max_halvings + 1
+        assert slow.halvings - fast.halvings == glm.MAX_HALVINGS + 1
         # The flag a search of all trials gave: the promised decrease at the
         # final point is within RESOLUTION of the objective's terms.
         w = np.exp(X @ fast.theta)
@@ -544,7 +544,7 @@ class TestStallExit:
         scale = w.mean() + abs(fast.theta @ X.T @ y) / n + log_fact
         assert decrease <= glm.RESOLUTION * scale
         assert fast.converged is True
-        ref = _reference_fit_core(y, X.copy(), opts, covariates, log_fact)
+        ref = _reference_fit_core(y, X.copy(), covariates, log_fact)
         TestSolverParity()._assert_same(ref, fast)
 
     @pytest.mark.parametrize("k", [3, 4, 7])
@@ -575,8 +575,6 @@ class TestPatternBuilder:
 
     @pytest.mark.parametrize("covariates", [(0,), (1, 3), (0, 2, 4), (4, 1, 3)])
     def test_patterns_rebuild_rows(self, covariates, monkeypatch):
-        from countdag import glm
-
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
         data = self._data()
         builder = glm.PatternBuilder(data)
@@ -592,7 +590,6 @@ class TestPatternBuilder:
     def test_design_xty_is_exact(self, monkeypatch):
         # X^T y from the cross products equals rows.T @ y exactly, on the
         # pattern path, on the row path and after the set was evicted.
-        from countdag import glm
         from countdag.data import CountMatrix
 
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
@@ -633,7 +630,6 @@ class TestPatternBuilder:
             assert np.array_equal(codes, expected_codes.ravel())
 
     def test_code_space_beyond_int64_takes_rows(self, monkeypatch):
-        from countdag import glm
         from countdag.data import CountMatrix
 
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
@@ -648,8 +644,6 @@ class TestPatternBuilder:
         assert counts is None and X.shape == (16, 69)
 
     def test_path_choice(self, monkeypatch):
-        from countdag import glm
-
         data = self._data(n=400)
         builder = glm.PatternBuilder(data)
         assert builder.patterns((0, 1)) is None  # fewer rows than the cut-off
@@ -674,8 +668,6 @@ class TestPatternBuilder:
         return built
 
     def test_warm_matches_cold_in_any_order(self, monkeypatch):
-        from countdag import glm
-
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
         data = self._data()
         sets = [(0,), (0, 1), (0, 1, 2), (1, 3), (1, 3, 4), (2,), (2, 0), (4, 1, 3),
@@ -695,8 +687,6 @@ class TestPatternBuilder:
         assert sorted(built) == sorted(sets[:-1])
 
     def test_cached_arrays_are_read_only(self, monkeypatch):
-        from countdag import glm
-
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
         builder = glm.PatternBuilder(self._data())
         for covariates in [(0,), (0, 2), (0, 2, 3)]:
@@ -708,7 +698,6 @@ class TestPatternBuilder:
                     array[0] = 0
 
     def test_eviction_keeps_patterns_within_the_rows(self, monkeypatch):
-        from countdag import glm
         from countdag.data import CountMatrix
 
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", 0)
@@ -731,8 +720,6 @@ class TestPatternBuilder:
         assert built.count((0, 1)) == 2
 
     def test_nothing_cached_below_the_cut_off(self, monkeypatch):
-        from countdag import glm
-
         data = self._data(n=glm.PATTERN_MIN_ROWS - 1)
         builder = glm.PatternBuilder(data)
         built = self._recording(builder, monkeypatch)

@@ -359,19 +359,19 @@ class TestNodeFitter:
 
     def test_singular_fit_is_attempted_once(self, monkeypatch):
         from countdag import learn
-        from countdag.glm import FitOptions, FitTally, SingularInformation
+        from countdag.glm import FitTally, SingularInformation
 
         calls = []
         fit_core = learn._fit_core
 
         def recording_fit(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             return fit_core(*args)
 
         monkeypatch.setattr(learn, "_fit_core", recording_fit)
         data, _ = self._zero_column_data()
         tally = FitTally()
-        fitter = learn.NodeFitter(data, FitOptions(), tally)
+        fitter = learn.NodeFitter(data, tally)
         for _ in range(2):
             with pytest.raises(SingularInformation):
                 fitter.fit(0, (1,))
@@ -400,7 +400,7 @@ class TestPatternPath:
             m.setattr(glm, "PATTERN_MIN_ROWS", min_rows)
             for module in (learn, scores):
                 def recording(*args, original=module._fit_core):
-                    grouped.append(len(args) > 5 and args[5] is not None)
+                    grouped.append(len(args) > 4 and args[4] is not None)
                     return original(*args)
 
                 m.setattr(module, "_fit_core", recording)

@@ -62,6 +62,22 @@ class TestGenGraph:
             cfg_for("hub", 5, hub_count=6)
         with pytest.raises(ValueError):
             cfg_for("triangle", 5)
+        for key, value in [
+            ("sf_zero_appeal", 0.0), ("sf_zero_appeal", -1.0), ("sf_zero_appeal", math.nan),
+            ("sf_zero_appeal", math.inf), ("sf_power", -1.0), ("sf_power", math.nan),
+            ("root_log_rate", math.nan), ("root_log_rate", -math.inf),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                cfg_for("scale_free", 5, **{key: value})
+        for kind in ("hub", "erdos_renyi"):
+            with pytest.raises(ValueError, match="root_log_rate"):
+                cfg_for(kind, 5, root_log_rate=math.nan)
+            cfg_for(kind, 5, sf_power=-1.0, sf_zero_appeal=0.0)  # read by scale_free only
+
+    def test_scale_free_edge_values_accepted(self):
+        dag, _ = gen_graph(cfg_for("scale_free", 6, sf_power=0.0, sf_zero_appeal=1e-3),
+                           make_rng(7))
+        assert dag.edge_count == 5
 
 
 class TestGenWeights:
