@@ -10,6 +10,8 @@ which is convex in theta. Its Hessian, ``(1/n) sum_i exp(<theta, x_i>)
 x_i x_i^T``, does not depend on y, so the observed and (conditionally)
 expected Fisher information coincide; the fitted Hessian is reported as the
 sample Fisher information and feeds the Wald test of a single coefficient.
+A fit's tests share one solve: the first that needs a variance takes the
+whole diagonal of the inverse information and keeps it on the fit.
 
 The solver works on sufficient statistics. With rates w = exp(X theta),
 the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so y
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -116,6 +118,9 @@ class GlmFit:
     lp_capped: bool = False
     halvings: int = 0            # step halvings over all line searches
     ridge_rescues: int = 0       # Newton systems solved only with the ridge
+    # The diagonal of fisher's inverse, or its solve's SingularInformation,
+    # once a Wald test has needed it (see wald).
+    variances: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -745,57 +750,29 @@ def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
     |z| strictly exceeds the two-sided normal quantile. A diverged
     coefficient never rejects: a -infinity MLE has unbounded variance and
     carries no finite evidence under the Wald construction.
+
+    The first test that needs a variance keeps the whole diagonal of J^-1,
+    or the SingularInformation of its solve, on the fit (``GlmFit.variances``)
+    for its other tests. A non-positive variance raises for its covariate.
     """
-    _check_alpha(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     try:
         idx = fit.covariates.index(target)
     except ValueError:
         raise ValueError(f"covariate {target} not in fit ({fit.covariates})") from None
     if fit.diverged[idx]:
         return WaldTest(target=target, z=0.0, alpha=alpha, reject=False)
-    k = len(fit.covariates)
-    rhs = np.zeros(k)
-    rhs[idx] = 1.0
-    inv_col, _ = _solve_with_ridge(fit.fisher, rhs)
-    return _wald_from_variance(fit, idx, n, alpha, float(inv_col[idx]))
-
-
-def wald_all(fit: GlmFit, n: int, alpha: float) -> list[WaldTest | SingularInformation]:
-    """:func:`wald` on every covariate of ``fit``, in covariate order.
-
-    Every [J^-1]_tt comes from one solve against the identity, so the
-    Fisher information is factorised once rather than once per covariate.
-    Where :func:`wald` would raise SingularInformation for a covariate, the
-    list holds the exception instead.
-    """
-    _check_alpha(alpha)
-    variances: np.ndarray | SingularInformation | None = None
-    if not fit.diverged.all():
+    variances = fit.variances
+    if variances is None:
         try:
-            variances = np.diag(_solve_with_ridge(fit.fisher, np.eye(len(fit.covariates)))[0])
+            variances = _inverse_diagonal(fit.fisher)
         except SingularInformation as exc:
             variances = exc
-    tests: list[WaldTest | SingularInformation] = []
-    for idx, target in enumerate(fit.covariates):
-        if fit.diverged[idx]:
-            tests.append(WaldTest(target=target, z=0.0, alpha=alpha, reject=False))
-        elif isinstance(variances, SingularInformation):
-            tests.append(variances)
-        else:
-            try:
-                tests.append(_wald_from_variance(fit, idx, n, alpha, float(variances[idx])))
-            except SingularInformation as exc:
-                tests.append(exc)
-    return tests
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-
-
-def _wald_from_variance(fit: GlmFit, idx: int, n: int, alpha: float, var_tt: float) -> WaldTest:
-    target = fit.covariates[idx]
+        fit.variances = variances
+    if isinstance(variances, SingularInformation):
+        raise variances.with_traceback(None)
+    var_tt = float(variances[idx])
     if not math.isfinite(var_tt) or var_tt <= 0.0:
         raise SingularInformation(
             f"non-positive variance estimate for covariate {target}"
@@ -805,6 +782,24 @@ def _wald_from_variance(fit: GlmFit, idx: int, n: int, alpha: float, var_tt: flo
         return WaldTest(target=target, z=z, alpha=alpha, reject=False)
     crit = -_STD_NORMAL.inv_cdf(alpha / 2.0)
     return WaldTest(target=target, z=z, alpha=alpha, reject=bool(abs(z) > crit))
+
+
+def _inverse_diagonal(H: np.ndarray) -> np.ndarray:
+    """The diagonal of H^-1, with :func:`_solve_with_ridge`'s rescue. Up to
+    2x2 it is taken in closed form, [1/h] or [d, a]/det, bit for bit the
+    values of solving against each unit vector; wider H, or a singular
+    small one, is solved against the identity."""
+    k = H.shape[0]
+    if k == 1:
+        h = float(H[0, 0])
+        if h != 0.0 and math.isfinite(h):
+            return np.array([1.0 / h])
+    elif k == 2:
+        (a, b), (c, d) = H.tolist()
+        det = a * d - b * c
+        if det != 0.0 and math.isfinite(det):
+            return np.array([d / det, a / det])
+    return np.diag(_solve_with_ridge(H, np.eye(k))[0])
 
 
 def alpha_schedule(n: int, b: float) -> float:

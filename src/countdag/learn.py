@@ -5,7 +5,9 @@ Given the ordering, every learner comes down to Poisson regressions of a
 node s on covariate sets K within pre(s). :class:`NodeFitter` fits each
 (s, K) once per learner call; OR-PPGM, OR-LPGM and the score search in
 :mod:`countdag.scores` all fit through it. The two learners here test
-single coefficients with Wald conditional-independence tests:
+single coefficients with Wald conditional-independence tests, each through
+:func:`~countdag.glm.wald` and recorded by one helper, so a fit's tests
+share one solve of its information:
 
 * ``or_ppgm`` is PC-style and child-major: the tests of a child read and
   delete only its own parent set, so each child s in ordering position runs
@@ -35,7 +37,6 @@ from .glm import (
     _fit_core,
     alpha_schedule,
     wald,
-    wald_all,
 )
 from .graphs import Dag, GraphError, Ordering
 
@@ -148,6 +149,29 @@ class NodeFitter:
         return found
 
 
+def _wald_edge(
+    fitter: NodeFitter, report: LearnReport, n: int, t: int, s: int,
+    conditioning: tuple[int, ...], where: str,
+) -> bool:
+    """Wald-test t -> s in the fit of s on K = conditioning + {t}, record the
+    test in ``report`` and return whether it rejected. A singular information
+    is a non-rejection with z nan, warned about at ``where`` (formatted with
+    t, s and K)."""
+    key = tuple(sorted(conditioning + (t,)))
+    try:
+        test = wald(fitter.fit(s, key), t, n, report.alpha)
+        z, rejected = test.z, test.reject
+    except SingularInformation as exc:
+        report.warn(
+            f"{where.format(t=t, s=s, K=key)}: singular information "
+            f"({exc}); treated as non-rejection"
+        )
+        z, rejected = float("nan"), False
+    report.tests_run += 1
+    report.edge_tests[(t, s)] = EdgeTest((t, s), conditioning, z, rejected)
+    return rejected
+
+
 def or_ppgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
     """PC-style learner over conditioning sets of growing cardinality."""
     dag, _ = or_ppgm_detailed(data, ordering, cfg)
@@ -185,19 +209,7 @@ def _ppgm_parents(
             if len(parents) <= level:
                 break  # t has fewer than `level` other parents to condition on
             for subset in combinations(sorted(parents - {t}), level):
-                key = tuple(sorted(subset + (t,)))
-                try:
-                    test = wald(fitter.fit(s, key), t, n, report.alpha)
-                    z, rejected = test.z, test.reject
-                except SingularInformation as exc:
-                    report.warn(
-                        f"edge {t}->{s} | K={key}: singular information "
-                        f"({exc}); treated as non-rejection"
-                    )
-                    z, rejected = float("nan"), False
-                report.tests_run += 1
-                report.edge_tests[(t, s)] = EdgeTest((t, s), subset, z, rejected)
-                if not rejected:
+                if not _wald_edge(fitter, report, n, t, s, subset, "edge {t}->{s} | K={K}"):
                     parents.discard(t)
                     break
     return parents
@@ -226,23 +238,12 @@ def or_lpgm_detailed(
                 f"{n} rows is rank-deficient"
             )
         try:
-            node_fit = fitter.fit(s, pre)
+            fitter.fit(s, pre)
         except SingularInformation as exc:
             report.warn(f"node {s}: fit failed ({exc}); all tests non-rejecting")
             continue
-        for t, test in zip(pre, wald_all(node_fit, n, report.alpha)):
-            if isinstance(test, SingularInformation):
-                report.warn(
-                    f"node {s}, covariate {t}: singular information ({test}); "
-                    "treated as non-rejection"
-                )
-                z, rejected = float("nan"), False
-            else:
-                z, rejected = test.z, test.reject
-            report.tests_run += 1
-            report.edge_tests[(t, s)] = EdgeTest(
-                (t, s), tuple(u for u in pre if u != t), z, rejected
-            )
-            if rejected:
+        for t in pre:
+            others = tuple(u for u in pre if u != t)
+            if _wald_edge(fitter, report, n, t, s, others, "node {s}, covariate {t}"):
                 edges.add((t, s))
     return Dag(data.p, frozenset(edges), data.labels), report

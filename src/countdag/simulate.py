@@ -64,8 +64,11 @@ class SimConfig:
                 raise ValueError("sf_power must be finite and >= 0")
         if not math.isfinite(self.root_log_rate):
             raise ValueError("root_log_rate must be finite")
-        if self.overflow_threshold <= 0:
+        if not self.overflow_threshold > 0:
             raise ValueError("overflow_threshold must be positive")
+        if self.root_log_rate > math.log(self.overflow_threshold):
+            # A root's rate above the threshold rejects (nearly) every row.
+            raise ValueError("root_log_rate must be at most log(overflow_threshold)")
 
     @property
     def zero_appeal(self) -> float:

@@ -177,6 +177,14 @@ class TestSimulate:
         assert "must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rate", ["30", "800"])  # above log(1e9), the default threshold
+    def test_unreachable_root_rate_exit_2(self, tmp_path, capsys, rate):
+        rc = main(["simulate", "--kind", "hub", "--p", "5", "--n", "10", "--seed", "1",
+                   "--root-log-rate", rate, "--out-prefix", str(tmp_path / "s")])
+        assert rc == EXIT_BAD_INPUT
+        assert "root_log_rate must be at most" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_fixed_seed_is_byte_identical(self, tmp_path):
         args = [
             "simulate", "--kind", "erdos_renyi", "--p", "6", "--n", "100",
@@ -264,6 +272,14 @@ class TestBench:
         rc = main(["bench", "--config", str(path)])
         assert rc == EXIT_BAD_INPUT
         assert "wizardry" in capsys.readouterr().err
+
+    def test_nan_overflow_threshold_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text('{"seed": 9, "replicates": 1, "learners": [{"name": "oracle", '
+                        '"algo": "oracle"}], "sim": {"graph_kind": "hub", "p": 4, "n": 10, '
+                        '"overflow_threshold": NaN}}')
+        assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
+        assert "overflow_threshold must be positive" in capsys.readouterr().err
 
     def test_broken_json_exit_2(self, tmp_path):
         path = tmp_path / "exp.json"

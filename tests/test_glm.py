@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from countdag.glm import (
     gradient,
     nll,
     wald,
-    wald_all,
 )
 
 RNG = np.random.default_rng(20240915)
@@ -744,28 +744,64 @@ class TestPatternBuilder:
 
 
 class TestWaldAll:
-    """One factorisation per fit gives the same tests as wald per covariate."""
+    """wald on every covariate of one fit: the variances come from one solve
+    kept on the fit, and each z matches a solve for its own target."""
+
+    @staticmethod
+    def _reference_z(result, t, n):
+        e_t = np.zeros(len(result.covariates))
+        e_t[t] = 1.0
+        return math.sqrt(n) * result.theta[t] / math.sqrt(np.linalg.solve(result.fisher, e_t)[t])
+
+    @staticmethod
+    def _counting_solves(monkeypatch):
+        calls = []
+        solve = glm._solve_with_ridge
+
+        def counting(H, rhs):
+            calls.append(H.shape)
+            return solve(H, rhs)
+
+        monkeypatch.setattr(glm, "_solve_with_ridge", counting)
+        return calls
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
     def test_matches_wald(self, k):
         rng = np.random.default_rng(90 + k)
         y, X = _parity_problem(rng, 400, k)
         result = fit(y, X)
-        for t, test in enumerate(wald_all(result, 400, 0.05)):
-            ref = wald(result, t, 400, 0.05)
+        assert not result.diverged.any()
+        crit = -NormalDist().inv_cdf(0.025)
+        for t in range(k):
+            test = wald(result, t, 400, 0.05)
+            ref = self._reference_z(result, t, 400)
             assert test.target == t
-            assert test.z == pytest.approx(ref.z, rel=1e-12)
-            assert test.reject == ref.reject
+            assert test.z == pytest.approx(ref, rel=1e-12)
+            assert test.reject == (abs(ref) > crit)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_information_solved_once(self, k, monkeypatch):
+        rng = np.random.default_rng(90 + k)
+        y, X = _parity_problem(rng, 400, k)
+        result = fit(y, X)
+        calls = self._counting_solves(monkeypatch)
+        for _ in range(2):
+            for t in range(k):
+                wald(result, t, 400, 0.05)
+        # Up to 2x2 the diagonal is taken in closed form, without a solve.
+        assert calls == ([(k, k)] if k >= 3 else [])
+        assert result.variances.shape == (k,)
 
     def test_diverged_coefficient(self):
         rng = np.random.default_rng(95)
         y, X = _separation_problem(rng, 200, 3)
         result = fit(y, X)
         assert result.diverged[0]
-        tests = wald_all(result, 200, 0.5)
-        assert tests[0] == wald(result, 0, 200, 0.5)
-        assert tests[0].z == 0.0 and not tests[0].reject
-        assert [t.z for t in tests[1:]] == pytest.approx([wald(result, j, 200, 0.5).z for j in (1, 2)], rel=1e-12)
+        test = wald(result, 0, 200, 0.5)
+        assert test.z == 0.0 and not test.reject
+        assert result.variances is None  # a diverged target solves nothing
+        zs = [wald(result, j, 200, 0.5).z for j in (1, 2)]
+        assert zs == pytest.approx([self._reference_z(result, j, 200) for j in (1, 2)], rel=1e-12)
 
     def _fit_with(self, fisher):
         from countdag.glm import GlmFit
@@ -774,21 +810,23 @@ class TestWaldAll:
         return GlmFit(tuple(range(k)), np.full(k, 0.5), np.array(fisher, dtype=float),
                       1.0, True, 3, np.zeros(k, dtype=bool))
 
-    def test_singular_information_for_every_covariate(self):
+    def test_singular_information_for_every_covariate(self, monkeypatch):
         result = self._fit_with([[0.0, 0.0], [0.0, 0.0]])
-        for t, test in enumerate(wald_all(result, 10, 0.05)):
-            assert isinstance(test, SingularInformation)
-            with pytest.raises(SingularInformation, match=str(test)):
+        calls = self._counting_solves(monkeypatch)
+        for t in range(2):
+            with pytest.raises(SingularInformation, match="ridge rescue impossible"):
                 wald(result, t, 10, 0.05)
+        assert len(calls) == 1  # the first test's failure is kept on the fit
+        assert isinstance(result.variances, SingularInformation)
 
     def test_non_positive_variance_for_one_covariate(self):
         result = self._fit_with([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 4.0]])
-        tests = wald_all(result, 10, 0.05)
-        assert isinstance(tests[1], SingularInformation)
-        assert "covariate 1" in str(tests[1])
-        assert tests[0] == wald(result, 0, 10, 0.05)
-        assert tests[2] == wald(result, 2, 10, 0.05)
+        with pytest.raises(SingularInformation, match="covariate 1"):
+            wald(result, 1, 10, 0.05)
+        # z = sqrt(n) theta / sqrt([J^-1]_tt) with [J^-1] = diag(1/2, -1, 1/4)
+        assert wald(result, 0, 10, 0.05).z == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.5), rel=1e-12)
+        assert wald(result, 2, 10, 0.05).z == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.25), rel=1e-12)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            wald_all(self._fit_with([[1.0]]), 10, 1.0)
+            wald(self._fit_with([[1.0]]), 0, 10, 1.0)

@@ -235,6 +235,25 @@ class TestOrLpgm:
         )
         assert any("rank-deficient" in w for w in report.warnings)
 
+    def test_tests_go_through_learn_wald(self, monkeypatch):
+        from countdag import learn
+
+        calls = []
+        wald = learn.wald
+
+        def counting(fit, target, n, alpha):
+            calls.append((fit.covariates, target))
+            return wald(fit, target, n, alpha)
+
+        monkeypatch.setattr(learn, "wald", counting)
+        rng = np.random.default_rng(29)
+        data = CountMatrix(rng.poisson(1.0, size=(500, 5)))
+        ordering = Ordering((4, 2, 0, 3, 1))
+        _, report = or_lpgm_detailed(data, ordering, LearnConfig(alpha=0.1))
+        assert len(calls) == report.tests_run == 10
+        assert calls == [(ordering.precedents(s), t)
+                         for s in ordering.perm for t in ordering.precedents(s)]
+
     def test_deterministic(self):
         rng = np.random.default_rng(29)
         data = CountMatrix(rng.poisson(1.0, size=(500, 5)))

@@ -66,6 +66,8 @@ class TestGenGraph:
             ("sf_zero_appeal", 0.0), ("sf_zero_appeal", -1.0), ("sf_zero_appeal", math.nan),
             ("sf_zero_appeal", math.inf), ("sf_power", -1.0), ("sf_power", math.nan),
             ("root_log_rate", math.nan), ("root_log_rate", -math.inf),
+            ("root_log_rate", 30.0), ("root_log_rate", 800.0),
+            ("overflow_threshold", math.nan), ("overflow_threshold", 0.0),
         ]:
             with pytest.raises(ValueError, match=key):
                 cfg_for("scale_free", 5, **{key: value})
