@@ -20,9 +20,9 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from .data import CountMatrix
 from .graphs import Dag, Ordering, RecoveryMetrics, compare
@@ -401,10 +401,20 @@ def table_report(results: Sequence[AggregateResult]) -> str:
 #  "learners": [{"name", "algo", learner options...}]}
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = {
-    "graph_kind", "p", "n", "er_gamma", "hub_count", "sf_power",
-    "sf_zero_appeal", "root_log_rate", "overflow_threshold",
-}
+#: The sim block's keys: every SimConfig field but the top-level seed.
+_SIM_KEYS = {f.name for f in fields(SimConfig)} - {"seed"}
+
+
+def _build(config_type: type, opts: dict, where: str = ""):
+    """``config_type(**opts)`` from JSON values: a field typed int or bool
+    takes exactly that type (or None where allowed), so 1.5 or true is no int."""
+    hints = get_type_hints(config_type)
+    for key, value in opts.items():
+        allowed = (hints[key], *get_args(hints[key]))
+        if (int in allowed or bool in allowed) and type(value) not in allowed:
+            kind = "an integer" if int in allowed else "a boolean"
+            raise ValueError(f"{where}{key!r} must be {kind}, got {value!r}")
+    return config_type(**opts)
 
 
 def learner_from_dict(obj: dict) -> LearnerSpec:
@@ -419,7 +429,7 @@ def learner_from_dict(obj: dict) -> LearnerSpec:
     unknown = set(opts) - keys
     if unknown:
         raise ValueError(f"learner {name!r}: unknown keys {sorted(unknown)}")
-    config = None if config_type is None else config_type(**opts)
+    config = None if config_type is None else _build(config_type, opts, f"learner {name!r}: ")
     return LearnerSpec(name=name, algo=algo, config=config)
 
 
@@ -434,13 +444,9 @@ def experiment_from_dict(obj: dict) -> Experiment:
     unknown = set(sim_obj) - _SIM_KEYS
     if unknown:
         raise ValueError(f"sim block: unknown keys {sorted(unknown)}")
-    sim = SimConfig(seed=int(obj["seed"]), **sim_obj)
+    sim = _build(SimConfig, {"seed": obj["seed"], **sim_obj})
     learners = tuple(learner_from_dict(entry) for entry in obj["learners"])
     if not learners:
         raise ValueError("experiment config needs at least one learner")
-    return Experiment(
-        sim=sim,
-        learners=learners,
-        replicates=int(obj.get("replicates", 50)),
-        fixed_graph=bool(obj.get("fixed_graph", True)),
-    )
+    given = {k: obj[k] for k in ("replicates", "fixed_graph") if k in obj}
+    return _build(Experiment, {"sim": sim, "learners": learners, **given})

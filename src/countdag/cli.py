@@ -21,7 +21,7 @@ from .graphs import (
     ordering_from_text,
     ordering_to_text,
 )
-from .learn import or_lpgm_detailed, or_ppgm_detailed, ppgm_depth
+from .learn import or_lpgm_detailed, or_ppgm_detailed
 from .scores import pk2_detailed
 from .simulate import SimConfig, simulate
 
@@ -39,9 +39,9 @@ class CliError(Exception):
         self.code = code
 
 
-#: learn flags that configure the learner, named as bench.learner_from_dict
-#: keys; a flag left unset keeps the learner's default.
-_LEARNER_FLAGS = ("alpha", "alpha_b", "m", "max_parents")
+#: learn flags that configure the learner: every option key of a bench
+#: algorithm. A flag left unset keeps the learner's default.
+_LEARNER_FLAGS = sorted(set().union(*(keys for _, keys in bench.ALGORITHMS.values())))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +117,7 @@ def _learner(args: argparse.Namespace) -> bench.LearnerSpec:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    cfg = _learner(args).config
+    spec = _learner(args)
     try:
         data = counts_from_csv(_read_text(args.counts, "counts CSV"))
     except InvalidData as exc:
@@ -136,53 +136,24 @@ def cmd_learn(args: argparse.Namespace) -> int:
         except InvalidData as exc:
             raise CliError(f"outlier filter: {exc}") from exc
 
+    # Looked up when called, so a name rebound in this module is the one run.
+    runners = {"or_ppgm": or_ppgm_detailed, "or_lpgm": or_lpgm_detailed,
+               "pkbic": pk2_detailed, "pkaic": pk2_detailed}
+    try:
+        dag, learned = runners[spec.algo](data, ordering, spec.config)
+    except (InvalidData, GraphError) as exc:
+        raise CliError(f"learning failed: {exc}", EXIT_ALGORITHM) from exc
+
     labels = data.column_labels()
-    report: dict = {
+    report = {
         "algorithm": args.algo,
         "n": data.n,
         "p": data.p,
         "rows_dropped_by_outlier_filter": dropped,
         "warnings": [],
+        **learned.as_json(labels),
+        "edges": [{"from": labels[t], "to": labels[s]} for t, s in sorted(dag.edges)],
     }
-    try:
-        if args.algo in ("or-ppgm", "or-lpgm"):
-            runner = or_ppgm_detailed if args.algo == "or-ppgm" else or_lpgm_detailed
-            dag, learn_report = runner(data, ordering, cfg)
-            report["alpha"] = learn_report.alpha
-            if args.algo == "or-ppgm":
-                report["m"] = ppgm_depth(cfg, data.p)
-            report["tests_run"] = learn_report.tests_run
-            report["fits"] = dataclasses.asdict(learn_report.fits)
-            report["warnings"] = learn_report.warnings
-            report["edge_tests"] = [
-                {
-                    "from": labels[t],
-                    "to": labels[s],
-                    "conditioning": [labels[u] for u in test.conditioning],
-                    "z": None if test.z != test.z else test.z,
-                    "rejected": test.rejected,
-                }
-                for (t, s), test in sorted(learn_report.edge_tests.items())
-            ]
-        else:
-            dag, score_report = pk2_detailed(data, ordering, cfg)
-            report["criterion"] = cfg.criterion
-            report["total_score"] = score_report.total_score
-            report["fits"] = dataclasses.asdict(score_report.fits)
-            report["forward_moves"] = [
-                {"from": labels[t], "to": labels[s], "score_delta": delta}
-                for t, s, delta in score_report.forward_moves
-            ]
-            report["backward_moves"] = [
-                {"from": labels[t], "to": labels[s], "score_delta": delta}
-                for t, s, delta in score_report.backward_moves
-            ]
-    except (InvalidData, GraphError) as exc:
-        raise CliError(f"learning failed: {exc}", EXIT_ALGORITHM) from exc
-
-    report["edges"] = [
-        {"from": labels[t], "to": labels[s]} for t, s in sorted(dag.edges)
-    ]
 
     edge_text = edges_to_text(dag)
     if args.out:
@@ -190,7 +161,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(edge_text)
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.report).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -231,6 +202,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
     raw = _read_text(args.config, "experiment config")
     try:
         exp = bench.experiment_from_dict(json.loads(raw))
@@ -245,24 +218,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sys.stdout.write(bench.render_text(rows))
     if args.out_prefix:
         Path(f"{args.out_prefix}.csv").write_text(bench.render_csv(rows))
-        payload = {
-            "n": result.n,
-            "p": result.p,
-            "label": result.label,
-            "replicates": result.replicates,
-            "learners": [
-                {
-                    "name": s.name,
-                    "replicates_used": s.replicates_used,
-                    "failures": s.failures,
-                    "mean": s.mean,
-                    "se": s.se,
-                    "runtime_mean": s.runtime_mean,
-                }
-                for s in result.summaries
-            ],
-        }
-        Path(f"{args.out_prefix}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        payload = dataclasses.asdict(result)
+        payload["learners"] = payload.pop("summaries")
+        Path(f"{args.out_prefix}.json").write_text(
+            json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        )
     return EXIT_OK
 
 

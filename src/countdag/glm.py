@@ -176,34 +176,23 @@ def _prepare(theta, y, X):
     return theta, y, X
 
 
-def nll(theta, y, X, lp_cap: float | None = None) -> float:
-    """Rescaled negative log-likelihood at ``theta``.
-
-    ``lp_cap`` clamps linear predictors inside the exponential (optimization
-    guard); leave it None for exact evaluation.
-    """
+def nll(theta, y, X) -> float:
+    """Rescaled negative log-likelihood at ``theta``."""
     theta, y, X = _prepare(theta, y, X)
     lp = X @ theta
-    lpe = lp if lp_cap is None else np.minimum(lp, lp_cap)
-    return float(np.mean(-y * lp + _log_factorial(y) + np.exp(lpe)))
+    return float(np.mean(-y * lp + _log_factorial(y) + np.exp(lp)))
 
 
-def gradient(theta, y, X, lp_cap: float | None = None) -> np.ndarray:
+def gradient(theta, y, X) -> np.ndarray:
     """Gradient of :func:`nll`: component t is (1/n) sum_i x_it (exp(<theta,x_i>) - y_i)."""
     theta, y, X = _prepare(theta, y, X)
-    lp = X @ theta
-    if lp_cap is not None:
-        lp = np.minimum(lp, lp_cap)
-    return X.T @ (np.exp(lp) - y) / len(y)
+    return X.T @ (np.exp(X @ theta) - y) / len(y)
 
 
-def fisher_information(theta, y, X, lp_cap: float | None = None) -> np.ndarray:
+def fisher_information(theta, y, X) -> np.ndarray:
     """Sample Fisher information (1/n) sum_i exp(<theta,x_i>) x_i x_i^T."""
     theta, y, X = _prepare(theta, y, X)
-    lp = X @ theta
-    if lp_cap is not None:
-        lp = np.minimum(lp, lp_cap)
-    w = np.exp(lp)
+    w = np.exp(X @ theta)
     J = (X.T * w) @ X / len(y)
     return (J + J.T) / 2.0
 

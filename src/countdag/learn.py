@@ -25,7 +25,7 @@ lexicographic order over ascending node indices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .data import CountMatrix
@@ -62,6 +62,8 @@ class LearnConfig:
             raise ValueError("exactly one of alpha / alpha_b must be set")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.alpha_b is not None and not 0.0 < self.alpha_b < 0.5:
+            raise ValueError(f"alpha_b must be in (0, 0.5), got {self.alpha_b}")
         if self.m is not None and self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
 
@@ -75,7 +77,6 @@ class LearnConfig:
 class EdgeTest:
     """Outcome of the last Wald test performed on an edge t -> s."""
 
-    edge: tuple[int, int]
     conditioning: tuple[int, ...]
     z: float
     rejected: bool
@@ -83,9 +84,11 @@ class EdgeTest:
 
 @dataclass
 class LearnReport:
-    """Diagnostics collected alongside the estimated graph."""
+    """Diagnostics collected alongside the estimated graph; ``m`` is the
+    conditioning-set bound OR-PPGM used, None for OR-LPGM."""
 
-    alpha: float
+    alpha: float | None
+    m: int | None = None
     tests_run: int = 0
     fits: FitTally = field(default_factory=FitTally)
     warnings: list[str] = field(default_factory=list)
@@ -94,6 +97,27 @@ class LearnReport:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
         logger.warning(message)
+
+    def as_json(self, labels: tuple[str, ...]) -> dict:
+        """The report's entries in ``learn --report``, nodes named by
+        ``labels``; a nan z is written as null."""
+        out: dict = {"alpha": self.alpha}
+        if self.m is not None:
+            out["m"] = self.m
+        out["tests_run"] = self.tests_run
+        out["fits"] = asdict(self.fits)
+        out["warnings"] = self.warnings
+        out["edge_tests"] = [
+            {
+                "from": labels[t],
+                "to": labels[s],
+                "conditioning": [labels[u] for u in test.conditioning],
+                "z": None if test.z != test.z else test.z,
+                "rejected": test.rejected,
+            }
+            for (t, s), test in sorted(self.edge_tests.items())
+        ]
+        return out
 
 
 def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
@@ -104,11 +128,11 @@ def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
 
 
 def _wald_report(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> LearnReport:
-    """The checked inputs' report for a Wald-test learner; its alpha is nan
+    """The checked inputs' report for a Wald-test learner; its alpha is None
     when there is no edge to test (p <= 1)."""
     _check_inputs(data, ordering)
     if data.p <= 1:
-        return LearnReport(alpha=float("nan"))
+        return LearnReport(alpha=None)
     if data.n < 2:
         raise GraphError(f"need at least 2 observations, got {data.n}")
     return LearnReport(alpha=cfg.resolve_alpha(data.n))
@@ -168,7 +192,7 @@ def _wald_edge(
         )
         z, rejected = float("nan"), False
     report.tests_run += 1
-    report.edge_tests[(t, s)] = EdgeTest((t, s), conditioning, z, rejected)
+    report.edge_tests[(t, s)] = EdgeTest(conditioning, z, rejected)
     return rejected
 
 
@@ -182,20 +206,15 @@ def or_ppgm_detailed(
     data: CountMatrix, ordering: Ordering, cfg: LearnConfig
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
-    m = ppgm_depth(cfg, data.p)
+    # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
+    report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
     fitter = NodeFitter(data, report.fits)
     edges = frozenset(
         (t, s)
         for s in ordering.perm
-        for t in _ppgm_parents(fitter, report, data.n, ordering, s, m)
+        for t in _ppgm_parents(fitter, report, data.n, ordering, s, report.m)
     )
     return Dag(data.p, edges, data.labels), report
-
-
-def ppgm_depth(cfg: LearnConfig, p: int) -> int:
-    """The largest conditioning-set size OR-PPGM tests on p variables:
-    ``cfg.m``, at most p - 2 (a child's other parents) and at least 0."""
-    return max(p - 2 if cfg.m is None else min(cfg.m, p - 2), 0)
 
 
 def _ppgm_parents(

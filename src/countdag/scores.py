@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -93,6 +93,22 @@ class ScoreReport:
     @property
     def total_score(self) -> float:
         return sum(ns.score for ns in self.node_scores.values())
+
+    def as_json(self, labels: tuple[str, ...]) -> dict:
+        """The report's entries in ``learn --report``, nodes named by ``labels``."""
+        def moves(found: list[tuple[int, int, float]]) -> list[dict]:
+            return [
+                {"from": labels[t], "to": labels[s], "score_delta": delta}
+                for t, s, delta in found
+            ]
+
+        return {
+            "criterion": self.criterion,
+            "total_score": self.total_score,
+            "fits": asdict(self.fits),
+            "forward_moves": moves(self.forward_moves),
+            "backward_moves": moves(self.backward_moves),
+        }
 
 
 def pk2(data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()) -> Dag:

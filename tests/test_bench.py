@@ -285,6 +285,46 @@ class TestExperimentJson:
                 }
             )
 
+    @pytest.mark.parametrize("top, sim, learner, message", [
+        ({"fixed_graph": "false"}, {}, {}, "'fixed_graph' must be a boolean, got 'false'"),
+        ({"fixed_graph": 0}, {}, {}, "'fixed_graph' must be a boolean, got 0"),
+        ({"replicates": 2.7}, {}, {}, "'replicates' must be an integer, got 2.7"),
+        ({"replicates": True}, {}, {}, "'replicates' must be an integer, got True"),
+        ({"replicates": "3"}, {}, {}, "'replicates' must be an integer, got '3'"),
+        ({"seed": 2.5}, {}, {}, "'seed' must be an integer, got 2.5"),
+        ({}, {"p": 4.5}, {}, "'p' must be an integer, got 4.5"),
+        ({}, {"n": 50.5}, {}, "'n' must be an integer, got 50.5"),
+        ({}, {"hub_count": True}, {}, "'hub_count' must be an integer, got True"),
+        ({}, {}, {"algo": "or-ppgm", "alpha": 0.05, "m": 1.5},
+         "learner 'x': 'm' must be an integer, got 1.5"),
+        ({}, {}, {"algo": "pkbic", "max_parents": 1.5},
+         "learner 'x': 'max_parents' must be an integer, got 1.5"),
+    ])
+    def test_json_types_are_strict(self, top, sim, learner, message):
+        obj = {
+            "seed": 1,
+            "sim": {"graph_kind": "hub", "p": 4, "n": 10, "hub_count": 2, **sim},
+            "learners": [{"name": "x", "algo": "oracle", **learner}],
+            **top,
+        }
+        with pytest.raises(ValueError) as info:
+            experiment_from_dict(obj)
+        assert str(info.value) == message
+
+    def test_json_null_where_a_field_allows_none(self):
+        exp = experiment_from_dict({
+            "seed": 1,
+            "fixed_graph": False,
+            "sim": {"graph_kind": "hub", "p": 4, "n": 10, "hub_count": 2},
+            "learners": [{"name": "x", "algo": "or-ppgm", "alpha": 0.05, "m": None},
+                         {"name": "y", "algo": "pkbic", "max_parents": None}],
+        })
+        assert exp.learners[0].config.m is None and exp.learners[1].config.max_parents is None
+        assert exp.fixed_graph is False and exp.replicates == 50
+        with pytest.raises(ValueError, match="'p' must be an integer, got None"):
+            experiment_from_dict({"seed": 1, "sim": {"graph_kind": "hub", "p": None, "n": 10},
+                                  "learners": [{"name": "x", "algo": "oracle"}]})
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             experiment_from_dict(

@@ -135,6 +135,9 @@ class TestLearn:
             # The solver's limits are fixed (glm constants), not flags.
             (["--max-iter", "0"], "unrecognized arguments: --max-iter 0"),
             (["--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+            (["--alpha-b", "0.7"], "alpha_b must be in (0, 0.5)"),
+            (["--alpha-b", "0"], "alpha_b must be in (0, 0.5)"),
+            (["--alpha-b", "nan"], "alpha_b must be in (0, 0.5)"),
         ],
     )
     def test_bad_learner_option_exit_2(self, tmp_path, capsys, flags, message):
@@ -163,6 +166,27 @@ class TestLearn:
                    "--algo", algo, *m, "--report", str(report), "--out", str(tmp_path / "e")])
         assert rc == EXIT_OK
         assert json.loads(report.read_text()).get("m") == reported
+
+    @pytest.mark.parametrize("algo", ["or-ppgm", "or-lpgm", "pkbic"])
+    def test_one_column_report_is_strict_json(self, tmp_path, algo):
+        # With p = 1 there is no edge to test and OR-PPGM/OR-LPGM's alpha is
+        # nan: the report writes null, never the non-JSON NaN.
+        counts = tmp_path / "c.csv"
+        counts.write_text("a\n1\n2\n3\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a\n")
+        report = tmp_path / "r.json"
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                   "--algo", algo, "--report", str(report), "--out", str(tmp_path / "e")])
+        assert rc == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        assert payload["edges"] == [] and payload["p"] == 1
+        if algo != "pkbic":
+            assert payload["alpha"] is None and payload["edge_tests"] == []
 
 
 class TestSimulate:
@@ -280,6 +304,25 @@ class TestBench:
                         '"overflow_threshold": NaN}}')
         assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
         assert "overflow_threshold must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        path = self.config(tmp_path, [{"name": "oracle", "algo": "oracle"}])
+        assert main(["bench", "--config", str(path), "--threads", threads]) == EXIT_BAD_INPUT
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+    def test_bad_alpha_b_exit_2_before_any_replicate(self, tmp_path, capsys):
+        path = self.config(tmp_path, [{"name": "x", "algo": "or-ppgm", "alpha_b": 0.7}])
+        assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert "alpha_b must be in (0, 0.5)" in captured.err
+        assert "seed:" not in captured.out  # refused while parsing, nothing ran
+
+    def test_non_integer_learner_option_exit_2_before_any_replicate(self, tmp_path, capsys):
+        # Every key's type check is in test_bench; here the CLI's exit code.
+        path = self.config(tmp_path, [{"name": "x", "algo": "or-ppgm", "alpha": 0.05, "m": 1.5}])
+        assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
+        assert "'m' must be an integer, got 1.5" in capsys.readouterr().err
 
     def test_broken_json_exit_2(self, tmp_path):
         path = tmp_path / "exp.json"

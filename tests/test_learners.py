@@ -271,6 +271,11 @@ class TestLearnConfig:
         with pytest.raises(ValueError):
             LearnConfig(alpha=0.05, alpha_b=0.15)
 
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.7, -0.1, float("nan")])
+    def test_alpha_b_outside_schedule_range_rejected_when_built(self, b):
+        with pytest.raises(ValueError, match=r"alpha_b must be in \(0, 0.5\)"):
+            LearnConfig(alpha_b=b)
+
     def test_alpha_resolution_uses_schedule(self):
         from countdag.glm import alpha_schedule
 
