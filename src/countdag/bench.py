@@ -406,14 +406,16 @@ _SIM_KEYS = {f.name for f in fields(SimConfig)} - {"seed"}
 
 
 def _build(config_type: type, opts: dict, where: str = ""):
-    """``config_type(**opts)`` from JSON values: a field typed int or bool
-    takes exactly that type (or None where allowed), so 1.5 or true is no int."""
+    """``config_type(**opts)`` from JSON values: a field typed int or bool takes
+    exactly that type (or None where allowed), and a field typed float no bool."""
     hints = get_type_hints(config_type)
     for key, value in opts.items():
         allowed = (hints[key], *get_args(hints[key]))
         if (int in allowed or bool in allowed) and type(value) not in allowed:
             kind = "an integer" if int in allowed else "a boolean"
             raise ValueError(f"{where}{key!r} must be {kind}, got {value!r}")
+        if float in allowed and type(value) is bool:
+            raise ValueError(f"{where}{key!r} must be a number, got {value!r}")
     return config_type(**opts)
 
 

@@ -120,7 +120,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     spec = _learner(args)
     try:
         data = counts_from_csv(_read_text(args.counts, "counts CSV"))
-    except InvalidData as exc:
+    except (InvalidData, GraphError) as exc:  # GraphError: repeated column labels
         raise CliError(f"counts CSV {args.counts!r}: {exc}") from exc
     try:
         ordering = ordering_from_text(
@@ -150,7 +150,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "n": data.n,
         "p": data.p,
         "rows_dropped_by_outlier_filter": dropped,
-        "warnings": [],
         **learned.as_json(labels),
         "edges": [{"from": labels[t], "to": labels[s]} for t, s in sorted(dag.edges)],
     }

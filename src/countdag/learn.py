@@ -101,12 +101,11 @@ class LearnReport:
     def as_json(self, labels: tuple[str, ...]) -> dict:
         """The report's entries in ``learn --report``, nodes named by
         ``labels``; a nan z is written as null."""
-        out: dict = {"alpha": self.alpha}
+        out: dict = {"warnings": self.warnings, "alpha": self.alpha}
         if self.m is not None:
             out["m"] = self.m
         out["tests_run"] = self.tests_run
         out["fits"] = asdict(self.fits)
-        out["warnings"] = self.warnings
         out["edge_tests"] = [
             {
                 "from": labels[t],
@@ -121,21 +120,20 @@ class LearnReport:
 
 
 def _check_inputs(data: CountMatrix, ordering: Ordering) -> None:
+    """Every learner's input check; an edge (p >= 2) needs 2 rows or more."""
     if data.p != ordering.p:
         raise GraphError(
             f"data has {data.p} columns but ordering has {ordering.p} nodes"
         )
+    if data.p >= 2 and data.n < 2:
+        raise GraphError(f"need at least 2 observations, got {data.n}")
 
 
 def _wald_report(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> LearnReport:
     """The checked inputs' report for a Wald-test learner; its alpha is None
     when there is no edge to test (p <= 1)."""
     _check_inputs(data, ordering)
-    if data.p <= 1:
-        return LearnReport(alpha=None)
-    if data.n < 2:
-        raise GraphError(f"need at least 2 observations, got {data.n}")
-    return LearnReport(alpha=cfg.resolve_alpha(data.n))
+    return LearnReport(alpha=cfg.resolve_alpha(data.n) if data.p >= 2 else None)
 
 
 class NodeFitter:

@@ -2,11 +2,12 @@
 
 Each node is scored by 2 n nll(theta_hat) + penalty * |parents| with
 penalty log(n) for BIC and 2 for AIC; the total score is the sum over
-nodes (lower is better). The search runs a forward phase (greedily add
-the single best parent per node, walking nodes in ordering position) and
-a backward phase (greedily delete the globally best edge). Every accepted
-move strictly decreases the total score, so termination is immediate from
-the finite move budget. Ties are broken toward the smallest node index.
+nodes (lower is better), and only a node's own term depends on its
+parents. So the search runs child by child in ordering position: greedily
+add the precedent that lowers the child's score most (forward), then delete
+the parent whose removal lowers it most (backward). Every accepted move
+strictly decreases the score, so the finite move budget ends the search.
+Ties are broken toward the smallest node index.
 
 This module holds only the score arithmetic and the searches: every fit
 goes through the learners' one engine, :class:`countdag.learn.NodeFitter`,
@@ -64,35 +65,39 @@ def node_score(
     A fit that fails numerically scores +inf so the search never selects it.
     """
     parents = [int(t) for t in parents]
-    return _score(NodeFitter(data, FitTally()), data.n, s, parents, cfg)
+    report = ScoreReport(criterion=cfg.criterion)
+    return _score(NodeFitter(data, report.fits), report, data.n, s, parents, cfg)
 
 
 def _score(
-    fitter: NodeFitter, n: int, s: int, parents: Iterable[int], cfg: ScoreConfig
+    fitter: NodeFitter, report: ScoreReport, n: int, s: int, parents: Iterable[int],
+    cfg: ScoreConfig,
 ) -> NodeScore:
-    """Score of node s given ``parents``, from ``fitter``'s fit."""
+    """Score of node s given ``parents``, from ``fitter``'s fit; ``report`` warns of a failure."""
     parents = tuple(sorted(parents))
     try:
         value = 2.0 * n * fitter.fit(s, parents).nll + cfg.penalty(n) * len(parents)
     except SingularInformation as exc:
-        logger.warning("node %d | parents %s: fit failed (%s); score +inf", s, parents, exc)
+        report.warn(f"node {s} | parents {parents}: fit failed ({exc}); score +inf")
         value = math.inf
     return NodeScore(node=s, parents=parents, score=value)
 
 
 @dataclass
 class ScoreReport:
-    """Search trace: per-node final scores and accepted moves."""
+    """Search trace: the accepted moves, child by child in ordering position,
+    and the sum of the children's final scores."""
 
     criterion: str
+    total_score: float = 0.0
     fits: FitTally = field(default_factory=FitTally)
-    node_scores: dict[int, NodeScore] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
     forward_moves: list[tuple[int, int, float]] = field(default_factory=list)
     backward_moves: list[tuple[int, int, float]] = field(default_factory=list)
 
-    @property
-    def total_score(self) -> float:
-        return sum(ns.score for ns in self.node_scores.values())
+    def warn(self, message: str) -> None:
+        self.warnings.append(message)
+        logger.warning(message)
 
     def as_json(self, labels: tuple[str, ...]) -> dict:
         """The report's entries in ``learn --report``, nodes named by ``labels``."""
@@ -103,6 +108,7 @@ class ScoreReport:
             ]
 
         return {
+            "warnings": self.warnings,
             "criterion": self.criterion,
             "total_score": self.total_score,
             "fits": asdict(self.fits),
@@ -112,7 +118,7 @@ class ScoreReport:
 
 
 def pk2(data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()) -> Dag:
-    """Forward parent addition along the ordering, then backward pruning."""
+    """Per child: forward parent addition, then backward pruning."""
     dag, _ = pk2_detailed(data, ordering, cfg)
     return dag
 
@@ -121,57 +127,47 @@ def pk2_detailed(
     data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()
 ) -> tuple[Dag, ScoreReport]:
     _check_inputs(data, ordering)
-    p = data.p
     report = ScoreReport(criterion=cfg.criterion)
     fitter = NodeFitter(data, report.fits)
-    max_parents = cfg.max_parents if cfg.max_parents is not None else p - 1
-
-    parent_sets: dict[int, frozenset[int]] = {}
-
-    # Forward phase: per node, repeatedly add the single precedent whose
-    # inclusion lowers the node score the most. Other nodes' scores are
-    # unaffected, so per-node improvement equals total improvement.
+    edges = []
     for s in ordering.perm:
-        pre = set(ordering.precedents(s))
-        current = _score(fitter, data.n, s, (), cfg)
-        pa: frozenset[int] = frozenset()
-        while len(pa) < max_parents:
-            best: NodeScore | None = None
-            for t in sorted(pre - pa):
-                trial = _score(fitter, data.n, s, pa | {t}, cfg)
-                if best is None or trial.score < best.score:
-                    best = trial
-            if best is None or not best.score < current.score:
-                break
-            added = (set(best.parents) - pa).pop()
-            report.forward_moves.append((added, s, best.score - current.score))
-            pa = frozenset(best.parents)
-            current = best
-        parent_sets[s] = pa
-        report.node_scores[s] = current
+        final = _pk2_parents(fitter, report, data.n, ordering, s, cfg)
+        report.total_score += final.score
+        edges.extend((t, s) for t in final.parents)
+    return Dag(data.p, frozenset(edges), data.labels), report
 
-    # Backward phase: repeatedly delete the single edge (anywhere in the
-    # graph) whose removal most decreases the total score; only the child
-    # node's score changes per deletion.
-    while True:
-        candidates = sorted((s, t) for s, pa in parent_sets.items() for t in pa)
-        best_delta = 0.0
-        best_move: tuple[int, int, NodeScore] | None = None
-        for s, t in candidates:
-            trial = _score(fitter, data.n, s, parent_sets[s] - {t}, cfg)
-            delta = trial.score - report.node_scores[s].score
-            if delta < best_delta:
-                best_delta = delta
-                best_move = (s, t, trial)
-        if best_move is None:
+
+def _pk2_parents(
+    fitter: NodeFitter, report: ScoreReport, n: int, ordering: Ordering, s: int,
+    cfg: ScoreConfig,
+) -> NodeScore:
+    """PK2's final parent set of s with its score: the forward phase from no
+    parent, then the backward phase from where it stopped."""
+    pre = set(ordering.precedents(s))
+    max_parents = len(pre) if cfg.max_parents is None else cfg.max_parents
+    current = _score(fitter, report, n, s, (), cfg)
+    while len(current.parents) < max_parents:
+        best = added = None
+        for t in sorted(pre.difference(current.parents)):
+            trial = _score(fitter, report, n, s, current.parents + (t,), cfg)
+            if best is None or trial.score < best.score:
+                best, added = trial, t
+        if best is None or not best.score < current.score:
             break
-        s, t, trial = best_move
-        parent_sets[s] = frozenset(trial.parents)
-        report.node_scores[s] = trial
-        report.backward_moves.append((t, s, best_delta))
+        report.forward_moves.append((added, s, best.score - current.score))
+        current = best
 
-    edges = frozenset((t, s) for s, pa in parent_sets.items() for t in pa)
-    return Dag(p, edges, data.labels), report
+    while True:
+        best_delta, best_move = 0.0, None
+        for t in current.parents:  # ascending, so a tie keeps the smallest parent
+            trial = _score(fitter, report, n, s, set(current.parents) - {t}, cfg)
+            delta = trial.score - current.score
+            if delta < best_delta:
+                best_delta, best_move = delta, (t, trial)
+        if best_move is None:
+            return current
+        t, current = best_move
+        report.backward_moves.append((t, s, best_delta))
 
 
 def exhaustive_search(
@@ -180,7 +176,8 @@ def exhaustive_search(
     """Exact minimum-score DAG by enumerating every ordering-consistent
     parent set per node. Exponential in p; intended as a small-p oracle."""
     _check_inputs(data, ordering)
-    fitter = NodeFitter(data, FitTally())
+    report = ScoreReport(criterion=cfg.criterion)
+    fitter = NodeFitter(data, report.fits)
     edges: list[tuple[int, int]] = []
     total = 0.0
     for s in ordering.perm:
@@ -188,7 +185,7 @@ def exhaustive_search(
         best: NodeScore | None = None
         for size in range(len(pre) + 1):
             for parents in combinations(pre, size):
-                trial = _score(fitter, data.n, s, parents, cfg)
+                trial = _score(fitter, report, data.n, s, parents, cfg)
                 if best is None or trial.score < best.score:
                     best = trial
         assert best is not None

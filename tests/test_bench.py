@@ -299,6 +299,11 @@ class TestExperimentJson:
          "learner 'x': 'm' must be an integer, got 1.5"),
         ({}, {}, {"algo": "pkbic", "max_parents": 1.5},
          "learner 'x': 'max_parents' must be an integer, got 1.5"),
+        ({}, {"er_gamma": True}, {}, "'er_gamma' must be a number, got True"),
+        ({}, {"root_log_rate": False}, {}, "'root_log_rate' must be a number, got False"),
+        ({}, {"sf_zero_appeal": True}, {}, "'sf_zero_appeal' must be a number, got True"),
+        ({}, {}, {"algo": "or-ppgm", "alpha": True},
+         "learner 'x': 'alpha' must be a number, got True"),
     ])
     def test_json_types_are_strict(self, top, sim, learner, message):
         obj = {
@@ -324,6 +329,15 @@ class TestExperimentJson:
         with pytest.raises(ValueError, match="'p' must be an integer, got None"):
             experiment_from_dict({"seed": 1, "sim": {"graph_kind": "hub", "p": None, "n": 10},
                                   "learners": [{"name": "x", "algo": "oracle"}]})
+
+    def test_json_integer_where_a_field_is_float(self):
+        exp = experiment_from_dict({
+            "seed": 1,
+            "sim": {"graph_kind": "erdos_renyi", "p": 4, "n": 10, "er_gamma": 1,
+                    "root_log_rate": 0, "sf_zero_appeal": 3},
+            "learners": [{"name": "x", "algo": "or-ppgm", "alpha_b": 0.25}],
+        })
+        assert (exp.sim.er_gamma, exp.sim.root_log_rate, exp.sim.sf_zero_appeal) == (1, 0, 3)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):

@@ -65,6 +65,46 @@ class TestLearn:
         assert rc == EXIT_BAD_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_column_labels_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,a,b\n1,2,3\n2,3,4\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b\n")
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering)])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "c.csv" in err and "labels must be unique" in err
+
+    @pytest.mark.parametrize("algo", ["or-ppgm", "or-lpgm", "pkbic", "pkaic"])
+    def test_one_row_exit_3(self, tmp_path, capsys, algo):
+        # With one row log n = 0, so BIC would charge no penalty.
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b,c\n1,2,3\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b,c\n")
+        out = tmp_path / "e"
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                   "--algo", algo, "--out", str(out)])
+        assert rc == EXIT_ALGORITHM
+        assert "need at least 2 observations, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_learner_warnings_in_report(self, tmp_path, caplog):
+        # The all-zero column a makes every fit on it singular.
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b,c\n0,1,2\n0,2,1\n0,0,3\n0,1,1\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b,c\n")
+        report = tmp_path / "r.json"
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                   "--algo", "pkbic", "--report", str(report), "--out", str(tmp_path / "e")])
+        assert rc == EXIT_OK
+        warnings = json.loads(report.read_text())["warnings"]
+        assert [w.split(":")[0] for w in warnings] == ["node 1 | parents (0,)",
+                                                       "node 2 | parents (0,)"]
+        assert all(w.endswith("score +inf") for w in warnings)
+        assert [r.getMessage() for r in caplog.records if r.name == "countdag.scores"] == warnings
+
     def test_score_learner_report(self, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.poisson(1.0, size=400)

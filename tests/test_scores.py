@@ -4,18 +4,66 @@ import numpy as np
 import pytest
 
 from countdag.data import CountMatrix
-from countdag.graphs import Ordering, is_consistent
+from countdag.graphs import Dag, GraphError, Ordering, is_consistent
+from countdag.learn import NodeFitter
 from countdag.scores import (
     ScoreConfig,
+    ScoreReport,
+    _score,
     exhaustive_search,
     node_score,
     pk2,
     pk2_detailed,
 )
+from countdag.simulate import SimConfig, simulate
 from .test_learners import sample_recursive
 
 BIC = ScoreConfig("bic")
 AIC = ScoreConfig("aic")
+
+
+def _reference_pk2(data, ordering, cfg):
+    """PK2 with a global backward phase: after every child's forward phase,
+    repeatedly delete the one edge anywhere in the graph whose removal lowers
+    the total score the most, ties to the smallest (child, parent)."""
+    report = ScoreReport(criterion=cfg.criterion)
+    fitter = NodeFitter(data, report.fits)
+    max_parents = cfg.max_parents if cfg.max_parents is not None else data.p - 1
+    parent_sets, node_scores = {}, {}
+    for s in ordering.perm:
+        pre = set(ordering.precedents(s))
+        current = _score(fitter, report, data.n, s, (), cfg)
+        pa = frozenset()
+        while len(pa) < max_parents:
+            best = None
+            for t in sorted(pre - pa):
+                trial = _score(fitter, report, data.n, s, pa | {t}, cfg)
+                if best is None or trial.score < best.score:
+                    best = trial
+            if best is None or not best.score < current.score:
+                break
+            added = (set(best.parents) - pa).pop()
+            report.forward_moves.append((added, s, best.score - current.score))
+            pa = frozenset(best.parents)
+            current = best
+        parent_sets[s] = pa
+        node_scores[s] = current
+    while True:
+        best_delta, best_move = 0.0, None
+        for s, t in sorted((s, t) for s, pa in parent_sets.items() for t in pa):
+            trial = _score(fitter, report, data.n, s, parent_sets[s] - {t}, cfg)
+            delta = trial.score - node_scores[s].score
+            if delta < best_delta:
+                best_delta, best_move = delta, (s, t, trial)
+        if best_move is None:
+            break
+        s, t, trial = best_move
+        parent_sets[s] = frozenset(trial.parents)
+        node_scores[s] = trial
+        report.backward_moves.append((t, s, best_delta))
+    report.total_score = sum(ns.score for ns in node_scores.values())
+    edges = frozenset((t, s) for s, pa in parent_sets.items() for t in pa)
+    return Dag(data.p, edges, data.labels), report
 
 
 class TestNodeScore:
@@ -125,6 +173,34 @@ class TestPk2:
             bic_edges.append(pk2(data, ordering, BIC).edge_count)
             aic_edges.append(pk2(data, ordering, AIC).edge_count)
         assert np.mean(aic_edges) >= np.mean(bic_edges)
+
+
+class TestPerChildSearch:
+    """The per-child backward phase deletes what a global one does: only the
+    child's own score depends on its parents."""
+
+    @pytest.mark.parametrize("p, seed, moves", [(60, 2, 5), (30, 9, 2)])
+    def test_matches_global_backward_phase(self, p, seed, moves):
+        _, ordering, data = simulate(SimConfig("scale_free", p=p, n=300, seed=seed))
+        dag, report = pk2_detailed(data, ordering, AIC)
+        ref_dag, ref = _reference_pk2(data, ordering, AIC)
+        assert dag == ref_dag
+        assert report.total_score == ref.total_score
+        assert report.forward_moves == ref.forward_moves
+        assert len(report.backward_moves) == moves
+        assert sorted(report.backward_moves) == sorted(ref.backward_moves)
+        assert report.fits == ref.fits
+        positions = [ordering.position(s) for _, s, _ in report.backward_moves]
+        assert positions == sorted(positions)
+
+    def test_fewer_than_two_rows_refused(self):
+        data = CountMatrix(np.array([[1, 2, 3]]))
+        ordering = Ordering((0, 1, 2))
+        for search in (pk2_detailed, exhaustive_search):
+            with pytest.raises(GraphError, match="need at least 2 observations, got 1"):
+                search(data, ordering, BIC)
+        one_column = CountMatrix(np.array([[1]]))
+        assert pk2(one_column, Ordering((0,)), BIC).edge_count == 0
 
 
 class TestScoreConfig:
