@@ -86,7 +86,7 @@ def test_wald(benchmark):
 
     def first_test():
         fit.variances = None  # drop the fit's kept variances, so each call solves
-        return wald(fit, cov[0], 1000, 0.05)
+        return wald(fit, cov[0], 1000)
 
     benchmark(first_test)
 
@@ -97,7 +97,7 @@ def test_wald_wide(benchmark):
 
     def every_test():
         fit.variances = None
-        return [wald(fit, t, 500, 0.05) for t in cov]
+        return [wald(fit, t, 500) for t in cov]
 
     assert len(benchmark(every_test)) == 99
 

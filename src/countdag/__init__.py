@@ -11,14 +11,7 @@ from .bench import (
     table_report,
 )
 from .data import CountMatrix, InvalidData, counts_from_csv, counts_to_csv, outlier_filter
-from .glm import (
-    GlmFit,
-    SingularInformation,
-    WaldTest,
-    alpha_schedule,
-    fit,
-    wald,
-)
+from .glm import GlmFit, SingularInformation, fit, wald
 from .graphs import (
     CycleError,
     Dag,
@@ -29,7 +22,7 @@ from .graphs import (
     complete_dag,
     is_consistent,
 )
-from .learn import LearnConfig, or_lpgm, or_ppgm
+from .learn import LearnConfig, alpha_schedule, or_lpgm, or_ppgm
 from .scores import ScoreConfig, node_score, pk2
 from .simulate import (
     RowRejectionLimit,
@@ -60,7 +53,6 @@ __all__ = [
     "ScoreConfig",
     "SimConfig",
     "SingularInformation",
-    "WaldTest",
     "WeightedDag",
     "alpha_schedule",
     "compare",

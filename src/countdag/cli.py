@@ -97,10 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``, without a leading byte-order mark."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
 def _learner(args: argparse.Namespace) -> bench.LearnerSpec:
@@ -156,11 +164,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     edge_text = edges_to_text(dag)
     if args.out:
-        Path(args.out).write_text(edge_text)
+        _write_text(args.out, edge_text, "edge list")
     else:
         sys.stdout.write(edge_text)
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+        _write_text(args.report, json.dumps(report, indent=2, allow_nan=False) + "\n", "report")
     return EXIT_OK
 
 
@@ -189,14 +197,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     prefix = args.out_prefix
     dag, labels = wdag.dag, wdag.dag.labels
-    Path(f"{prefix}.counts.csv").write_text(counts_to_csv(data))
-    Path(f"{prefix}.truth.edges").write_text(edges_to_text(dag))
+    _write_text(f"{prefix}.counts.csv", counts_to_csv(data), "counts CSV")
+    _write_text(f"{prefix}.truth.edges", edges_to_text(dag), "edge list")
     weight_lines = ["t,s,theta"]
     weight_lines += [
         f"{labels[t]},{labels[s]},{wdag.weights[(t, s)]!r}" for t, s in sorted(dag.edges)
     ]
-    Path(f"{prefix}.weights.csv").write_text("\n".join(weight_lines) + "\n")
-    Path(f"{prefix}.ordering.txt").write_text(ordering_to_text(ordering, labels))
+    _write_text(f"{prefix}.weights.csv", "\n".join(weight_lines) + "\n", "weights CSV")
+    _write_text(f"{prefix}.ordering.txt", ordering_to_text(ordering, labels), "ordering file")
     return EXIT_OK
 
 
@@ -216,12 +224,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = bench.table_rows([result])
     sys.stdout.write(bench.render_text(rows))
     if args.out_prefix:
-        Path(f"{args.out_prefix}.csv").write_text(bench.render_csv(rows))
+        _write_text(f"{args.out_prefix}.csv", bench.render_csv(rows), "table CSV")
         payload = dataclasses.asdict(result)
         payload["learners"] = payload.pop("summaries")
-        Path(f"{args.out_prefix}.json").write_text(
-            json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        )
+        _write_text(f"{args.out_prefix}.json",
+                    json.dumps(payload, indent=2, allow_nan=False) + "\n", "results JSON")
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@ import numpy as np
 
 from .graphs import _check_labels, default_labels
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class InvalidData(ValueError):
     """Malformed count data: negative, non-integral, or non-finite entries."""
@@ -104,6 +106,8 @@ def _scan_rows(lines: list[str], first_lineno: int, width: int) -> np.ndarray:
             value = int(cell)
             if value < 0:
                 raise InvalidData(f"line {lineno}, column {col}: negative count {value}")
+            if value > _INT64_MAX:
+                raise InvalidData(f"line {lineno}, column {col}: count {value} exceeds int64")
             row.append(value)
         rows.append(row)
     return np.array(rows, dtype=np.int64)

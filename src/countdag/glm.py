@@ -9,9 +9,10 @@ log-likelihood
 which is convex in theta. Its Hessian, ``(1/n) sum_i exp(<theta, x_i>)
 x_i x_i^T``, does not depend on y, so the observed and (conditionally)
 expected Fisher information coincide; the fitted Hessian is reported as the
-sample Fisher information and feeds the Wald test of a single coefficient.
-A fit's tests share one solve: the first that needs a variance takes the
-whole diagonal of the inverse information and keeps it on the fit.
+sample Fisher information and feeds the Wald statistic z of a single
+coefficient. This module computes z only; the learners decide which z
+rejects. A fit's tests share one solve: the first that needs a variance
+takes the whole diagonal of the inverse information and keeps it on the fit.
 
 The solver works on sufficient statistics. With rates w = exp(X theta),
 the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so y
@@ -56,15 +57,12 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 from scipy.special import gammaln
 
 from .data import CountMatrix, InvalidData
-
-_STD_NORMAL = NormalDist()
 
 # The ufunc reductions behind ndarray.sum and ndarray.max, called without
 # the method's Python wrapper: the Newton loop calls them on every trial.
@@ -143,16 +141,6 @@ class FitTally:
         self.newton_iterations += fit.iterations
         self.halvings += fit.halvings
         self.ridge_rescues += fit.ridge_rescues
-
-
-@dataclass(frozen=True)
-class WaldTest:
-    """Wald test of H0: theta_target = 0 at significance level alpha."""
-
-    target: int
-    z: float
-    alpha: float
-    reject: bool
 
 
 def _log_factorial(y: np.ndarray) -> np.ndarray:
@@ -732,26 +720,22 @@ def _fit_single(
     )
 
 
-def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
-    """Wald test of H0: theta_target = 0.
-
-    z = sqrt(n) theta_hat / sqrt([J^-1]_tt); the null is rejected iff
-    |z| strictly exceeds the two-sided normal quantile. A diverged
-    coefficient never rejects: a -infinity MLE has unbounded variance and
-    carries no finite evidence under the Wald construction.
+def wald(fit: GlmFit, target: int, n: int) -> float:
+    """The Wald statistic of H0: theta_target = 0,
+    z = sqrt(n) theta_hat / sqrt([J^-1]_tt). The caller decides what z
+    rejects. A diverged coefficient has z = 0: a -infinity MLE has unbounded
+    variance and carries no finite evidence under the Wald construction.
 
     The first test that needs a variance keeps the whole diagonal of J^-1,
     or the SingularInformation of its solve, on the fit (``GlmFit.variances``)
     for its other tests. A non-positive variance raises for its covariate.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     try:
         idx = fit.covariates.index(target)
     except ValueError:
         raise ValueError(f"covariate {target} not in fit ({fit.covariates})") from None
     if fit.diverged[idx]:
-        return WaldTest(target=target, z=0.0, alpha=alpha, reject=False)
+        return 0.0
     variances = fit.variances
     if variances is None:
         try:
@@ -766,11 +750,7 @@ def wald(fit: GlmFit, target: int, n: int, alpha: float) -> WaldTest:
         raise SingularInformation(
             f"non-positive variance estimate for covariate {target}"
         )
-    z = math.sqrt(n) * float(fit.theta[idx]) / math.sqrt(var_tt)
-    if alpha == 0.0:
-        return WaldTest(target=target, z=z, alpha=alpha, reject=False)
-    crit = -_STD_NORMAL.inv_cdf(alpha / 2.0)
-    return WaldTest(target=target, z=z, alpha=alpha, reject=bool(abs(z) > crit))
+    return math.sqrt(n) * float(fit.theta[idx]) / math.sqrt(var_tt)
 
 
 def _inverse_diagonal(H: np.ndarray) -> np.ndarray:
@@ -790,14 +770,3 @@ def _inverse_diagonal(H: np.ndarray) -> np.ndarray:
             return np.array([d / det, a / det])
     return np.diag(_solve_with_ridge(H, np.eye(k))[0])
 
-
-def alpha_schedule(n: int, b: float) -> float:
-    """Sample-size-driven significance level 2(1 - Phi(n^b)).
-
-    Evaluated through erfc to keep full relative accuracy in the upper tail.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < b < 0.5:
-        raise ValueError(f"exponent b must lie in (0, 0.5), got {b}")
-    return math.erfc(float(n) ** b / math.sqrt(2.0))

@@ -5,9 +5,10 @@ Given the ordering, every learner comes down to Poisson regressions of a
 node s on covariate sets K within pre(s). :class:`NodeFitter` fits each
 (s, K) once per learner call; OR-PPGM, OR-LPGM and the score search in
 :mod:`countdag.scores` all fit through it. The two learners here test
-single coefficients with Wald conditional-independence tests, each through
-:func:`~countdag.glm.wald` and recorded by one helper, so a fit's tests
-share one solve of its information:
+single coefficients with Wald conditional-independence tests: each takes
+z from :func:`~countdag.glm.wald`, so a fit's tests share one solve of its
+information, and one helper records it, rejecting iff |z| exceeds
+:meth:`LearnConfig.critical_value`, resolved once per learner call:
 
 * ``or_ppgm`` is PC-style and child-major: the tests of a child read and
   delete only its own parent set, so each child s in ordering position runs
@@ -25,8 +26,10 @@ lexicographic order over ascending node indices.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from statistics import NormalDist
 
 from .data import CountMatrix
 from .glm import (
@@ -35,7 +38,6 @@ from .glm import (
     PatternBuilder,
     SingularInformation,
     _fit_core,
-    alpha_schedule,
     wald,
 )
 from .graphs import Dag, GraphError, Ordering
@@ -68,9 +70,28 @@ class LearnConfig:
             raise ValueError(f"m must be >= 0, got {self.m}")
 
     def resolve_alpha(self, n: int) -> float:
+        """The level reported for n rows; tests use :meth:`critical_value`."""
         if self.alpha is not None:
             return self.alpha
         return alpha_schedule(n, self.alpha_b)
+
+    def critical_value(self, n: int) -> float:
+        """z* for n rows, a Wald test rejecting iff |z| > z*: the two-sided
+        normal quantile of alpha, or n^b, the quantile of the schedule's level."""
+        if self.alpha is not None:
+            return -NormalDist().inv_cdf(self.alpha / 2.0)
+        return n ** self.alpha_b
+
+
+def alpha_schedule(n: int, b: float) -> float:
+    """Sample-size-driven significance level 2(1 - Phi(n^b)), evaluated
+    through erfc for full relative accuracy in the upper tail. It underflows
+    to 0.0 once n^b exceeds about 38.5, so the tests use its quantile n^b."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    if not 0.0 < b < 0.5:
+        raise ValueError(f"exponent b must lie in (0, 0.5), got {b}")
+    return math.erfc(float(n) ** b / math.sqrt(2.0))
 
 
 @dataclass
@@ -150,6 +171,7 @@ class NodeFitter:
     """
 
     def __init__(self, data: CountMatrix, tally: FitTally):
+        self.n = data.n
         self._rows = PatternBuilder(data)
         self._tally = tally
         self._store: dict[tuple[int, tuple[int, ...]], GlmFit | SingularInformation] = {}
@@ -172,23 +194,23 @@ class NodeFitter:
 
 
 def _wald_edge(
-    fitter: NodeFitter, report: LearnReport, n: int, t: int, s: int,
+    fitter: NodeFitter, report: LearnReport, crit: float, t: int, s: int,
     conditioning: tuple[int, ...], where: str,
 ) -> bool:
-    """Wald-test t -> s in the fit of s on K = conditioning + {t}, record the
-    test in ``report`` and return whether it rejected. A singular information
-    is a non-rejection with z nan, warned about at ``where`` (formatted with
-    t, s and K)."""
+    """Wald-test t -> s in the fit of s on K = conditioning + {t}: it rejects
+    iff |z| > crit. Record the test in ``report`` and return whether it
+    rejected. A singular information is a non-rejection with z nan, warned
+    about at ``where`` (formatted with t, s and K)."""
     key = tuple(sorted(conditioning + (t,)))
     try:
-        test = wald(fitter.fit(s, key), t, n, report.alpha)
-        z, rejected = test.z, test.reject
+        z = wald(fitter.fit(s, key), t, fitter.n)
     except SingularInformation as exc:
         report.warn(
             f"{where.format(t=t, s=s, K=key)}: singular information "
             f"({exc}); treated as non-rejection"
         )
-        z, rejected = float("nan"), False
+        z = float("nan")
+    rejected = abs(z) > crit  # never for nan
     report.tests_run += 1
     report.edge_tests[(t, s)] = EdgeTest(conditioning, z, rejected)
     return rejected
@@ -206,17 +228,17 @@ def or_ppgm_detailed(
     report = _wald_report(data, ordering, cfg)
     # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
-    fitter = NodeFitter(data, report.fits)
+    fitter, crit = NodeFitter(data, report.fits), cfg.critical_value(data.n)
     edges = frozenset(
         (t, s)
         for s in ordering.perm
-        for t in _ppgm_parents(fitter, report, data.n, ordering, s, report.m)
+        for t in _ppgm_parents(fitter, report, crit, ordering, s, report.m)
     )
     return Dag(data.p, edges, data.labels), report
 
 
 def _ppgm_parents(
-    fitter: NodeFitter, report: LearnReport, n: int, ordering: Ordering, s: int, m: int
+    fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int
 ) -> set[int]:
     """OR-PPGM's parents of s: starting from pre(s), test levels 0..m in
     turn until no target of s can be tested."""
@@ -226,7 +248,7 @@ def _ppgm_parents(
             if len(parents) <= level:
                 break  # t has fewer than `level` other parents to condition on
             for subset in combinations(sorted(parents - {t}), level):
-                if not _wald_edge(fitter, report, n, t, s, subset, "edge {t}->{s} | K={K}"):
+                if not _wald_edge(fitter, report, crit, t, s, subset, "edge {t}->{s} | K={K}"):
                     parents.discard(t)
                     break
     return parents
@@ -243,7 +265,7 @@ def or_lpgm_detailed(
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
     n = data.n
-    fitter = NodeFitter(data, report.fits)
+    fitter, crit = NodeFitter(data, report.fits), cfg.critical_value(n)
     edges = set()
     for s in ordering.perm:
         pre = ordering.precedents(s)
@@ -261,6 +283,6 @@ def or_lpgm_detailed(
             continue
         for t in pre:
             others = tuple(u for u in pre if u != t)
-            if _wald_edge(fitter, report, n, t, s, others, "node {s}, covariate {t}"):
+            if _wald_edge(fitter, report, crit, t, s, others, "node {s}, covariate {t}"):
                 edges.add((t, s))
     return Dag(data.p, frozenset(edges), data.labels), report

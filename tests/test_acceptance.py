@@ -20,7 +20,7 @@ from countdag.bench import (
     run,
 )
 from countdag.data import CountMatrix
-from countdag.glm import alpha_schedule, fisher_information, fit, gradient, nll, wald
+from countdag.glm import fisher_information, fit, gradient, nll, wald
 from countdag.graphs import Dag, Ordering, RecoveryMetrics, compare
 from countdag.learn import LearnConfig
 from countdag.scores import ScoreConfig, exhaustive_search, pk2_detailed
@@ -133,7 +133,7 @@ class TestCriterion4:
             x = rng.poisson(1.0, size=n).astype(float)
             y = rng.poisson(1.0, size=n).astype(float)
             result = fit(y, x[:, None])
-            zs[i] = wald(result, 0, n, 0.5).z
+            zs[i] = wald(result, 0, n)
         details = []
         ok = True
         for alpha in (0.05, 0.01):

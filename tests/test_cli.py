@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from countdag.cli import EXIT_ALGORITHM, EXIT_BAD_INPUT, EXIT_OK, main
+from countdag.data import counts_to_csv
+
+from .test_learners import _strong_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,6 +67,53 @@ class TestLearn:
         rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering)])
         assert rc == EXIT_BAD_INPUT
         assert "line 2" in capsys.readouterr().err
+
+    def test_count_beyond_int64_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b\n99999999999999999999,2\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("a,b\n")
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering)])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "c.csv" in err and "line 2, column 1" in err
+
+    @pytest.mark.parametrize("broken", ["counts", "ordering"])
+    def test_undecodable_input_exit_2(self, tmp_path, capsys, broken):
+        files = {"counts": tmp_path / "c.csv", "ordering": tmp_path / "o.txt"}
+        files["counts"].write_text("a,b\n1,2\n2,1\n")
+        files["ordering"].write_text("a,b\n")
+        files[broken].write_bytes(b"a,b\xff\n1,2\n")
+        rc = main(["learn", "--counts", str(files["counts"]),
+                   "--ordering", str(files["ordering"])])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert files[broken].name in err and "decode" in err
+
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path, capsys):
+        counts = tmp_path / "c.csv"
+        counts.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n2,1\n3,3\n")
+        ordering = tmp_path / "o.txt"
+        ordering.write_bytes(b"\xef\xbb\xbfa,b\n")
+        report = tmp_path / "r.json"
+        rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                   "--report", str(report)])
+        assert rc == EXIT_OK
+        assert json.loads(report.read_text())["edge_tests"][0]["from"] == "a"
+
+    def test_schedule_beyond_level_underflow_keeps_edge(self, tmp_path, capsys):
+        # alpha_b = 0.4 at n = 20,000: the reported level underflows to 0.0,
+        # and the test still rejects beyond n^b = 52.5 (z is about 228).
+        data = _strong_pair()
+        counts = tmp_path / "c.csv"
+        counts.write_text(counts_to_csv(data))
+        ordering = tmp_path / "o.txt"
+        ordering.write_text("x,y\n")
+        for algo in ("or-ppgm", "or-lpgm"):
+            rc = main(["learn", "--counts", str(counts), "--ordering", str(ordering),
+                       "--algo", algo, "--alpha-b", "0.4"])
+            assert rc == EXIT_OK
+            assert capsys.readouterr().out == "x -> y\n"
 
     def test_duplicate_column_labels_exit_2(self, tmp_path, capsys):
         counts = tmp_path / "c.csv"
@@ -368,3 +418,35 @@ class TestBench:
         path = tmp_path / "exp.json"
         path.write_text("{not json")
         assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b'{"seed": 9\xff}')
+        assert main(["bench", "--config", str(path)]) == EXIT_BAD_INPUT
+        assert "exp.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn --out", "learn --report", "simulate", "bench"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    counts = tmp_path / "c.csv"
+    counts.write_text("a,b\n1,2\n2,1\n")
+    ordering = tmp_path / "o.txt"
+    ordering.write_text("a,b\n")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "seed": 9, "replicates": 1, "learners": [{"name": "oracle", "algo": "oracle"}],
+        "sim": {"graph_kind": "hub", "p": 4, "n": 10},
+    }))
+    target = str(tmp_path / "missing" / "x")
+    argv = {
+        "learn --out": ["learn", "--counts", str(counts), "--ordering", str(ordering),
+                        "--out", target],
+        "learn --report": ["learn", "--counts", str(counts), "--ordering", str(ordering),
+                           "--report", target],
+        "simulate": ["simulate", "--kind", "hub", "--p", "4", "--n", "10", "--seed", "1",
+                     "--out-prefix", target],
+        "bench": ["bench", "--config", str(config), "--out-prefix", target],
+    }[command]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "cannot write" in err and target in err

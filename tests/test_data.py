@@ -51,6 +51,14 @@ class TestCsv:
         with pytest.raises(InvalidData, match="negative count"):
             counts_from_csv("a,b\n1,-2\n")
 
+    @pytest.mark.parametrize("cell", ["9223372036854775808", "99999999999999999999"])
+    def test_count_beyond_int64_diagnostics(self, cell):
+        with pytest.raises(InvalidData, match=f"line 3, column 1: count {cell} exceeds int64"):
+            counts_from_csv(f"a,b\n1,2\n{cell},2\n")
+
+    def test_int64_maximum_accepted(self):
+        assert counts_from_csv("a,b\n9223372036854775807,2\n").values[0, 0] == 2**63 - 1
+
     def test_ragged_rows(self):
         with pytest.raises(InvalidData, match="expected 2 columns"):
             counts_from_csv("a,b\n1,2,3\n")

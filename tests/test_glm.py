@@ -1,22 +1,21 @@
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countdag import glm
-from countdag.data import InvalidData
+from countdag import glm, learn
+from countdag.data import CountMatrix, InvalidData
 from countdag.glm import (
     SingularInformation,
-    alpha_schedule,
     fisher_information,
     fit,
     gradient,
     nll,
     wald,
 )
+from countdag.learn import LearnConfig, alpha_schedule
 
 RNG = np.random.default_rng(20240915)
 
@@ -196,32 +195,36 @@ class TestFit:
 class TestWald:
     def test_closed_form_single_covariate(self):
         result = fit([1.0, 2.0, 3.0], [[1.0]] * 3)
-        test = wald(result, 0, 3, 0.05)
+        z = wald(result, 0, 3)
         # z = sqrt(3) log 2 / sqrt(1/2), frozen from the closed form
-        assert test.z == pytest.approx(1.6978569090206654, abs=1e-9)
-        assert not test.reject  # 1.698 < 1.96
+        assert z == pytest.approx(1.6978569090206654, abs=1e-9)
+        assert abs(z) <= LearnConfig(alpha=0.05).critical_value(3)  # 1.698 < 1.96
 
     def test_zero_coefficient_never_rejects(self):
         result = fit([1.0, 1.0], [[1.0], [1.0]])
         assert result.theta[0] == pytest.approx(0.0, abs=1e-12)
         for alpha in (0.5, 0.1, 0.01):
-            assert not wald(result, 0, 2, alpha).reject
+            assert abs(wald(result, 0, 2)) <= LearnConfig(alpha=alpha).critical_value(2)
 
     def test_boundary_alpha_is_non_rejection(self):
-        result = fit([1.0, 2.0, 3.0], [[1.0]] * 3)
-        z = wald(result, 0, 3, 0.05).z
-        boundary = math.erfc(abs(z) / math.sqrt(2))  # alpha with threshold == |z|
-        assert not wald(result, 0, 3, boundary).reject
+        # The learners' rule is strict: |z| == z* keeps H0, one ulp less rejects.
+        fitter = learn.NodeFitter(CountMatrix(np.array([[1, 1], [1, 2], [1, 3]])), glm.FitTally())
+        report = learn.LearnReport(alpha=0.05)
+        z = wald(fitter.fit(1, (0,)), 0, 3)
+        assert z == pytest.approx(1.6978569090206654, abs=1e-9)
+        assert not learn._wald_edge(fitter, report, abs(z), 0, 1, (), "")
+        assert learn._wald_edge(fitter, report, math.nextafter(abs(z), 0.0), 0, 1, (), "")
+        assert [t.z for t in report.edge_tests.values()] == [z]
 
     def test_diverged_coefficient_never_rejects(self):
         result = fit([0.0, 0.0, 0.0], [[1.0]] * 3)
-        test = wald(result, 0, 3, 0.5)
-        assert not test.reject
+        assert result.diverged[0]
+        assert wald(result, 0, 3) == 0.0  # below every critical value
 
     def test_unknown_target(self):
         result = fit([1.0, 2.0], [[1.0], [1.0]])
         with pytest.raises(ValueError):
-            wald(result, 5, 2, 0.05)
+            wald(result, 5, 2)
 
 
 class TestAlphaSchedule:
@@ -771,13 +774,12 @@ class TestWaldAll:
         y, X = _parity_problem(rng, 400, k)
         result = fit(y, X)
         assert not result.diverged.any()
-        crit = -NormalDist().inv_cdf(0.025)
+        crit = LearnConfig(alpha=0.05).critical_value(400)
         for t in range(k):
-            test = wald(result, t, 400, 0.05)
+            z = wald(result, t, 400)
             ref = self._reference_z(result, t, 400)
-            assert test.target == t
-            assert test.z == pytest.approx(ref, rel=1e-12)
-            assert test.reject == (abs(ref) > crit)
+            assert z == pytest.approx(ref, rel=1e-12)
+            assert (abs(z) > crit) == (abs(ref) > crit)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_information_solved_once(self, k, monkeypatch):
@@ -787,7 +789,7 @@ class TestWaldAll:
         calls = self._counting_solves(monkeypatch)
         for _ in range(2):
             for t in range(k):
-                wald(result, t, 400, 0.05)
+                wald(result, t, 400)
         # Up to 2x2 the diagonal is taken in closed form, without a solve.
         assert calls == ([(k, k)] if k >= 3 else [])
         assert result.variances.shape == (k,)
@@ -797,10 +799,9 @@ class TestWaldAll:
         y, X = _separation_problem(rng, 200, 3)
         result = fit(y, X)
         assert result.diverged[0]
-        test = wald(result, 0, 200, 0.5)
-        assert test.z == 0.0 and not test.reject
+        assert wald(result, 0, 200) == 0.0
         assert result.variances is None  # a diverged target solves nothing
-        zs = [wald(result, j, 200, 0.5).z for j in (1, 2)]
+        zs = [wald(result, j, 200) for j in (1, 2)]
         assert zs == pytest.approx([self._reference_z(result, j, 200) for j in (1, 2)], rel=1e-12)
 
     def _fit_with(self, fisher):
@@ -815,18 +816,14 @@ class TestWaldAll:
         calls = self._counting_solves(monkeypatch)
         for t in range(2):
             with pytest.raises(SingularInformation, match="ridge rescue impossible"):
-                wald(result, t, 10, 0.05)
+                wald(result, t, 10)
         assert len(calls) == 1  # the first test's failure is kept on the fit
         assert isinstance(result.variances, SingularInformation)
 
     def test_non_positive_variance_for_one_covariate(self):
         result = self._fit_with([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 4.0]])
         with pytest.raises(SingularInformation, match="covariate 1"):
-            wald(result, 1, 10, 0.05)
+            wald(result, 1, 10)
         # z = sqrt(n) theta / sqrt([J^-1]_tt) with [J^-1] = diag(1/2, -1, 1/4)
-        assert wald(result, 0, 10, 0.05).z == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.5), rel=1e-12)
-        assert wald(result, 2, 10, 0.05).z == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.25), rel=1e-12)
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            wald(self._fit_with([[1.0]]), 0, 10, 1.0)
+        assert wald(result, 0, 10) == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.5), rel=1e-12)
+        assert wald(result, 2, 10) == pytest.approx(math.sqrt(10) * 0.5 / math.sqrt(0.25), rel=1e-12)

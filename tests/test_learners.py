@@ -1,4 +1,5 @@
 import dataclasses
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from countdag.data import CountMatrix
 from countdag.graphs import Dag, GraphError, Ordering, compare, is_consistent
 from countdag.learn import (
     LearnConfig,
+    alpha_schedule,
     or_lpgm,
     or_lpgm_detailed,
     or_ppgm,
@@ -241,9 +243,9 @@ class TestOrLpgm:
         calls = []
         wald = learn.wald
 
-        def counting(fit, target, n, alpha):
+        def counting(fit, target, n):
             calls.append((fit.covariates, target))
-            return wald(fit, target, n, alpha)
+            return wald(fit, target, n)
 
         monkeypatch.setattr(learn, "wald", counting)
         rng = np.random.default_rng(29)
@@ -277,11 +279,43 @@ class TestLearnConfig:
             LearnConfig(alpha_b=b)
 
     def test_alpha_resolution_uses_schedule(self):
-        from countdag.glm import alpha_schedule
-
         cfg = LearnConfig(alpha_b=0.15)
         assert cfg.resolve_alpha(1000) == alpha_schedule(1000, 0.15)
         assert LearnConfig(alpha=0.02).resolve_alpha(1000) == 0.02
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.5])
+    def test_critical_value_of_fixed_alpha(self, alpha):
+        crit = LearnConfig(alpha=alpha).critical_value(1000)
+        assert crit == -NormalDist().inv_cdf(alpha / 2)
+
+    @pytest.mark.parametrize("n", [100, 1000, 50000])
+    @pytest.mark.parametrize("b", [0.15, 0.2, 0.3])
+    def test_critical_value_of_schedule(self, n, b):
+        crit = LearnConfig(alpha_b=b).critical_value(n)
+        assert crit == n**b
+        # n^b is the two-sided quantile of the scheduled level, while that
+        # level is representable.
+        assert crit == pytest.approx(-NormalDist().inv_cdf(alpha_schedule(n, b) / 2), rel=1e-14)
+
+
+def _strong_pair(n=20000, seed=0):
+    """x ~ Pois(5), y ~ Pois(exp(0.3 x - 1)): z for x -> y is about 228."""
+    rng = np.random.default_rng(seed)
+    x = rng.poisson(5.0, size=n)
+    return CountMatrix(np.column_stack([x, rng.poisson(np.exp(0.3 * x - 1.0))]), ("x", "y"))
+
+
+class TestScheduleBeyondUnderflow:
+    """At n = 20,000 and b = 0.4, n^b = 52.5: the scheduled level underflows
+    to 0.0, and the tests still reject beyond n^b."""
+
+    @pytest.mark.parametrize("runner", [or_ppgm_detailed, or_lpgm_detailed])
+    def test_strong_edge_kept(self, runner):
+        dag, report = runner(_strong_pair(), Ordering((0, 1)), LearnConfig(alpha_b=0.4))
+        assert report.alpha == 0.0
+        assert dag.edges == frozenset({(0, 1)})
+        (test,) = report.edge_tests.values()
+        assert test.rejected and test.z > 20000**0.4
 
 
 class TestFitTally:
