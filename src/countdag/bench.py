@@ -16,10 +16,8 @@ other than runtimes is identical for any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Sequence, get_args, get_type_hints
@@ -243,7 +241,10 @@ def run_replicate(
 def _process_context():
     """Workers fork from a server that imported countdag once, so a pool
     starts in milliseconds and never forks a process running threads;
-    spawn where the platform has no fork server."""
+    spawn where the platform has no fork server. multiprocessing is
+    imported here, so a serial run never loads it."""
+    import multiprocessing
+
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
     context = multiprocessing.get_context("forkserver")
@@ -266,6 +267,8 @@ def run(exp: Experiment, threads: int = 1) -> RunResult:
     indices = range(exp.replicates)
     workers = min(threads, exp.replicates, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, mp_context=_process_context()) as pool:
             outcomes = list(pool.map(partial(run_replicate, exp, shared), indices))
     else:

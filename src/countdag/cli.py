@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -111,6 +112,15 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise CliError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
+def _check_writable(path: str, what: str) -> None:
+    """Fail before any work runs if ``path``'s directory cannot take a file."""
+    directory = Path(path).parent
+    if not (directory.is_dir() and os.access(directory, os.W_OK)):
+        raise CliError(
+            f"cannot write {what} {path!r}: {str(directory)!r} is not a writable directory"
+        )
+
+
 def _learner(args: argparse.Namespace) -> bench.LearnerSpec:
     options = {k: v for k in _LEARNER_FLAGS if (v := getattr(args, k)) is not None}
     if "alpha" in options and "alpha_b" in options:
@@ -136,6 +146,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         )
     except GraphError as exc:
         raise CliError(f"ordering file {args.ordering!r}: {exc}") from exc
+
+    for path, what in ((args.out, "edge list"), (args.report, "report")):
+        if path:
+            _check_writable(path, what)
 
     dropped = 0
     if args.filter_outliers:
@@ -216,6 +230,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         exp = bench.experiment_from_dict(json.loads(raw))
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise CliError(f"experiment config {args.config!r}: {exc}") from exc
+    if args.out_prefix:
+        _check_writable(args.out_prefix, "results")
     print(f"seed: {exp.sim.seed}")
     try:
         result = bench.run(exp, threads=args.threads).aggregate()

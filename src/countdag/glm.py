@@ -54,7 +54,8 @@ X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
 matrix-vector product
 ``Zt @ w``, where the moment matrix ``Zt`` holds X's columns and their
 pairwise products as rows; wider fits form X^T W X from a Fortran-ordered
-copy of X. The step-halving line search moves along the linear predictor,
+copy of X, or from X itself when the caller gives it up. The step-halving
+line search moves along the linear predictor,
 lp - eta * (X step), and evaluates the objective as
 (sum(w) - <theta, X^T y>) / n + mean(log y!), or the profile from sum(w),
 so a trial point costs one pass over the rows; X theta is recomputed only
@@ -93,7 +94,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.special import gammaln
 
 from .data import CountMatrix, InvalidData
 
@@ -179,9 +179,20 @@ class FitTally:
         self.ridge_rescues += fit.ridge_rescues
 
 
+def _log_factorial_table(values: np.ndarray) -> np.ndarray:
+    """log(v!) = lgamma(v + 1) of each value, +inf at lgamma's poles (v a
+    negative integer). math.lgamma is scalar, so callers pass distinct
+    values: counts repeat, and a column has few of them."""
+    return np.array(
+        [math.lgamma(v) if v > 0.0 or v % 1.0 else math.inf for v in (values + 1.0).tolist()]
+    )
+
+
 def _log_factorial(y: np.ndarray) -> np.ndarray:
-    # log(y!) via log-gamma; math.lgamma is scalar-only, gammaln vectorizes.
-    return gammaln(y + 1.0)
+    """log(y!) of each entry of y, from :func:`_log_factorial_table` of its
+    distinct values."""
+    values, inverse = np.unique(y, return_inverse=True)
+    return _log_factorial_table(values)[inverse]
 
 
 def _prepare(theta, y, X):
@@ -348,8 +359,8 @@ class PatternBuilder:
     def log_fact(self, s: int) -> float:
         """mean(log y!) of variable s, the objective's constant term: from
         its value counts, sum_v c_v log(v!) / n, unless its largest value is
-        at least 4n (then the value counts would cost more than log y! on
-        every row)."""
+        at least 4n (then the value counts would cost more than sorting the
+        column for its distinct values)."""
         found = self._log_fact.get(s)
         if found is None:
             y = self.variables[s]
@@ -357,7 +368,7 @@ class PatternBuilder:
             if column.size and int(column.max()) < 4 * column.size:
                 counts = np.bincount(column)
                 values = np.flatnonzero(counts)
-                found = float(counts[values] @ _log_factorial(values.astype(np.float64)))
+                found = float(counts[values] @ _log_factorial_table(values))
                 found /= column.size
             else:
                 found = float(np.mean(_log_factorial(y)))
@@ -442,8 +453,9 @@ class PatternBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(xty, X, counts)`` for :func:`_fit_core`'s regression of variable
         s on the covariates: X^T y over all rows, then the patterns and their
-        multiplicities, or the rows and None. X^T y holds sums of products
-        of counts, so it is exact while they stay below 2**53."""
+        multiplicities, or the rows, a fresh column-major gather that the
+        caller may overwrite, and None. X^T y holds sums of products of
+        counts, so it is exact while they stay below 2**53."""
         cross = self._cross.get(s)
         if cross is None:
             cross = self._cross[s] = self.variables @ self.variables[s]
@@ -464,14 +476,15 @@ def _triangle(k: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     return list(zip(rows.tolist(), cols.tolist())), index
 
 
-def _newton_moments(X: np.ndarray, center: np.ndarray | None = None):
+def _newton_moments(X: np.ndarray, center: np.ndarray | None = None, overwrite: bool = False):
     """A column-major copy of X, less ``center`` in every row when given,
     and the map ``(w, c) -> (c X^T w, c X^T W X)`` on that copy.
 
     Up to MOMENT_MAX_K columns both moments come from one product with the
     (k + k(k+1)/2, n) moment matrix, whose first k rows are X's columns;
     the Hessian is then exactly symmetric. Wider Hessians are symmetric up
-    to rounding.
+    to rounding. A wider X that the caller gives up (``overwrite``) is
+    centred in place rather than copied.
     """
     n, k = X.shape
     if k <= MOMENT_MAX_K:
@@ -491,7 +504,10 @@ def _newton_moments(X: np.ndarray, center: np.ndarray | None = None):
 
         return Zt[:k].T, moments
 
-    Xf = np.asfortranarray(X) if center is None else np.subtract(X, center, order="F")
+    if center is None:
+        Xf = np.asfortranarray(X)
+    else:
+        Xf = np.subtract(X, center, out=X if overwrite else None, order="F")
     Xft = Xf.T
 
     def moments(w: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -521,6 +537,7 @@ def _fit_core(
     log_fact: float,
     counts: np.ndarray | None = None,
     total: float | None = None,
+    overwrite_x: bool = False,
 ) -> GlmFit:
     """Newton solver on pre-validated float arrays (hot path for learners).
 
@@ -540,7 +557,10 @@ def _fit_core(
     SingularInformation. With no covariate, or with total = 0, the fit has
     a closed form: the intercept is log(mean y), -inf for an all-zero
     response, where every coefficient is flagged in ``diverged`` (the rates
-    are all 0, so no coefficient carries evidence).
+    are all 0, so no coefficient carries evidence). ``overwrite_x`` lets a
+    profile fit wider than MOMENT_MAX_K centre a column-major X in place:
+    pass it only for an X of no further use, such as a fresh gather of the
+    rows, never for an array a caller passed in.
 
     Each iteration takes the gradient and the information at the current
     rates w from one call of the fit's moment map (see the module
@@ -610,7 +630,7 @@ def _fit_core(
         Xf, moments = _newton_moments(X)
     else:
         center = xty / total
-        Xf, moments = _newton_moments(X, center)
+        Xf, moments = _newton_moments(X, center, overwrite_x)
 
     def derivatives(w: np.ndarray, sw: float) -> tuple[np.ndarray, np.ndarray]:
         """The gradient and the Hessian, or for the profile the second

@@ -193,8 +193,10 @@ class NodeFitter:
         if found is None:
             xty, X, counts = self._rows.design(s, covariates)
             try:
+                # overwrite_x: the rows are a fresh gather, the patterns cached.
                 found = _fit_core(
-                    xty, X, covariates, self._rows.log_fact(s), counts, self._rows.total(s)
+                    xty, X, covariates, self._rows.log_fact(s), counts, self._rows.total(s),
+                    counts is None,
                 )
                 self._tally.add(found)
             except SingularInformation as exc:

@@ -427,7 +427,7 @@ class TestBench:
 
 
 @pytest.mark.parametrize("command", ["learn --out", "learn --report", "simulate", "bench"])
-def test_unwritable_output_exit_2(tmp_path, capsys, command):
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command):
     counts = tmp_path / "c.csv"
     counts.write_text("a,b\n1,2\n2,1\n")
     ordering = tmp_path / "o.txt"
@@ -447,6 +447,11 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command):
                      "--out-prefix", target],
         "bench": ["bench", "--config", str(config), "--out-prefix", target],
     }[command]
+    runs = []
+    monkeypatch.setattr("countdag.bench.run", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr("countdag.cli.or_ppgm_detailed", lambda *a: runs.append(a))
     assert main(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "cannot write" in err and target in err
+    # learn and bench check their output directories before any work.
+    assert runs == []

@@ -569,6 +569,27 @@ class TestProfiledIntercept:
         # Each information is that of the fit's last iterate, within TOL of the optimum.
         assert np.abs(grouped.fisher - rows.fisher).max() <= 1e-6 * np.abs(rows.fisher).max()
 
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_overwrite_x_centres_wide_fits_in_place(self, k):
+        """Given overwrite_x, a fit wider than MOMENT_MAX_K centres X in
+        place and fits what a fit on a copy fits; without it no fit, nor
+        glm.fit, writes into the caller's X."""
+        rng = np.random.default_rng(8400 + k)
+        y, X = _intercept_problem(rng, 500, k, cap=6.0)
+        X = np.asfortranarray(X)
+        kept = X.copy()
+        args = (X.T @ y, X, tuple(range(k)), float(np.mean(glm._log_factorial(y))))
+        copied = glm._fit_core(*args, None, float(y.sum()))
+        fit(y, X)
+        assert np.array_equal(X, kept)
+        owned = glm._fit_core(*args, None, float(y.sum()), overwrite_x=True)
+        assert np.array_equal(owned.theta, copied.theta) and owned.nll == copied.nll
+        assert np.array_equal(owned.fisher, copied.fisher)
+        if k > glm.MOMENT_MAX_K:
+            assert np.array_equal(X, kept - kept.T @ y / y.sum())
+        else:
+            assert np.array_equal(X, kept)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("value", [0.0, 3.0])
     def test_constant_covariate_is_collinear(self, k, value):
@@ -627,7 +648,10 @@ class TestStallExit:
     no stall exit, and that search rejects all MAX_HALVINGS + 1 trials, as
     every stall did before the exit."""
 
-    @pytest.mark.parametrize("k, n, seed", [(1, 1000, 82), (2, 100, 36), (3, 1000, 27)])
+    # Whether a fit ends in a stall turns on its last bits, down to those of
+    # the objective's constant mean(log y!), so each seed is one whose fit
+    # stalls under the current log-factorials.
+    @pytest.mark.parametrize("k, n, seed", [(1, 1000, 82), (2, 100, 40), (3, 1000, 27)])
     def test_stall_ends_after_the_full_step(self, k, n, seed, monkeypatch):
         y, X = _parity_problem(np.random.default_rng(seed), n, k)
         covariates = tuple(range(k))
@@ -846,6 +870,37 @@ class TestPatternBuilder:
         for s in range(3):
             expected = np.mean(gammaln(values[:, s] + 1.0))
             assert builder.log_fact(s) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLogFactorial:
+    """log(y!) from math.lgamma on distinct values, checked against scipy's
+    gammaln, kept as a test-only oracle. Both paths of
+    PatternBuilder.log_fact are checked in TestPatternBuilder."""
+
+    def test_integers_match_gammaln(self):
+        from scipy.special import gammaln
+
+        y = np.arange(100_001, dtype=np.float64)
+        np.testing.assert_allclose(glm._log_factorial(y), gammaln(y + 1.0), rtol=1e-15, atol=0)
+
+    def test_repeats_in_any_order_and_non_integers(self):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(5)
+        y = np.concatenate([rng.poisson(3.0, size=200), [0.5, 2.25, 1e6 + 0.5, -0.5, -2.0]])
+        rng.shuffle(y)
+        # -2 is a pole of lgamma(y + 1): +inf, as gammaln gives. Near
+        # lgamma's minimum (y + 1 = 1.46) its value cancels, so compare absolutely.
+        np.testing.assert_allclose(glm._log_factorial(y), gammaln(y + 1.0), rtol=1e-15, atol=1e-15)
+
+    def test_nll_of_non_integer_counts(self):
+        from scipy.special import gammaln
+
+        y = np.array([0.5, 2.5, 2.5, 7.25])
+        X = np.array([[0.0], [1.0], [2.0], [1.0]])
+        lp = X[:, 0] * 0.3
+        expected = np.mean(-y * lp + gammaln(y + 1.0) + np.exp(lp))
+        assert nll([0.3], y, X) == pytest.approx(expected, rel=1e-15)
 
 
 class TestWaldAll:
