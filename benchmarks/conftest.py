@@ -1,4 +1,4 @@
-"""Microbenchmarks of the fit layer. Timed with
+"""Microbenchmarks of the fit layer and of one bench replicate. Timed with
 
     python -m pytest benchmarks --benchmark-only
 

@@ -9,6 +9,13 @@ precision/recall left undefined in a replicate (zero denominator) are
 excluded from their averages, and F1 of such replicates is 0, so table
 cells never contain NaN.
 
+The learners of a replicate fit through one
+:class:`~countdag.learn.NodeFitter` over its data, so each node regression
+is fitted once per replicate. A fit is the same whichever learner makes
+it, so every estimate is that of the learner run alone. But a learner's
+runtime excludes the fits that an earlier learner of the replicate already
+made, so ``runtime_mean`` depends on the learner order.
+
 Replicates run in worker processes when asked; every replicate derives its
 own Philox substream and records are kept in replicate order, so output
 other than runtimes is identical for any worker count.
@@ -24,7 +31,7 @@ from typing import Sequence, get_args, get_type_hints
 
 from .data import CountMatrix
 from .graphs import Dag, Ordering, RecoveryMetrics, compare
-from .learn import LearnConfig, or_lpgm, or_ppgm
+from .learn import LearnConfig, NodeFitter, or_lpgm, or_ppgm
 from .scores import ScoreConfig, pk2
 from .simulate import SimConfig, WeightedDag, gen_graph, gen_weights, make_rng, sample_data
 
@@ -73,16 +80,18 @@ class LearnerSpec:
             criterion = "bic" if algo == "pkbic" else "aic"
             object.__setattr__(self, "config", replace(config, criterion=criterion))
 
-    def run(self, data: CountMatrix, ordering: Ordering, truth: Dag) -> Dag:
+    def run(self, data: CountMatrix, ordering: Ordering, truth: Dag, fitter: NodeFitter) -> Dag:
+        """The estimate on ``data``, fitting through ``fitter``, a NodeFitter
+        over ``data`` shared with the replicate's other learners."""
         if self.algo == "oracle":
             return truth
         if self.algo == "empty":
             return Dag(truth.p, frozenset(), truth.labels)
         if self.algo == "or_ppgm":
-            return or_ppgm(data, ordering, self.config)
+            return or_ppgm(data, ordering, self.config, fitter=fitter)
         if self.algo == "or_lpgm":
-            return or_lpgm(data, ordering, self.config)
-        return pk2(data, ordering, self.config)
+            return or_lpgm(data, ordering, self.config, fitter=fitter)
+        return pk2(data, ordering, self.config, fitter=fitter)
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,10 @@ class Experiment:
 
 @dataclass(frozen=True)
 class ReplicateRecord:
+    """One learner's outcome on one replicate. ``runtime`` covers the
+    learner call and the comparison with the truth; it excludes the fits
+    that an earlier learner of the same replicate already made."""
+
     replicate: int
     learner: str
     metrics: RecoveryMetrics | None
@@ -217,16 +230,18 @@ def make_truth(exp: Experiment, index: int) -> tuple[WeightedDag, Ordering]:
 def run_replicate(
     exp: Experiment, shared: tuple[WeightedDag, Ordering] | None, r: int
 ) -> tuple[WeightedDag, list[ReplicateRecord]]:
-    """Sample replicate ``r``'s data and run every learner on it. ``shared``
-    is the fixed graph, or None to draw the replicate's own."""
+    """Sample replicate ``r``'s data and run every learner on it, in order,
+    all fitting through one NodeFitter over the data. ``shared`` is the
+    fixed graph, or None to draw the replicate's own."""
     sim = exp.sim
     wdag, ordering = shared if shared is not None else make_truth(exp, r)
     data = sample_data(wdag, ordering, sim.n, sim, make_rng(sim.seed, 1, r))
+    fitter = NodeFitter(data)
     records = []
     for spec in exp.learners:
         start = time.perf_counter()
         try:
-            estimate = spec.run(data, ordering, wdag.dag)
+            estimate = spec.run(data, ordering, wdag.dag, fitter)
             metrics: RecoveryMetrics | None = compare(estimate, wdag.dag)
             error = None
         except Exception as exc:  # noqa: BLE001 - failure isolation by contract

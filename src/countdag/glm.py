@@ -195,6 +195,14 @@ def _log_factorial(y: np.ndarray) -> np.ndarray:
     return _log_factorial_table(values)[inverse]
 
 
+def _check_response(y: np.ndarray) -> None:
+    """Reject a response that is not made of finite non-negative values."""
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("non-finite response values")
+    if y.size and y.min() < 0:
+        raise InvalidData("negative response counts")
+
+
 def _prepare(theta, y, X):
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -208,6 +216,7 @@ def _prepare(theta, y, X):
         raise InvalidData(f"theta length {theta.shape[0]} does not match {k} columns")
     if n < 1:
         raise InvalidData("need at least one observation")
+    _check_response(y)
     return theta, y, X
 
 
@@ -302,10 +311,9 @@ def fit(y, X, covariates=None) -> GlmFit:
         raise InvalidData(f"response length {len(y)} does not match {n} rows")
     if n < 1:
         raise InvalidData("need at least one observation")
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
-        raise InvalidData("non-finite values in regression data")
-    if y.size and y.min() < 0:
-        raise InvalidData("negative response counts")
+    _check_response(y)
+    if not np.all(np.isfinite(X)):
+        raise InvalidData("non-finite covariate values")
 
     if covariates is None:
         covariates = tuple(range(X.shape[1]))
@@ -325,8 +333,8 @@ class PatternBuilder:
     finds it, so Newton iterations cost O(patterns) rather than O(n), and
     the rows otherwise. Either way X^T y is read off the node's cross
     products with every variable, ``variables @ variables[s]``, formed on
-    first use and kept for the life of the builder, one learner call, so no
-    fit passes over the rows for it.
+    first use and kept for the life of the builder (that of the NodeFitter
+    holding it), so no fit passes over the rows for it.
 
     Patterns come from per-variable level codes (each row's rank among the
     variable's distinct values, in the smallest unsigned type that holds

@@ -7,10 +7,13 @@ node-conditional model of the Poisson graphical models (Yang, Ravikumar,
 Allen and Liu, JMLR 2015) has log E[x_s | x_K] = theta_s +
 sum_{t in K} theta_{st|K} x_t, so theta_{st|K} = 0 states that x_s and x_t
 are independent given x_{K - t}. The intercept theta_s is never tested.
-:class:`NodeFitter` fits each (s, K) once per learner call; OR-PPGM,
+:class:`NodeFitter` fits each (s, K) once over its data; OR-PPGM,
 OR-LPGM and the score search in :mod:`countdag.scores` all fit through
-it. The two learners here test single coefficients with Wald
-conditional-independence tests: each takes z from
+it. A learner called alone makes its own, so it fits each (s, K) once per
+call; a learner given one, as :func:`countdag.bench.run_replicate` gives
+every learner of a replicate the same, reuses the fits that earlier
+learners made on that data. The two learners here test single
+coefficients with Wald conditional-independence tests: each takes z from
 :func:`~countdag.glm.wald`, so a fit's tests share one solve of its
 information, and one helper records it, rejecting iff |z| exceeds
 :meth:`LearnConfig.critical_value`, resolved once per learner call:
@@ -165,29 +168,32 @@ def _wald_report(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Lea
 class NodeFitter:
     """The one engine behind every learner: the Poisson regression of a node
     s on an ascending covariate tuple K, with a free intercept, fitted once
-    per learner call.
+    over the fitter's data however many learners ask for it.
 
     A PatternBuilder over the validated data gives each fit its inputs for
     the pre-validated solver (X^T y, then the distinct covariate patterns
     with their multiplicities where that pays and the rows otherwise, then
-    sum(x_s), which selects the intercept model). Each fit is counted in
-    ``tally``. A SingularInformation, such as that of a covariate constant
-    over the rows and so collinear with the intercept, is cached like a
-    fit, so a set is attempted once and every request for it raises. An
-    all-zero x_s is no failure: its fit flags every coefficient diverged,
-    so each test of it has z = 0.
+    sum(x_s), which selects the intercept model). A fit depends only on
+    the data, s and K, so it is the same whichever learner asks first. Each
+    fit is counted in the tally of the call that made it; a cache hit
+    counts nowhere. A SingularInformation, such as that of a covariate
+    constant over the rows and so collinear with the intercept, is cached
+    like a fit, so a set is attempted once and every request for it raises.
+    An all-zero x_s is no failure: its fit flags every coefficient
+    diverged, so each test of it has z = 0.
     OR-PPGM asks child by child, levels 0..m within each child; OR-LPGM
     asks once per node; the score searches ask per candidate parent set.
     """
 
-    def __init__(self, data: CountMatrix, tally: FitTally):
+    def __init__(self, data: CountMatrix):
+        self.data = data
         self.n = data.n
         self._rows = PatternBuilder(data)
-        self._tally = tally
         self._store: dict[tuple[int, tuple[int, ...]], GlmFit | SingularInformation] = {}
 
-    def fit(self, s: int, covariates: tuple[int, ...]) -> GlmFit:
-        """The fit of s on ``covariates``, which must be ascending."""
+    def fit(self, s: int, covariates: tuple[int, ...], tally: FitTally) -> GlmFit:
+        """The fit of s on ``covariates``, which must be ascending; a fit
+        made by this call is added to ``tally``."""
         key = (s, covariates)
         found = self._store.get(key)
         if found is None:
@@ -198,13 +204,24 @@ class NodeFitter:
                     xty, X, covariates, self._rows.log_fact(s), counts, self._rows.total(s),
                     counts is None,
                 )
-                self._tally.add(found)
+                tally.add(found)
             except SingularInformation as exc:
-                found = exc
+                found = type(exc)(*exc.args)
             self._store[key] = found
         if isinstance(found, SingularInformation):
-            raise found.with_traceback(None)
+            # Store and raise copies: a raised exception's traceback holds
+            # this frame, so a stored one would keep the fitter in a cycle.
+            raise type(found)(*found.args)
         return found
+
+
+def _node_fitter(data: CountMatrix, fitter: NodeFitter | None) -> NodeFitter:
+    """``fitter``, which must fit ``data`` itself, or a new NodeFitter over it."""
+    if fitter is None:
+        return NodeFitter(data)
+    if fitter.data is not data:
+        raise ValueError("the fitter was made over other data")
+    return fitter
 
 
 def _wald_edge(
@@ -217,7 +234,7 @@ def _wald_edge(
     about at ``where`` (formatted with t, s and K)."""
     key = tuple(sorted(conditioning + (t,)))
     try:
-        z = wald(fitter.fit(s, key), t, fitter.n)
+        z = wald(fitter.fit(s, key, report.fits), t, fitter.n)
     except SingularInformation as exc:
         report.warn(
             f"{where.format(t=t, s=s, K=key)}: singular information "
@@ -230,19 +247,22 @@ def _wald_edge(
     return rejected
 
 
-def or_ppgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
-    """PC-style learner over conditioning sets of growing cardinality."""
-    dag, _ = or_ppgm_detailed(data, ordering, cfg)
+def or_ppgm(
+    data: CountMatrix, ordering: Ordering, cfg: LearnConfig, fitter: NodeFitter | None = None
+) -> Dag:
+    """PC-style learner over conditioning sets of growing cardinality;
+    ``fitter``, if given, is a NodeFitter over ``data`` whose fits it reuses."""
+    dag, _ = or_ppgm_detailed(data, ordering, cfg, fitter)
     return dag
 
 
 def or_ppgm_detailed(
-    data: CountMatrix, ordering: Ordering, cfg: LearnConfig
+    data: CountMatrix, ordering: Ordering, cfg: LearnConfig, fitter: NodeFitter | None = None
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
     # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
-    fitter, crit = NodeFitter(data, report.fits), cfg.critical_value(data.n)
+    fitter, crit = _node_fitter(data, fitter), cfg.critical_value(data.n)
     edges = frozenset(
         (t, s)
         for s in ordering.perm
@@ -268,18 +288,21 @@ def _ppgm_parents(
     return parents
 
 
-def or_lpgm(data: CountMatrix, ordering: Ordering, cfg: LearnConfig) -> Dag:
-    """Single-pass learner: regress each node on all of its precedents."""
-    dag, _ = or_lpgm_detailed(data, ordering, cfg)
+def or_lpgm(
+    data: CountMatrix, ordering: Ordering, cfg: LearnConfig, fitter: NodeFitter | None = None
+) -> Dag:
+    """Single-pass learner: regress each node on all of its precedents;
+    ``fitter``, if given, is a NodeFitter over ``data`` whose fits it reuses."""
+    dag, _ = or_lpgm_detailed(data, ordering, cfg, fitter)
     return dag
 
 
 def or_lpgm_detailed(
-    data: CountMatrix, ordering: Ordering, cfg: LearnConfig
+    data: CountMatrix, ordering: Ordering, cfg: LearnConfig, fitter: NodeFitter | None = None
 ) -> tuple[Dag, LearnReport]:
     report = _wald_report(data, ordering, cfg)
     n = data.n
-    fitter, crit = NodeFitter(data, report.fits), cfg.critical_value(n)
+    fitter, crit = _node_fitter(data, fitter), cfg.critical_value(n)
     edges = set()
     for s in ordering.perm:
         pre = ordering.precedents(s)
@@ -291,7 +314,7 @@ def or_lpgm_detailed(
                 f"{n} rows is rank-deficient"
             )
         try:
-            fitter.fit(s, pre)
+            fitter.fit(s, pre, report.fits)
         except SingularInformation as exc:
             report.warn(f"node {s}: fit failed ({exc}); all tests non-rejecting")
             continue

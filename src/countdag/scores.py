@@ -15,8 +15,10 @@ Ties are broken toward the smallest node index.
 
 This module holds only the score arithmetic and the searches: every fit
 goes through the learners' one engine, :class:`countdag.learn.NodeFitter`,
-which fits each (node, parent set) once per search, so a revisited set
-costs no fit.
+which fits each (node, parent set) once over its data, so a revisited set
+costs no fit. A search given the fitter of earlier learners on the same
+data, as in a :mod:`countdag.bench` replicate, also reuses their fits: its
+single-parent scores are OR-PPGM's level-0 regressions.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .glm import FitTally, SingularInformation
 # perfbench/tracing.py wraps this name and needs it to exist.
 from .glm import _fit_core  # noqa: F401
 from .graphs import Dag, Ordering
-from .learn import NodeFitter, _check_inputs
+from .learn import NodeFitter, _check_inputs, _node_fitter
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +72,7 @@ def node_score(
     """
     parents = [int(t) for t in parents]
     report = ScoreReport(criterion=cfg.criterion)
-    return _score(NodeFitter(data, report.fits), report, data.n, s, parents, cfg)
+    return _score(NodeFitter(data), report, data.n, s, parents, cfg)
 
 
 def _score(
@@ -80,7 +82,7 @@ def _score(
     """Score of node s given ``parents``, from ``fitter``'s fit; ``report`` warns of a failure."""
     parents = tuple(sorted(parents))
     try:
-        value = 2.0 * n * fitter.fit(s, parents).nll + cfg.penalty(n) * len(parents)
+        value = 2.0 * n * fitter.fit(s, parents, report.fits).nll + cfg.penalty(n) * len(parents)
     except SingularInformation as exc:
         report.warn(f"node {s} | parents {parents}: fit failed ({exc}); score +inf")
         value = math.inf
@@ -121,18 +123,23 @@ class ScoreReport:
         }
 
 
-def pk2(data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()) -> Dag:
-    """Per child: forward parent addition, then backward pruning."""
-    dag, _ = pk2_detailed(data, ordering, cfg)
+def pk2(
+    data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig(),
+    fitter: NodeFitter | None = None,
+) -> Dag:
+    """Per child: forward parent addition, then backward pruning;
+    ``fitter``, if given, is a NodeFitter over ``data`` whose fits it reuses."""
+    dag, _ = pk2_detailed(data, ordering, cfg, fitter)
     return dag
 
 
 def pk2_detailed(
-    data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()
+    data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig(),
+    fitter: NodeFitter | None = None,
 ) -> tuple[Dag, ScoreReport]:
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
-    fitter = NodeFitter(data, report.fits)
+    fitter = _node_fitter(data, fitter)
     edges = []
     for s in ordering.perm:
         final = _pk2_parents(fitter, report, data.n, ordering, s, cfg)
@@ -181,7 +188,7 @@ def exhaustive_search(
     parent set per node. Exponential in p; intended as a small-p oracle."""
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
-    fitter = NodeFitter(data, report.fits)
+    fitter = NodeFitter(data)
     edges: list[tuple[int, int]] = []
     total = 0.0
     for s in ordering.perm:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from countdag import bench, learn, scores
 from countdag.bench import (
     Experiment,
     LearnerSpec,
@@ -8,17 +9,19 @@ from countdag.bench import (
     _aggregate,
     experiment_from_dict,
     learner_from_dict,
+    make_truth,
     parse_csv,
     pool_results,
     render_csv,
     render_text,
     run,
+    run_replicate,
     table_rows,
 )
-from countdag.graphs import RecoveryMetrics
-from countdag.learn import LearnConfig
+from countdag.graphs import RecoveryMetrics, compare
+from countdag.learn import LearnConfig, NodeFitter
 from countdag.scores import ScoreConfig
-from countdag.simulate import SimConfig
+from countdag.simulate import SimConfig, make_rng, sample_data
 
 
 def hub_experiment(n=300, replicates=5, seed=17, learners=None):
@@ -31,6 +34,11 @@ def hub_experiment(n=300, replicates=5, seed=17, learners=None):
         ),
         replicates=replicates,
     )
+
+
+def _outcome(result):
+    """A run's records without their runtimes."""
+    return [(r.replicate, r.learner, r.metrics, r.error) for r in result.records]
 
 
 class TestRun:
@@ -50,9 +58,6 @@ class TestRun:
         assert empty.mean["precision"] is None  # undefined in every replicate
 
     def test_seed_stability_across_runs_and_threads(self):
-        def outcome(result):
-            return [(r.replicate, r.learner, r.metrics, r.error) for r in result.records]
-
         for fixed_graph in (True, False):
             exp = Experiment(
                 sim=SimConfig(graph_kind="hub", p=10, n=400, seed=17),
@@ -66,7 +71,7 @@ class TestRun:
             base = run(exp)
             assert [r.replicate for r in base.records] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
             for other in (run(exp), run(exp, threads=4)):
-                assert outcome(other) == outcome(base)
+                assert _outcome(other) == _outcome(base)
                 assert other.truth == base.truth
 
     def test_fresh_graph_per_replicate_mode(self):
@@ -86,11 +91,11 @@ class TestRun:
         calls = {"count": 0}
         real = bench_mod.or_lpgm
 
-        def flaky(data, ordering, cfg):
+        def flaky(data, ordering, cfg, fitter=None):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("synthetic failure")
-            return real(data, ordering, cfg)
+            return real(data, ordering, cfg, fitter)
 
         monkeypatch.setattr(bench_mod, "or_lpgm", flaky)
         exp = hub_experiment(
@@ -109,7 +114,7 @@ class TestRun:
     def test_aborts_when_all_replicates_fail(self, monkeypatch):
         import countdag.bench as bench_mod
 
-        def always_fail(data, ordering, cfg):
+        def always_fail(data, ordering, cfg, fitter=None):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(bench_mod, "or_lpgm", always_fail)
@@ -133,6 +138,74 @@ class TestRun:
         )
         f1 = run(exp).aggregate().summary("or-ppgm").mean["f1"]
         assert f1 == pytest.approx(0.961, abs=0.05)
+
+
+class TestSharedFitter:
+    """The learners of a replicate fit through one NodeFitter."""
+
+    EXPERIMENT = Experiment(
+        sim=SimConfig(graph_kind="erdos_renyi", p=10, n=200, seed=5),
+        learners=(
+            LearnerSpec("or-ppgm", "or-ppgm", LearnConfig(alpha_b=0.15, m=8)),
+            LearnerSpec("or-lpgm", "or-lpgm", LearnConfig(alpha_b=0.15)),
+            LearnerSpec("pkbic", "pkbic"),
+            LearnerSpec("pkaic", "pkaic"),
+        ),
+        replicates=3,
+        fixed_graph=False,
+    )
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run(self.EXPERIMENT)
+
+    def test_records_match_learners_run_alone(self, serial):
+        exp = self.EXPERIMENT
+        specs = {spec.name: spec for spec in exp.learners}
+        assert [r.error for r in serial.records] == [None] * 12
+        for r in range(exp.replicates):
+            wdag, ordering = make_truth(exp, r)
+            data = sample_data(wdag, ordering, exp.sim.n, exp.sim, make_rng(exp.sim.seed, 1, r))
+            shared = NodeFitter(data)
+            for rec in serial.records[4 * r:4 * r + 4]:
+                spec = specs[rec.learner]
+                alone = spec.run(data, ordering, wdag.dag, NodeFitter(data))
+                assert spec.run(data, ordering, wdag.dag, shared).edges == alone.edges
+                assert rec.metrics == compare(alone, wdag.dag)
+
+    def test_each_regression_is_fitted_once_per_replicate(self, monkeypatch):
+        requested, attempted, tallies, own = [], [], [], []
+        real_fit, real_core = NodeFitter.fit, learn._fit_core
+
+        def fit(self, s, covariates, tally):
+            requested.append((s, covariates))
+            return real_fit(self, s, covariates, tally)
+
+        def fit_core(*args):
+            attempted.append(requested[-1])  # the request that missed the store
+            return real_core(*args)
+
+        def detailed(runner):
+            def run_learner(data, ordering, cfg, fitter=None):
+                start = len(requested)
+                dag, report = runner(data, ordering, cfg, fitter)
+                tallies.append(report.fits.fits)
+                own.append(len(set(requested[start:])))
+                return dag
+            return run_learner
+
+        monkeypatch.setattr(NodeFitter, "fit", fit)
+        monkeypatch.setattr(learn, "_fit_core", fit_core)
+        monkeypatch.setattr(bench, "or_ppgm", detailed(learn.or_ppgm_detailed))
+        monkeypatch.setattr(bench, "or_lpgm", detailed(learn.or_lpgm_detailed))
+        monkeypatch.setattr(bench, "pk2", detailed(scores.pk2_detailed))
+        _, records = run_replicate(self.EXPERIMENT, None, 0)
+        assert [rec.error for rec in records] == [None] * 4 and len(tallies) == 4
+        assert len(attempted) == len(set(attempted)) == len(set(requested))
+        assert sum(tallies) == len(attempted) < sum(own)  # no singular fit; fits were shared
+
+    def test_workers_return_the_serial_records(self, serial):
+        assert _outcome(run(self.EXPERIMENT, threads=2)) == _outcome(serial)
 
 
 class TestLearnerSpec:

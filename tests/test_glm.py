@@ -51,6 +51,13 @@ class TestNll:
         with pytest.raises(InvalidData):
             nll([0.0, 0.0], [1.0], [[1.0]])
 
+    @pytest.mark.parametrize("function", [nll, gradient, fisher_information])
+    @pytest.mark.parametrize("y", [-0.5, -1.0, float("nan"), float("inf")])
+    def test_rejects_responses_that_are_no_counts(self, function, y):
+        # nll once returned 1.572 at y = -0.5, inf at -1 and nan at nan.
+        with pytest.raises(InvalidData, match="response"):
+            function([0.0], [y], [[0.0]])
+
     def test_convexity_along_segments(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -211,9 +218,9 @@ class TestWald:
         # Two groups, x = 0 and x = 1, with response totals 2 and 4: z is the
         # log rate ratio over its standard error, log 2 / sqrt(1/2 + 1/4).
         data = CountMatrix(np.array([[0, 1], [0, 1], [1, 2], [1, 2]]))
-        fitter = learn.NodeFitter(data, glm.FitTally())
+        fitter = learn.NodeFitter(data)
         report = learn.LearnReport(alpha=0.05)
-        z = wald(fitter.fit(1, (0,)), 0, 4)
+        z = wald(fitter.fit(1, (0,), glm.FitTally()), 0, 4)
         assert z == pytest.approx(0.8003774225686291, abs=1e-9)
         assert not learn._wald_edge(fitter, report, abs(z), 0, 1, (), "")
         assert learn._wald_edge(fitter, report, math.nextafter(abs(z), 0.0), 0, 1, (), "")

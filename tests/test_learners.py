@@ -126,8 +126,8 @@ class TestOrPpgm:
         requests = []
         fit = learn.NodeFitter.fit
 
-        def recording(self, s, covariates):
-            result = fit(self, s, covariates)
+        def recording(self, s, covariates, tally):
+            result = fit(self, s, covariates, tally)
             requests.append((s, covariates, result.theta.tolist()))
             return result
 
@@ -394,7 +394,8 @@ class TestFitTally:
 
 
 class TestNodeFitter:
-    """Every learner fits each (node, covariate set) at most once per call."""
+    """A NodeFitter fits each (node, covariate set) at most once, and a
+    learner called alone makes its own."""
 
     @staticmethod
     def _zero_column_data():
@@ -452,12 +453,49 @@ class TestNodeFitter:
         monkeypatch.setattr(learn, "_fit_core", recording_fit)
         data, _ = self._zero_column_data()
         tally = FitTally()
-        fitter = learn.NodeFitter(data, tally)
+        fitter = learn.NodeFitter(data)
         for _ in range(2):
             with pytest.raises(SingularInformation):
-                fitter.fit(0, (1,))
-            assert fitter.fit(0, (2,)) is fitter.fit(0, (2,))
+                fitter.fit(0, (1,), tally)
+            assert fitter.fit(0, (2,), tally) is fitter.fit(0, (2,), tally)
         assert calls == [(1,), (2,)] and tally.fits == 1
+
+    def test_a_singular_fit_keeps_no_reference_cycle(self):
+        import gc
+        import weakref
+
+        from countdag import learn
+        from countdag.glm import FitTally, SingularInformation
+
+        data, _ = self._zero_column_data()
+        fitter = learn.NodeFitter(data)
+        for _ in range(2):
+            with pytest.raises(SingularInformation, match="constant"):
+                fitter.fit(0, (1,), FitTally())
+        alive = weakref.ref(fitter)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del fitter  # freed by reference counting, not left to the cyclic collector
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
+    def test_fitter_over_other_data_is_refused(self, learner):
+        from countdag.learn import NodeFitter
+        from countdag.scores import ScoreConfig, pk2
+
+        data, ordering = self._zero_column_data()
+        other = NodeFitter(CountMatrix(data.values.copy()))
+        if learner == "pkbic":
+            runner, cfg = pk2, ScoreConfig()
+        else:
+            runner, cfg = (or_ppgm if learner == "or_ppgm" else or_lpgm), ALPHA01
+        with pytest.raises(ValueError, match="other data"):
+            runner(data, ordering, cfg, other)
+        assert runner(data, ordering, cfg, NodeFitter(data)) == runner(data, ordering, cfg)
 
 
 class TestPatternPath:

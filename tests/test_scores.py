@@ -27,7 +27,7 @@ def _reference_pk2(data, ordering, cfg):
     repeatedly delete the one edge anywhere in the graph whose removal lowers
     the total score the most, ties to the smallest (child, parent)."""
     report = ScoreReport(criterion=cfg.criterion)
-    fitter = NodeFitter(data, report.fits)
+    fitter = NodeFitter(data)
     max_parents = cfg.max_parents if cfg.max_parents is not None else data.p - 1
     parent_sets, node_scores = {}, {}
     for s in ordering.perm:
