@@ -1,30 +1,27 @@
 """Poisson regression of a count on count covariates, fitted by Newton's method.
 
-Two models share one solver. The learners' node regressions (see
-:func:`_fit_core`) fit the node-conditional model of the Poisson graphical
-models (Yang, Ravikumar, Allen and Liu, JMLR 2015),
-``y ~ Pois(exp(theta_0 + <theta, x>))``, whose free intercept theta_0 is
-never tested, so theta_t = 0 states that y and x_t are independent given
-the other covariates. The public :func:`fit` fits the zero-intercept model
-``y ~ Pois(exp(<theta, x>))``. The objective is the rescaled negative
-log-likelihood, here without the intercept,
-
-    nll(theta) = (1/n) sum_i [ -y_i <theta, x_i> + log(y_i!) + exp(<theta, x_i>) ]
-
-which is convex in theta. Its Hessian, ``(1/n) sum_i exp(<theta, x_i>)
-x_i x_i^T``, does not depend on y, so the observed and (conditionally)
-expected Fisher information coincide; the fitted Hessian is reported as the
-sample Fisher information and feeds the Wald statistic z of a single
-coefficient. This module computes z only; the learners decide which z
-rejects. A fit's tests share one solve: the first that needs a variance
-takes the whole diagonal of the inverse information and keeps it on the fit.
+The learners' node regressions (see :func:`_fit_core`) fit the
+node-conditional model of the Poisson graphical models (Yang, Ravikumar,
+Allen and Liu, JMLR 2015), ``y ~ Pois(exp(theta_0 + <theta, x>))``, whose
+free intercept theta_0 is never tested, so theta_t = 0 states that y and
+x_t are independent given the other covariates. The objective, the
+rescaled negative log-likelihood, is convex, and its Hessian does not
+depend on y, so the observed and (conditionally) expected Fisher
+information coincide; the fitted Hessian is reported as the sample Fisher
+information and feeds the Wald statistic z of a single coefficient. This
+module computes z only; the learners decide which z rejects. A fit's tests
+share one solve: the first that needs a variance takes the whole diagonal
+of the inverse information and keeps it on the fit. The public
+:func:`nll`, :func:`gradient`, :func:`fisher_information` and :func:`fit`
+take the zero-intercept model ``y ~ Pois(exp(<theta, x>))``, in which an
+intercept is a column of ones; :func:`fit` is a plain Newton loop of its
+own, outside the learners' hot path.
 
 The intercept is profiled out: at any theta its optimum is
 exp(theta_0) = sum(y) / sum_i exp(<theta, x_i>), so the node regressions
-iterate on theta alone, with k covariates like the zero-intercept fits.
-The intercept absorbs a shift of x, so the solver centres x at the
-response-weighted mean xbar_y = X^T y / sum(y), where X^T y vanishes. With
-ybar = mean(y), the profile objective is
+iterate on theta alone. The intercept absorbs a shift of x, so the solver
+centres x at the response-weighted mean xbar_y = X^T y / sum(y), where
+X^T y vanishes. With ybar = mean(y), the profile objective is
 
     nll_p(theta) = ybar [1 - log ybar + log mean_i exp(<theta, x_i - xbar_y>)] + mean(log y!),
 
@@ -46,31 +43,30 @@ which lowers the objective once more. Newton's error is quadratic in the
 step, so a converged profile also takes the step it converged on, too small
 for the line search to judge.
 
-The solver works on sufficient statistics. With rates w = exp(X theta),
-the gradient is (X^T w - X^T y) / n and the Hessian is X^T W X / n, so y
-enters only through X^T y (and, for the profile, sum(y)), which the
-solver takes as given, and each Newton iteration needs only X^T w and
-X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
-matrix-vector product
-``Zt @ w``, where the moment matrix ``Zt`` holds X's columns and their
-pairwise products as rows; wider fits form X^T W X from a Fortran-ordered
-copy of X, or from X itself when the caller gives it up. The step-halving
-line search moves along the linear predictor,
-lp - eta * (X step), and evaluates the objective as
-(sum(w) - <theta, X^T y>) / n + mean(log y!), or the profile from sum(w),
-so a trial point costs one pass over the rows; X theta is recomputed only
-when a coefficient is clamped at -:data:`THETA_CAP`. A fit that reaches the optimum at
-floating-point resolution ends with a rejected full step whose promised
-decrease, <grad, step> / 2, is within :data:`RESOLUTION` of the objective's
-terms; the search ends there (a stall) and the fit counts as converged
-(Boyd and Vandenberghe, *Convex Optimization*, 9.5). The check runs only
-after a rejected full step, so accepted iterations pay nothing for it.
+The solver works on sufficient statistics: y enters only through X^T y,
+which gives the centre, and sum(y), both taken as given, and with rates
+w = exp(X theta) on the centred x each Newton iteration needs only X^T w
+and X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
+matrix-vector product ``Zt @ w``, where the moment matrix ``Zt`` holds the
+centred columns and their pairwise products as rows; wider fits form
+X^T W X from a centred Fortran-ordered copy of X, or from X itself when
+the caller gives it up. The step-halving line search moves along the
+linear predictor, lp - eta * (X step), and evaluates the objective from
+sum(w), so a trial point costs one pass over the rows; X theta is
+recomputed only when a coefficient is clamped at -:data:`THETA_CAP`. A fit
+that reaches the optimum at floating-point resolution ends with a rejected
+full step whose promised decrease, <grad, step> / 2, is within
+:data:`RESOLUTION` of the objective's terms; the search ends there (a
+stall) and the fit counts as converged (Boyd and Vandenberghe, *Convex
+Optimization*, 9.5). The check runs only after a rejected full step, so
+accepted iterations pay nothing for it.
 
 The solver's limits are module constants, the same for every fit:
 :data:`TOL` (gradient max-norm at convergence), :data:`MAX_ITER` (Newton
 iterations), :data:`MAX_HALVINGS` (step halvings per line search),
 :data:`THETA_CAP` (coefficients diverging below -THETA_CAP are frozen) and
-:data:`LP_CAP` (linear predictors are clamped inside exp while fitting).
+:data:`LP_CAP` (:func:`fit` clamps linear predictors there; above it,
+:func:`_fit_core` takes the rates relative to the largest).
 
 The rows may carry multiplicities c: the rates become w = c * exp(X theta)
 and n becomes sum(c), so a fit on the distinct rows of X, their
@@ -115,12 +111,12 @@ MOMENT_MAX_K = 4
 #: benchmark workloads promised at most 1.6 eps.)
 RESOLUTION = 64 * math.ulp(1.0)
 
-# The Newton solver's limits, the same for every fit. _fit_core and
+# The Newton solver's limits, the same for every fit. fit, _fit_core and
 # _fit_single read them when called, so a test may patch them.
 TOL = 1e-8            # gradient max-norm at convergence (see RESOLUTION)
 MAX_ITER = 100
 THETA_CAP = 20.0      # freeze coefficients diverging below -THETA_CAP
-LP_CAP = 30.0         # clamp linear predictors inside exp during fitting
+LP_CAP = 30.0         # fit clamps lp here inside exp; _fit_core shifts rates past it
 MAX_HALVINGS = 30
 
 #: Fewest rows for which a node regression may run on distinct covariate
@@ -137,7 +133,13 @@ class SingularInformation(RuntimeError):
 
 @dataclass
 class GlmFit:
-    """Fitted Poisson regression of one node on covariates K."""
+    """Fitted Poisson regression of one node on covariates K.
+
+    ``converged`` holds when the gradient on the coefficients not flagged in
+    ``diverged`` (and, for a node regression, the intercept) is within TOL,
+    or when the fit stalled: its last full Newton step was rejected although
+    it promised a decrease within RESOLUTION of the objective's terms.
+    """
 
     covariates: tuple[int, ...]
     theta: np.ndarray
@@ -146,7 +148,7 @@ class GlmFit:
     converged: bool
     iterations: int
     diverged: np.ndarray
-    lp_capped: bool = False
+    lp_capped: bool = False      # an accepted point of fit clamped at LP_CAP
     halvings: int = 0            # step halvings over all line searches
     ridge_rescues: int = 0       # Newton systems solved only with the ridge
     # The fitted intercept of a node regression (see _fit_core); None for
@@ -163,7 +165,6 @@ class FitTally:
 
     fits: int = 0
     nonconverged: int = 0
-    lp_capped: int = 0
     diverged: int = 0
     newton_iterations: int = 0
     halvings: int = 0
@@ -172,7 +173,6 @@ class FitTally:
     def add(self, fit: GlmFit) -> None:
         self.fits += 1
         self.nonconverged += not fit.converged
-        self.lp_capped += bool(fit.lp_capped)
         self.diverged += bool(fit.diverged.any()) or fit.intercept == -math.inf
         self.newton_iterations += fit.iterations
         self.halvings += fit.halvings
@@ -195,11 +195,22 @@ def _log_factorial(y: np.ndarray) -> np.ndarray:
     return _log_factorial_table(values)[inverse]
 
 
-def _check_response(y: np.ndarray) -> None:
-    """Reject a response that is not made of finite non-negative values."""
+def _check_data(y: np.ndarray, X: np.ndarray) -> None:
+    """Reject an X that is not 2-D and finite or has no rows, and a response
+    that does not match its rows or is not made of finite non-negative
+    values."""
+    if X.ndim != 2:
+        raise InvalidData(f"covariate matrix must be 2-D, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidData("non-finite covariate values")
+    n = X.shape[0]
+    if y.shape != (n,):
+        raise InvalidData(f"response length {y.shape} does not match {n} rows")
+    if n < 1:
+        raise InvalidData("need at least one observation")
     if not np.all(np.isfinite(y)):
         raise InvalidData("non-finite response values")
-    if y.size and y.min() < 0:
+    if y.min() < 0:
         raise InvalidData("negative response counts")
 
 
@@ -207,16 +218,9 @@ def _prepare(theta, y, X):
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidData(f"covariate matrix must be 2-D, got shape {X.shape}")
-    n, k = X.shape
-    if y.shape != (n,):
-        raise InvalidData(f"response length {y.shape} does not match {n} rows")
-    if theta.shape != (k,):
-        raise InvalidData(f"theta length {theta.shape[0]} does not match {k} columns")
-    if n < 1:
-        raise InvalidData("need at least one observation")
-    _check_response(y)
+    _check_data(y, X)
+    if theta.shape != (X.shape[1],):
+        raise InvalidData(f"theta length {theta.shape} does not match {X.shape[1]} columns")
     return theta, y, X
 
 
@@ -296,32 +300,90 @@ def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]
 def fit(y, X, covariates=None) -> GlmFit:
     """The zero-intercept model: minimize :func:`nll` by Newton iterations
     with step-halving, within the solver limits :data:`TOL`,
-    :data:`MAX_ITER`, :data:`LP_CAP` and :data:`MAX_HALVINGS`.
+    :data:`MAX_ITER` and :data:`MAX_HALVINGS`. Each trial point recomputes
+    X theta, and each iteration forms X^T W X.
 
     ``covariates`` names the columns of X (node indices); defaults to
     0..k-1. Coefficients trending below ``-THETA_CAP`` (separation, MLE at
-    -infinity) are frozen at the cap and flagged in ``diverged``.
+    -infinity) are frozen at the cap and flagged in ``diverged``. Linear
+    predictors are clamped at :data:`LP_CAP` inside exp (``lp_capped``), a
+    singular information is solved with the ridge (``ridge_rescues``), and
+    a full step stalls at :data:`RESOLUTION` as in :func:`_fit_core`.
     """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    n = X.shape[0]
-    if y.shape != (n,):
-        raise InvalidData(f"response length {len(y)} does not match {n} rows")
-    if n < 1:
-        raise InvalidData("need at least one observation")
-    _check_response(y)
-    if not np.all(np.isfinite(X)):
-        raise InvalidData("non-finite covariate values")
+    _check_data(y, X)
+    n, k = X.shape
+    covariates = tuple(range(k) if covariates is None else map(int, covariates))
+    if len(covariates) != k:
+        raise InvalidData("covariate name list does not match X columns")
+    log_fact = float(np.mean(_log_factorial(y)))
+    inv_n = 1.0 / n
+    Xty = (X.T @ y) * inv_n
 
-    if covariates is None:
-        covariates = tuple(range(X.shape[1]))
-    else:
-        covariates = tuple(int(c) for c in covariates)
-        if len(covariates) != X.shape[1]:
-            raise InvalidData("covariate name list does not match X columns")
-    return _fit_core(X.T @ y, X, covariates, float(np.mean(_log_factorial(y))))
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, bool]:
+        """The objective at theta, its (clamped) rates and whether any was clamped."""
+        lp = X @ theta
+        capped = bool(lp.max() > LP_CAP)
+        w = np.exp(np.minimum(lp, LP_CAP) if capped else lp)
+        return (float(w.sum()) * inv_n - float(theta @ Xty)) + log_fact, w, capped
+
+    theta = np.zeros(k)
+    current, w, lp_capped = evaluate(theta)
+    if not math.isfinite(current):
+        raise InvalidData("objective non-finite at theta = 0")
+    diverged = np.zeros(k, dtype=bool)
+    converged = False
+    iterations = halvings = ridge_rescues = 0
+    for _ in range(MAX_ITER):
+        free = np.flatnonzero(~diverged)
+        if free.size == 0:
+            converged = True
+            break
+        Xf = X[:, free]
+        grad = (Xf.T @ w) * inv_n - Xty[free]
+        step_free, rescued = _solve_with_ridge(((Xf.T * w) @ Xf) * inv_n, grad)
+        ridge_rescues += rescued
+        # A small gradient alone does not certify an interior optimum under
+        # separation (see _fit_core).
+        if float(np.abs(grad).max()) <= TOL and float(np.abs(step_free).max()) <= 1e-4:
+            converged = True
+            break
+
+        step = np.zeros(k)
+        step[free] = step_free
+        accepted = False
+        for trial_index in range(MAX_HALVINGS + 1):
+            trial = theta - step
+            hit = trial <= -THETA_CAP
+            trial[hit] = -THETA_CAP
+            value, w_t, capped = evaluate(trial)
+            if value < current and math.isfinite(value):
+                theta, current, w = trial, value, w_t
+                lp_capped |= capped
+                diverged |= hit
+                accepted = True
+                break
+            if trial_index == 0:
+                # A stall (see RESOLUTION), at this model's objective terms.
+                scale = float(w.sum()) * inv_n + abs(float(theta @ Xty)) + abs(log_fact)
+                converged = 0.5 * float(grad @ step_free) <= RESOLUTION * scale
+                if converged:
+                    break
+            step = step * 0.5
+            halvings += 1
+        iterations += 1
+        if not accepted:
+            break
+
+    grad = (X.T @ w) * inv_n - Xty
+    if not converged:
+        converged = float(np.abs(grad[~diverged]).max(initial=0.0)) <= TOL
+    J = ((X.T * w) @ X) * inv_n
+    return GlmFit(covariates, theta, (J + J.T) / 2.0, current, converged, iterations,
+                  diverged, lp_capped, halvings, ridge_rescues)
 
 
 class PatternBuilder:
@@ -484,12 +546,12 @@ def _triangle(k: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     return list(zip(rows.tolist(), cols.tolist())), index
 
 
-def _newton_moments(X: np.ndarray, center: np.ndarray | None = None, overwrite: bool = False):
-    """A column-major copy of X, less ``center`` in every row when given,
-    and the map ``(w, c) -> (c X^T w, c X^T W X)`` on that copy.
+def _newton_moments(X: np.ndarray, center: np.ndarray, overwrite: bool = False):
+    """A column-major copy of X less ``center`` in every row, and the map
+    ``(w, c) -> (c X^T w, c X^T W X)`` on that copy.
 
     Up to MOMENT_MAX_K columns both moments come from one product with the
-    (k + k(k+1)/2, n) moment matrix, whose first k rows are X's columns;
+    (k + k(k+1)/2, n) moment matrix, whose first k rows are the centred columns;
     the Hessian is then exactly symmetric. Wider Hessians are symmetric up
     to rounding. A wider X that the caller gives up (``overwrite``) is
     centred in place rather than copied.
@@ -498,10 +560,7 @@ def _newton_moments(X: np.ndarray, center: np.ndarray | None = None, overwrite: 
     if k <= MOMENT_MAX_K:
         pairs, index = _triangle(k)
         Zt = np.empty((k + len(pairs), n))
-        if center is None:
-            Zt[:k] = X.T
-        else:
-            np.subtract(X.T, center[:, None], out=Zt[:k])
+        np.subtract(X.T, center[:, None], out=Zt[:k])
         for row, (a, b) in enumerate(pairs, k):
             np.multiply(Zt[a], Zt[b], out=Zt[row])
 
@@ -512,10 +571,7 @@ def _newton_moments(X: np.ndarray, center: np.ndarray | None = None, overwrite: 
 
         return Zt[:k].T, moments
 
-    if center is None:
-        Xf = np.asfortranarray(X)
-    else:
-        Xf = np.subtract(X, center, out=X if overwrite else None, order="F")
+    Xf = np.subtract(X, center, out=X if overwrite else None, order="F")
     Xft = Xf.T
 
     def moments(w: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +581,7 @@ def _newton_moments(X: np.ndarray, center: np.ndarray | None = None, overwrite: 
 
 
 def _joint_value(a: float, shift: float, mean_w: float, mean_y: float, log_fact: float) -> float:
-    """The intercept model's objective at intercept ``a`` on centred x, for
+    """The node regression's objective at intercept ``a`` on centred x, for
     rates exp(lp - shift) of mean ``mean_w``: exp(a + shift) mean_w -
     a mean_y + mean(log y!), as X^T y vanishes on centred x; +inf where
     exp overflows."""
@@ -543,8 +599,8 @@ def _fit_core(
     X: np.ndarray,
     covariates: tuple[int, ...],
     log_fact: float,
-    counts: np.ndarray | None = None,
-    total: float | None = None,
+    counts: np.ndarray | None,
+    total: float,
     overwrite_x: bool = False,
 ) -> GlmFit:
     """Newton solver on pre-validated float arrays (hot path for learners).
@@ -558,17 +614,16 @@ def _fit_core(
     one on the full rows up to rounding, for the price of the distinct rows
     (see :class:`PatternBuilder`).
 
-    ``total``, sum(y) over all rows, selects the node regression with a
-    free intercept, profiled out as the module docstring describes; without
-    it the model has no intercept. A covariate that is constant over the
-    rows is then collinear with the intercept and raises
-    SingularInformation. With no covariate, or with total = 0, the fit has
-    a closed form: the intercept is log(mean y), -inf for an all-zero
-    response, where every coefficient is flagged in ``diverged`` (the rates
-    are all 0, so no coefficient carries evidence). ``overwrite_x`` lets a
-    profile fit wider than MOMENT_MAX_K centre a column-major X in place:
-    pass it only for an X of no further use, such as a fresh gather of the
-    rows, never for an array a caller passed in.
+    ``total`` is sum(y) over all rows, the sufficient statistic of the
+    intercept, which is profiled out as the module docstring describes. A
+    covariate that is constant over the rows is collinear with the
+    intercept and raises SingularInformation. With no covariate, or with
+    total = 0, the fit has a closed form: the intercept is log(mean y), -inf
+    for an all-zero response, where every coefficient is flagged in
+    ``diverged`` (the rates are all 0, so no coefficient carries evidence).
+    ``overwrite_x`` lets a fit wider than MOMENT_MAX_K centre a
+    column-major X in place: pass it only for an X of no further use, such
+    as a fresh gather of the rows, never for an array a caller passed in.
 
     Each iteration takes the gradient and the information at the current
     rates w from one call of the fit's moment map (see the module
@@ -580,23 +635,19 @@ def _fit_core(
     max-norm within TOL. A trial point moves the linear predictor along
     d = X step, so it costs one pass over the rows for exp and the sum of
     the rates; only a trial that clamps a coefficient at -THETA_CAP (which
-    then stays frozen) recomputes X theta. Without an intercept the linear
-    predictor is clamped at LP_CAP inside exp; the profile instead takes
-    the rates relative to the largest once it exceeds LP_CAP, which changes
-    no rate, and judges a trial by the full model's objective (see
-    :func:`_joint_value`). The moments of the accepted rates are kept: when
-    the loop stops with no step taken since they were computed
+    then stays frozen) recomputes X theta. Once the largest linear
+    predictor exceeds LP_CAP the rates are taken relative to it, which
+    changes no rate, and a trial is judged by the full model's objective
+    (see :func:`_joint_value`). The moments of the accepted rates are kept:
+    when the loop stops with no step taken since they were computed
     (convergence, or a failed line search), they give the reported Fisher
     information and the final gradient without another pass.
     """
     n, k = X.shape
     inv_n = 1.0 / (n if counts is None else float(_sum(counts)))
     if k == 0 or total == 0.0:
-        # Closed forms: the empty zero-intercept model has rate 1 on every
-        # row, and the intercept of the profile is log(mean y).
-        if total is None:
-            nll, intercept = log_fact + 1.0, None
-        elif total == 0.0:
+        # The closed form: the intercept is log(mean y).
+        if total == 0.0:
             nll, intercept = log_fact, -math.inf
         else:
             intercept = math.log(total * inv_n)
@@ -612,18 +663,13 @@ def _fit_core(
             intercept=intercept,
         )
 
-    # At theta = 0 every linear predictor is 0, below LP_CAP.
-    w = np.ones(n)
+    w = np.ones(n)  # the rates at theta = 0
     if counts is not None:
         w *= counts
     sw = float(_sum(w))
-    if total is None:
-        const = log_fact
-        current = sw * inv_n + const
-    else:
-        mean_y = total * inv_n
-        const = mean_y * (1.0 - math.log(mean_y)) + log_fact
-        current = mean_y * math.log(sw * inv_n) + const
+    mean_y = total * inv_n
+    const = mean_y * (1.0 - math.log(mean_y)) + log_fact
+    current = mean_y * math.log(sw * inv_n) + const
     if not math.isfinite(current):
         raise InvalidData("objective non-finite at theta = 0")
     if k == 1:
@@ -633,21 +679,11 @@ def _fit_core(
 
     cap = LP_CAP
     floor = -THETA_CAP
-    if total is None:
-        Xty = xty * inv_n
-        Xf, moments = _newton_moments(X)
-    else:
-        center = xty / total
-        Xf, moments = _newton_moments(X, center, overwrite_x)
-
-    def derivatives(w: np.ndarray, sw: float) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient and the Hessian, or for the profile the second
-        moment A about the centre, whose Schur complement is the Hessian
-        (see schur); the profile's rates are w total / sw."""
-        if total is None:
-            xw, H = moments(w, inv_n)
-            return xw - Xty, H
-        return moments(w, total / sw * inv_n)
+    center = xty / total
+    # moments(w, total / sw * inv_n) gives the gradient and the second
+    # moment A about the centre at the rates w total / sw; A's Schur
+    # complement is the Hessian (see schur).
+    Xf, moments = _newton_moments(X, center, overwrite_x)
 
     def schur(A: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The profile's Hessian A - g g^T / ybar, exactly symmetric if A is."""
@@ -655,41 +691,31 @@ def _fit_core(
         outer *= 1.0 / mean_y
         return A - outer
 
-    def newton(M: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool, float]:
-        """The Newton step for gradient g and derivatives' matrix M, whether
-        only the ridge solved it, and the step's intercept part (0 without
-        an intercept). The profile solves with A and corrects by
-        Sherman-Morrison: with x = A^-1 g and q = <g, x> / ybar, the step is
-        x / (1 - q) and its intercept part -q / (1 - q). On centred x the
-        Hessian is singular exactly when A is (an affine relation among the
-        columns is a linear one), and otherwise q < 1; a q rounded to 1 or
-        more is taken as a singular Hessian."""
-        if total is None:
-            return (*_solve_with_ridge(M, g), 0.0)
-        x, rescued = _solve_with_ridge(M, g)
+    def newton(A: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool, float]:
+        """The Newton step for gradient g and second moment A, whether only
+        the ridge solved it, and the step's intercept part. It solves with A
+        and corrects by Sherman-Morrison: with x = A^-1 g and
+        q = <g, x> / ybar, the step is x / (1 - q) and its intercept part
+        -q / (1 - q). On centred x the Hessian is singular exactly when A is
+        (an affine relation among the columns is a linear one), and
+        otherwise q < 1; a q rounded to 1 or more is taken as a singular
+        Hessian."""
+        x, rescued = _solve_with_ridge(A, g)
         q = float(g @ x) / mean_y
         if not q < 1.0:
             raise SingularInformation("information matrix singular")
         return x / (1.0 - q), rescued, -q / (1.0 - q)
 
-    def evaluate(lp_t: np.ndarray, w_t: np.ndarray, trial: np.ndarray, a_t: float):
-        """The objective at ``trial``, whose linear predictor is lp_t, with
-        w_t filled by its rates: (value, sum of w_t, shift, capped). For
-        the profile, the full model's objective at intercept a_t."""
+    def evaluate(lp_t: np.ndarray, w_t: np.ndarray, a_t: float) -> tuple[float, float, float]:
+        """The full model's objective at linear predictor lp_t and intercept
+        a_t, with w_t filled by its rates: (value, sum of w_t, shift)."""
         top = float(_max(lp_t))
-        if total is None:
-            capped = top > cap
-            np.exp(np.minimum(lp_t, cap, out=w_t) if capped else lp_t, out=w_t)
-            if counts is not None:
-                w_t *= counts
-            sw_t = float(_sum(w_t))
-            return (sw_t * inv_n - float(trial @ Xty)) + const, sw_t, 0.0, capped
         shift_t = top if top > cap else 0.0
         np.exp(np.subtract(lp_t, shift_t, out=w_t) if shift_t else lp_t, out=w_t)
         if counts is not None:
             w_t *= counts
         sw_t = float(_sum(w_t))
-        return _joint_value(a_t, shift_t, sw_t * inv_n, mean_y, log_fact), sw_t, shift_t, False
+        return _joint_value(a_t, shift_t, sw_t * inv_n, mean_y, log_fact), sw_t, shift_t
 
     theta = np.zeros(k)
     lp = np.zeros(n)
@@ -697,17 +723,15 @@ def _fit_core(
     # direction d. An accepted trial swaps buffers with the current point.
     lp_t, w_t, d = np.empty(n), np.empty(n), np.empty(n)
     diverged = np.zeros(k, dtype=bool)
-    any_diverged = lp_capped = False
-    converged = False
+    any_diverged = converged = False
     fresh = False  # grad and H belong to the current w
-    shift = 0.0  # the profile's rates are exp(lp - shift)
-    a = da = 0.0  # the profile's intercept at theta (centred x), and its step
-    if total is not None:
-        a = math.log(mean_y)
+    shift = 0.0  # the rates are exp(lp - shift)
+    a = math.log(mean_y)  # the intercept at theta (centred x)
+    da = 0.0  # and its step
     settled = None  # the Newton step at the point where the fit converged
     iterations = halvings = ridge_rescues = 0
     for _ in range(MAX_ITER):
-        grad, H = derivatives(w, sw)
+        grad, H = moments(w, total / sw * inv_n)
         fresh = True
         if any_diverged:
             free = np.flatnonzero(~diverged)
@@ -722,7 +746,7 @@ def _fit_core(
             grad_free = grad
             step_free, rescued, da = newton(H, grad)
             step = step_free
-        if rescued and total is not None and not H.diagonal().all():
+        if rescued and not H.diagonal().all():
             # Only a singular information needs the ridge, so only then is
             # a covariate sought whose centred column is 0.
             raise _collinear(covariates[int(np.flatnonzero(H.diagonal() == 0.0)[0])])
@@ -754,16 +778,14 @@ def _fit_core(
                 np.matmul(Xf, trial, out=lp_t)
             else:
                 np.subtract(lp, d, out=lp_t)
-            value, sw_t, shift_t, capped = evaluate(lp_t, w_t, trial, a - da)
+            value, sw_t, shift_t = evaluate(lp_t, w_t, a - da)
             if value < current and math.isfinite(value):
-                theta, current, sw, shift = trial, value, sw_t, shift_t
-                if total is not None:
-                    # Profiling the intercept out lowers the objective again.
-                    a = math.log(total) - math.log(sw) - shift
-                    current = mean_y * (math.log(sw * inv_n) + shift) + const
+                theta, sw, shift = trial, sw_t, shift_t
+                # Profiling the intercept out lowers the objective again.
+                a = math.log(total) - math.log(sw) - shift
+                current = mean_y * (math.log(sw * inv_n) + shift) + const
                 lp, lp_t = lp_t, lp
                 w, w_t = w_t, w
-                lp_capped |= capped
                 if clamped:
                     diverged |= hit
                     any_diverged = True
@@ -777,10 +799,7 @@ def _fit_core(
                 # most rounding noise: the search stalls here (see
                 # RESOLUTION). Otherwise, if no trial lowers the objective,
                 # the final gradient check below decides the flag.
-                if total is None:
-                    scale = sw * inv_n + abs(float(theta @ Xty)) + abs(const)
-                else:
-                    scale = mean_y * (1.0 + abs(math.log(sw * inv_n) + shift)) + abs(const)
+                scale = mean_y * (1.0 + abs(math.log(sw * inv_n) + shift)) + abs(const)
                 converged = 0.5 * float(grad_free @ step_free) <= RESOLUTION * scale
                 if converged:
                     settled = step
@@ -793,12 +812,12 @@ def _fit_core(
         if not accepted:
             break
 
-    if total is not None and settled is not None and max(map(abs, settled.tolist())) <= 1e-4:
+    if settled is not None and max(map(abs, settled.tolist())) <= 1e-4:
         # The step the profile converged on (see the module docstring); the
         # information stays that of the last iterate.
         theta = theta - settled
     if not fresh:
-        grad, H = derivatives(w, sw)
+        grad, H = moments(w, total / sw * inv_n)
     if not converged:
         free_grad = grad[~diverged]
         converged = free_grad.size == 0 or float(np.abs(free_grad).max()) <= TOL
@@ -808,15 +827,14 @@ def _fit_core(
     return GlmFit(
         covariates=covariates,
         theta=theta,
-        fisher=H if total is None else schur(H, grad),
+        fisher=schur(H, grad),
         nll=current,
         converged=converged,
         iterations=iterations,
         diverged=diverged,
-        lp_capped=lp_capped,
         halvings=halvings,
         ridge_rescues=ridge_rescues,
-        intercept=None if total is None else a - float(center @ theta),
+        intercept=a - float(center @ theta),
     )
 
 
@@ -830,54 +848,40 @@ def _fit_single(
     w: np.ndarray,
     sw: float,
     current: float,
-    total: float | None,
+    total: float,
     const: float,
 ) -> GlmFit:
     """:func:`_fit_core` for one covariate, with scalars as Python floats.
 
     Starts from theta = 0 with rates ``w``, their sum ``sw`` and objective
     ``current``, whose constant term is ``const``; rows weigh ``counts``
-    (None: 1 each) and ``inv_n`` is one over their total; ``total`` is as
-    in :func:`_fit_core`. Each trial forms the linear predictor x * theta
-    exactly and reads its maximum off the extremes of x. A stalled full
+    (None: 1 each) and ``inv_n`` is one over their total; ``total`` is
+    sum(y). Each trial forms the linear predictor x * theta exactly and
+    reads its maximum off the extremes of x. A stalled full
     step ends the loop as in :func:`_fit_core`. The 1x1 ridge cannot rescue
     a singular information, so no fit here counts a ridge rescue.
     """
     cap = LP_CAP
     floor = -THETA_CAP
     Zt = np.empty((2, x.size))
-    if total is None:
-        xty = float(xty[0]) * inv_n
-        Zt[0] = x
-    else:
-        mean_y = total * inv_n
-        center = float(xty[0]) / total
-        np.subtract(x, center, out=Zt[0])
+    mean_y = total * inv_n
+    center = float(xty[0]) / total
+    np.subtract(x, center, out=Zt[0])
     x = Zt[0]
     np.multiply(x, x, out=Zt[1])
     x_hi, x_lo = float(_max(x)), float(np.minimum.reduce(x))
-    if total is not None and x_hi == x_lo:
+    if x_hi == x_lo:
         raise _collinear(covariates[0])
 
     def derivatives(w: np.ndarray, sw: float) -> tuple[float, float]:
-        if total is None:
-            xw, h = (Zt @ w * inv_n).tolist()
-            return xw - xty, h
         g, h = (Zt @ w * (total / sw * inv_n)).tolist()
         return g, h - g * g / mean_y
 
-    def evaluate(trial: float, w_t: np.ndarray, a_t: float) -> tuple[float, float, float, bool]:
+    def evaluate(trial: float, w_t: np.ndarray, a_t: float) -> tuple[float, float, float]:
         """The objective at ``trial``, with w_t filled by its rates:
-        (value, sum of w_t, shift, capped), as in _fit_core."""
+        (value, sum of w_t, shift), as in _fit_core."""
         top = trial * (x_hi if trial >= 0.0 else x_lo)
         np.multiply(x, trial, out=w_t)
-        if total is None:
-            capped = top > cap
-            np.exp(np.minimum(w_t, cap, out=w_t) if capped else w_t, out=w_t)
-            if counts is not None:
-                w_t *= counts
-            sw_t = float(_sum(w_t))
-            return (sw_t * inv_n - trial * xty) + const, sw_t, 0.0, capped
         shift_t = top if top > cap else 0.0
         if shift_t:
             w_t -= shift_t
@@ -885,15 +889,13 @@ def _fit_single(
         if counts is not None:
             w_t *= counts
         sw_t = float(_sum(w_t))
-        return _joint_value(a_t, shift_t, sw_t * inv_n, mean_y, log_fact), sw_t, shift_t, False
+        return _joint_value(a_t, shift_t, sw_t * inv_n, mean_y, log_fact), sw_t, shift_t
 
     w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
-    theta = shift = 0.0  # the profile's rates are exp(x theta - shift)
-    a = math.log(mean_y) if total is not None else 0.0  # as in _fit_core
-    da = 0.0
+    theta = shift = 0.0  # the rates are exp(x theta - shift)
+    a, da = math.log(mean_y), 0.0  # as in _fit_core
     settled = math.inf  # the Newton step at the point where the fit converged
-    diverged = lp_capped = False
-    converged = False
+    diverged = converged = False
     fresh = False  # g and h belong to the current w
     iterations = halvings = 0
     for _ in range(MAX_ITER):
@@ -910,8 +912,7 @@ def _fit_single(
             converged = True
             settled = step
             break
-        if total is not None:
-            da = -g * step / mean_y
+        da = -g * step / mean_y
 
         accepted = False
         for trial_index in range(MAX_HALVINGS + 1):
@@ -919,23 +920,18 @@ def _fit_single(
             clamped = trial <= floor
             if clamped:
                 trial = floor
-            value, sw_t, shift_t, capped = evaluate(trial, w_t, a - da)
+            value, sw_t, shift_t = evaluate(trial, w_t, a - da)
             if value < current and math.isfinite(value):
-                theta, current, sw, shift = trial, value, sw_t, shift_t
-                if total is not None:
-                    a = math.log(total) - math.log(sw) - shift
-                    current = mean_y * (math.log(sw * inv_n) + shift) + const
+                theta, sw, shift = trial, sw_t, shift_t
+                a = math.log(total) - math.log(sw) - shift
+                current = mean_y * (math.log(sw * inv_n) + shift) + const
                 w, w_t = w_t, w
-                lp_capped |= capped
                 diverged = clamped
                 accepted = True
                 fresh = False
                 break
             if trial_index == 0:
-                if total is None:
-                    scale = sw * inv_n + abs(theta * xty) + abs(const)
-                else:
-                    scale = mean_y * (1.0 + abs(math.log(sw * inv_n) + shift)) + abs(const)
+                scale = mean_y * (1.0 + abs(math.log(sw * inv_n) + shift)) + abs(const)
                 converged = 0.5 * g * g / h <= RESOLUTION * scale
                 if converged:
                     settled = step
@@ -947,8 +943,8 @@ def _fit_single(
         if not accepted:
             break
 
-    if total is not None and abs(settled) <= 1e-4:
-        theta -= settled  # the profile's last step, as in _fit_core
+    if abs(settled) <= 1e-4:
+        theta -= settled  # the last step, as in _fit_core
     if not fresh:
         g, h = derivatives(w, sw)
     if not converged:
@@ -961,9 +957,8 @@ def _fit_single(
         converged=converged,
         iterations=iterations,
         diverged=np.array([diverged]),
-        lp_capped=lp_capped,
         halvings=halvings,
-        intercept=None if total is None else a - center * theta,
+        intercept=a - center * theta,
     )
 
 

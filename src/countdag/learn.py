@@ -173,7 +173,7 @@ class NodeFitter:
     A PatternBuilder over the validated data gives each fit its inputs for
     the pre-validated solver (X^T y, then the distinct covariate patterns
     with their multiplicities where that pays and the rows otherwise, then
-    sum(x_s), which selects the intercept model). A fit depends only on
+    sum(x_s), the sufficient statistic of the intercept). A fit depends only on
     the data, s and K, so it is the same whichever learner asks first. Each
     fit is counted in the tally of the call that made it; a cache hit
     counts nowhere. A SingularInformation, such as that of a covariate

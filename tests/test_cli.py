@@ -36,8 +36,7 @@ class TestLearn:
         assert payload["alpha"] == 0.01
         assert payload["edge_tests"]  # the 0-1 test was run and recorded
         assert set(payload["fits"]) == {
-            "fits", "nonconverged", "lp_capped", "diverged", "newton_iterations", "halvings",
-            "ridge_rescues",
+            "fits", "nonconverged", "diverged", "newton_iterations", "halvings", "ridge_rescues",
         }
         assert payload["fits"]["fits"] >= 1
 

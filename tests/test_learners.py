@@ -377,9 +377,8 @@ class TestFitTally:
         base = dict(covariates=(0, 1), theta=np.zeros(2), fisher=np.eye(2), nll=1.0)
         tally.add(GlmFit(**base, converged=True, iterations=4, diverged=np.zeros(2, dtype=bool)))
         tally.add(GlmFit(**base, converged=False, iterations=7,
-                         diverged=np.array([True, False]), lp_capped=True))
-        assert tally == FitTally(fits=2, nonconverged=1, lp_capped=1, diverged=1,
-                                 newton_iterations=11)
+                         diverged=np.array([True, False])))
+        assert tally == FitTally(fits=2, nonconverged=1, diverged=1, newton_iterations=11)
 
     def test_counts_halvings(self):
         from countdag.glm import FitTally, GlmFit
