@@ -14,7 +14,11 @@ The learners of a replicate fit through one
 is fitted once per replicate. A fit is the same whichever learner makes
 it, so every estimate is that of the learner run alone. But a learner's
 runtime excludes the fits that an earlier learner of the replicate already
-made, so ``runtime_mean`` depends on the learner order.
+made, so ``runtime_mean`` depends on the learner order. PKBIC and PKAIC
+also end a child's forward phase unfitted once OR-LPGM's fit of the child
+on all its precedents shows that no candidate can be accepted (see
+:func:`countdag.scores._nll_floor`), so they make fewer fits after OR-LPGM
+than before it, for the same estimate.
 
 Replicates run in worker processes when asked; every replicate derives its
 own Philox substream and records are kept in replicate order, so output
@@ -114,7 +118,9 @@ class Experiment:
 class ReplicateRecord:
     """One learner's outcome on one replicate. ``runtime`` covers the
     learner call and the comparison with the truth; it excludes the fits
-    that an earlier learner of the same replicate already made."""
+    that an earlier learner of the same replicate already made, and for
+    PK2 also the forward steps that OR-LPGM's fits, if it ran earlier,
+    close unfitted."""
 
     replicate: int
     learner: str

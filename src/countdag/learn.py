@@ -183,6 +183,9 @@ class NodeFitter:
     diverged, so each test of it has z = 0.
     OR-PPGM asks child by child, levels 0..m within each child; OR-LPGM
     asks once per node; the score searches ask per candidate parent set.
+    :meth:`made` only looks a fit up: PK2 reads there the fit of a child on
+    all of its precedents, if an earlier learner made it, as the floor of
+    every candidate's nll (see :func:`countdag.scores._nll_floor`).
     """
 
     def __init__(self, data: CountMatrix):
@@ -213,6 +216,13 @@ class NodeFitter:
             # this frame, so a stored one would keep the fitter in a cycle.
             raise type(found)(*found.args)
         return found
+
+    def made(self, s: int, covariates: tuple[int, ...]) -> GlmFit | None:
+        """The fit of s on ``covariates`` if this fitter has already made it,
+        else None, as for a stored SingularInformation. It never fits and
+        counts nothing."""
+        found = self._store.get((s, covariates))
+        return found if isinstance(found, GlmFit) else None
 
 
 def _node_fitter(data: CountMatrix, fitter: NodeFitter | None) -> NodeFitter:

@@ -13,12 +13,24 @@ removal lowers it most (backward). Every accepted move strictly decreases
 the score, so the finite move budget ends the search.
 Ties are broken toward the smallest node index.
 
+The models of a child are nested: its fit on all of pre(s) has the least
+nll of any parent set, so 2 n nll(pre(s)) + penalty * |P| bounds from
+below the score of every set of |P| parents (the bound of exact
+score-based search; de Campos and Ji, JMLR 2011). When the fitter already
+holds that fit, the forward phase ends, without fitting a candidate, at
+the first step the bound shows futile, and the exhaustive search stops
+enumerating sizes there. No such step could have been accepted, so the
+output is that of the full search; only the fits it would have made, and
+the warning of a candidate that fails, are spared.
+
 This module holds only the score arithmetic and the searches: every fit
 goes through the learners' one engine, :class:`countdag.learn.NodeFitter`,
 which fits each (node, parent set) once over its data, so a revisited set
 costs no fit. A search given the fitter of earlier learners on the same
 data, as in a :mod:`countdag.bench` replicate, also reuses their fits: its
-single-parent scores are OR-PPGM's level-0 regressions.
+single-parent scores are OR-PPGM's level-0 regressions, and OR-LPGM's
+regressions on all precedents give its floors. So PK2 alone, or run
+before OR-LPGM, makes more fits than PK2 after it, for the same output.
 """
 from __future__ import annotations
 
@@ -29,7 +41,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .data import CountMatrix
-from .glm import FitTally, SingularInformation
+from .glm import TOL, FitTally, SingularInformation
 # Unused here since every fit goes through learn.NodeFitter; kept because
 # perfbench/tracing.py wraps this name and needs it to exist.
 from .glm import _fit_core  # noqa: F401
@@ -148,18 +160,58 @@ def pk2_detailed(
     return Dag(data.p, frozenset(edges), data.labels), report
 
 
+def _nll_floor(fitter: NodeFitter, s: int, pre: tuple[int, ...]) -> float:
+    """A lower bound on the nll of s on any subset of ``pre``, from the fit
+    on all of ``pre`` that ``fitter`` already holds, with that of s on no
+    covariate; -inf if it holds no such fit (the floor never asks for one),
+    only its SingularInformation, or a fit that did not converge or has a
+    diverged coefficient, whose minimum lies beyond the frozen point.
+
+    Each model on a subset of ``pre`` is nested in the full one, so its
+    minimum, and so any nll computed for it, is at least the full model's
+    minimum, less rounding. A converged fit's nll exceeds that minimum by
+    about <g, J^-1 g> / 2 at its last point: at most k TOL 1e-4 / 2 when it
+    ended on a gradient within TOL and a step within 1e-4, RESOLUTION times
+    the objective's scale when it stalled (see :mod:`countdag.glm`), and
+    k TOL^2 / (2 lambda), for J's least eigenvalue lambda, when it ended on
+    its gradient after a failed line search. The margin TOL (scale + k)
+    covers each, the last unless lambda is below about TOL / 2, together
+    with the rounding of both nll values; 2 n times it is far below a
+    penalty. The scale is the stall test's, ybar + |nll - c| + |c|, with c
+    the nll and log(ybar) the intercept of the fit on no covariate.
+    """
+    full, null = fitter.made(s, pre), fitter.made(s, ())
+    if full is None or null is None or not full.converged or full.diverged.any():
+        return -math.inf
+    scale = math.exp(null.intercept) + abs(full.nll - null.nll) + abs(null.nll)
+    return full.nll - TOL * (scale + len(pre))
+
+
 def _pk2_parents(
     fitter: NodeFitter, report: ScoreReport, n: int, ordering: Ordering, s: int,
     cfg: ScoreConfig,
 ) -> NodeScore:
     """PK2's final parent set of s with its score: the forward phase from no
-    parent, then the backward phase from where it stopped."""
-    pre = set(ordering.precedents(s))
+    parent, then the backward phase from where it stopped.
+
+    Before each forward step from |P| parents, the floor of the fitter's
+    fit on all of pre(s), if it holds one (see :func:`_nll_floor`), bounds
+    every candidate's score from below by floor + penalty * (|P| + 1),
+    computed as a score is. When that is no lower than the current score,
+    no candidate could be accepted, so the forward phase ends there without
+    fitting one, and warns of none. A child gets a floor only from a fit
+    that an earlier learner made on the same data, such as OR-LPGM's in a
+    :mod:`countdag.bench` replicate; it is never fitted for the floor.
+    """
+    pre = ordering.precedents(s)
     max_parents = len(pre) if cfg.max_parents is None else cfg.max_parents
     current = _score(fitter, report, n, s, (), cfg)
+    floor, penalty = 2.0 * n * _nll_floor(fitter, s, pre), cfg.penalty(n)
     while len(current.parents) < max_parents:
+        if floor + penalty * (len(current.parents) + 1) >= current.score:
+            break
         best = added = None
-        for t in sorted(pre.difference(current.parents)):
+        for t in sorted(set(pre).difference(current.parents)):
             trial = _score(fitter, report, n, s, current.parents + (t,), cfg)
             if best is None or trial.score < best.score:
                 best, added = trial, t
@@ -185,21 +237,31 @@ def exhaustive_search(
     data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig()
 ) -> tuple[Dag, float]:
     """Exact minimum-score DAG by enumerating every ordering-consistent
-    parent set per node. Exponential in p; intended as a small-p oracle."""
+    parent set per node, by size. Exponential in p; intended as a small-p
+    oracle. The fit on all precedents comes first, as PK2's floor (see
+    :func:`_nll_floor`): sizes stop once no set of the next size can score
+    below the best so far."""
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
     fitter = NodeFitter(data)
+    penalty = cfg.penalty(data.n)
     edges: list[tuple[int, int]] = []
     total = 0.0
     for s in ordering.perm:
         pre = ordering.precedents(s)
-        best: NodeScore | None = None
-        for size in range(len(pre) + 1):
+        best = _score(fitter, report, data.n, s, (), cfg)
+        full = _score(fitter, report, data.n, s, pre, cfg)
+        floor = 2.0 * data.n * _nll_floor(fitter, s, pre)
+        for size in range(1, len(pre) + 1):
+            if floor + penalty * size >= best.score:
+                break
             for parents in combinations(pre, size):
-                trial = _score(fitter, report, data.n, s, parents, cfg)
-                if best is None or trial.score < best.score:
+                if size < len(pre):
+                    trial = _score(fitter, report, data.n, s, parents, cfg)
+                else:
+                    trial = full
+                if trial.score < best.score:
                     best = trial
-        assert best is not None
         total += best.score
         edges.extend((t, s) for t in best.parents)
     return Dag(data.p, frozenset(edges), data.labels), total

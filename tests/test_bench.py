@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,23 +157,34 @@ class TestSharedFitter:
         fixed_graph=False,
     )
 
+    # PK2 without the floors that OR-LPGM's fits give it (see scores._nll_floor).
+    PK2_FIRST = replace(EXPERIMENT, learners=EXPERIMENT.learners[2:] + EXPERIMENT.learners[:2])
+
     @pytest.fixture(scope="class")
     def serial(self):
         return run(self.EXPERIMENT)
 
-    def test_records_match_learners_run_alone(self, serial):
-        exp = self.EXPERIMENT
+    @staticmethod
+    def _check_records_match_learners_run_alone(exp, records):
         specs = {spec.name: spec for spec in exp.learners}
-        assert [r.error for r in serial.records] == [None] * 12
+        assert [r.error for r in records] == [None] * 12
         for r in range(exp.replicates):
             wdag, ordering = make_truth(exp, r)
             data = sample_data(wdag, ordering, exp.sim.n, exp.sim, make_rng(exp.sim.seed, 1, r))
             shared = NodeFitter(data)
-            for rec in serial.records[4 * r:4 * r + 4]:
+            for rec in records[4 * r:4 * r + 4]:
                 spec = specs[rec.learner]
                 alone = spec.run(data, ordering, wdag.dag, NodeFitter(data))
                 assert spec.run(data, ordering, wdag.dag, shared).edges == alone.edges
                 assert rec.metrics == compare(alone, wdag.dag)
+
+    def test_records_match_learners_run_alone(self, serial):
+        self._check_records_match_learners_run_alone(self.EXPERIMENT, serial.records)
+
+    def test_records_match_learners_run_alone_with_pk2_first(self):
+        exp = self.PK2_FIRST
+        assert [spec.name for spec in exp.learners] == ["pkbic", "pkaic", "or-ppgm", "or-lpgm"]
+        self._check_records_match_learners_run_alone(exp, run(exp).records)
 
     def test_each_regression_is_fitted_once_per_replicate(self, monkeypatch):
         requested, attempted, tallies, own = [], [], [], []

@@ -1,14 +1,18 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from countdag import learn, scores
 from countdag.data import CountMatrix
+from countdag.glm import FitTally, SingularInformation
 from countdag.graphs import Dag, GraphError, Ordering, is_consistent
-from countdag.learn import NodeFitter
+from countdag.learn import LearnConfig, NodeFitter, or_lpgm
 from countdag.scores import (
     ScoreConfig,
     ScoreReport,
+    _nll_floor,
     _score,
     exhaustive_search,
     node_score,
@@ -64,6 +68,33 @@ def _reference_pk2(data, ordering, cfg):
     report.total_score = sum(ns.score for ns in node_scores.values())
     edges = frozenset((t, s) for s, pa in parent_sets.items() for t in pa)
     return Dag(data.p, edges, data.labels), report
+
+
+def _plain_exhaustive(data, ordering, cfg):
+    """Every ordering-consistent parent set of every node, scored through
+    a fresh NodeFitter, the lowest kept (ties to the first in size, then
+    lexicographic order)."""
+    report = ScoreReport(criterion=cfg.criterion)
+    fitter = NodeFitter(data)
+    edges, total = [], 0.0
+    for s in ordering.perm:
+        pre = ordering.precedents(s)
+        best = None
+        for size in range(len(pre) + 1):
+            for parents in combinations(pre, size):
+                trial = _score(fitter, report, data.n, s, parents, cfg)
+                if best is None or trial.score < best.score:
+                    best = trial
+        total += best.score
+        edges.extend((t, s) for t in best.parents)
+    return Dag(data.p, frozenset(edges), data.labels), total
+
+
+def _lpgm_fitter(data, ordering):
+    """A NodeFitter over ``data`` that holds OR-LPGM's fits, as in a bench replicate."""
+    fitter = NodeFitter(data)
+    or_lpgm(data, ordering, LearnConfig(alpha_b=0.15), fitter=fitter)
+    return fitter
 
 
 class TestNodeScore:
@@ -236,3 +267,115 @@ class TestFitTally:
             expected.add(fit)
         assert report.fits == expected
         assert report.fits.fits == len(returned) > 0
+
+
+class TestFloor:
+    """PK2 ends a forward phase without fitting a candidate once the fit on
+    all precedents shows that no candidate can be accepted; the search's
+    output is that of the search without the floor."""
+
+    CASES = [
+        (p, cfg)
+        for p in (6, 10, 30)
+        for cfg in (BIC, AIC, ScoreConfig("bic", max_parents=2), ScoreConfig("aic", max_parents=2))
+    ]
+
+    @pytest.mark.parametrize(
+        "p, cfg", CASES, ids=[f"p{p}-{c.criterion}-{c.max_parents}" for p, c in CASES]
+    )
+    def test_same_search_with_fewer_fits(self, p, cfg):
+        _, ordering, data = simulate(SimConfig("erdos_renyi", p=p, n=200, seed=p))
+        fresh_dag, fresh = pk2_detailed(data, ordering, cfg)
+        dag, report = pk2_detailed(data, ordering, cfg, _lpgm_fitter(data, ordering))
+        assert dag == fresh_dag
+        assert report.total_score == fresh.total_score
+        assert report.forward_moves == fresh.forward_moves
+        assert report.backward_moves == fresh.backward_moves
+        assert report.fits.fits < fresh.fits.fits
+
+    def test_no_candidate_fitted_past_its_floor(self, monkeypatch):
+        """On independent columns: after each child's forward moves, no
+        candidate of the next size is fitted when the floor excludes it."""
+        rng = np.random.default_rng(71)
+        data = CountMatrix(rng.poisson(1.5, size=(300, 8)))
+        ordering = Ordering((2, 0, 5, 7, 1, 3, 6, 4))
+        fitter = _lpgm_fitter(data, ordering)
+        made, real_fit = [], NodeFitter.fit
+
+        def fit(self, s, covariates, tally):
+            if self.made(s, covariates) is None:
+                made.append((s, covariates))
+            return real_fit(self, s, covariates, tally)
+
+        monkeypatch.setattr(NodeFitter, "fit", fit)
+        _, report = pk2_detailed(data, ordering, BIC, fitter)
+        assert report.fits.fits == len(made)
+        penalty, excluded = BIC.penalty(data.n), 0
+        for s in ordering.perm:
+            added = tuple(sorted(t for t, c, _ in report.forward_moves if c == s))
+            current = _score(fitter, ScoreReport("bic"), data.n, s, added, BIC)
+            floor = 2.0 * data.n * _nll_floor(fitter, s, ordering.precedents(s))
+            if floor + penalty * (len(added) + 1) >= current.score:
+                excluded += 1
+                assert not [K for c, K in made if c == s and len(K) > len(added)]
+        assert excluded >= 6
+
+    @pytest.mark.parametrize("spoil", ["absent", "singular", "diverged", "nonconverged"])
+    def test_no_floor_from_an_unusable_fit(self, spoil, monkeypatch):
+        """A stored fit on all precedents gives no floor when it is missing, a
+        SingularInformation, has a diverged coefficient or did not converge:
+        PK2 then makes the fits it makes without a floor."""
+        rng = np.random.default_rng(5)
+        edges = [(0, 2), (1, 3), (2, 4)]
+        values = sample_recursive(edges, {e: 0.4 for e in edges}, 6, 300, rng).values.copy()
+        ordering = Ordering((5, 0, 1, 2, 3, 4))
+        if spoil == "singular":
+            values[:, 5] = 2  # constant, so collinear with the intercept
+        data = CountMatrix(values)
+        children = [s for s in ordering.perm if ordering.precedents(s)]
+
+        def prepared():
+            fitter = NodeFitter(data)
+            for s in ordering.perm:
+                _score(fitter, ScoreReport("bic"), data.n, s, (), BIC)
+                pre = ordering.precedents(s)
+                if spoil == "absent" or not pre:
+                    continue
+                try:
+                    fit = fitter.fit(s, pre, FitTally())
+                except SingularInformation:
+                    continue
+                if spoil == "diverged":
+                    fit.diverged = fit.diverged.copy()
+                    fit.diverged[-1] = True
+                elif spoil == "nonconverged":
+                    fit.converged = False
+            return fitter
+
+        fitter = prepared()
+        assert all(_nll_floor(fitter, s, ordering.precedents(s)) == -math.inf for s in children)
+        if spoil == "singular":
+            assert all(fitter.made(s, ordering.precedents(s)) is None for s in children)
+        dag, report = pk2_detailed(data, ordering, BIC, fitter)
+        monkeypatch.setattr(scores, "_nll_floor", lambda *args: -math.inf)
+        ref_dag, ref = pk2_detailed(data, ordering, BIC, prepared())
+        assert dag == ref_dag
+        assert report == ref
+
+    @pytest.mark.parametrize("cfg", [BIC, AIC], ids=["bic", "aic"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exhaustive_search_matches_plain_enumeration(self, cfg, seed, monkeypatch):
+        _, ordering, data = simulate(SimConfig("scale_free", p=6, n=150, seed=seed))
+        calls, real_core = [], learn._fit_core
+
+        def fit_core(*args):
+            calls.append(args[2])
+            return real_core(*args)
+
+        monkeypatch.setattr(learn, "_fit_core", fit_core)
+        dag, total = exhaustive_search(data, ordering, cfg)
+        fits = len(calls)
+        ref_dag, ref_total = _plain_exhaustive(data, ordering, cfg)
+        assert dag == ref_dag
+        assert total == ref_total
+        assert fits < len(calls) - fits
