@@ -6,7 +6,10 @@ learners produce: (n, k) = (1000, 1) and
 (1000, 3) are table-1 conditioning-set fits, (100, 2) and (100, 4) the
 same at n = 100, where the per-iteration overhead of the Newton loop
 outweighs the passes over the rows, (50000, 2) a fit on the 50,000-row CSV
-workload, and (500, 99) an OR-LPGM node regression on table-2 data. X is
+workload, and (500, 99) an OR-LPGM node regression on table-2 data.
+(50000, 12) and (50000, 19) time OR-LPGM's wide node regressions on the
+50,000-row workload, which run on the rows and form their Newton moments
+in blocks of glm.MOMENT_BLOCK_ROWS rows. X is
 taken from a (p, n) array, one row per variable, as the learners take it,
 and X^T y and sum(y) are given, as the learners give them. The stalled case is a
 (1000, 3) fit whose last full Newton step is rejected at floating-point
@@ -29,7 +32,7 @@ import pytest
 from countdag.data import CountMatrix
 from countdag.glm import PatternBuilder, _fit_core, _log_factorial, wald
 
-SHAPES = [(1000, 1), (1000, 3), (100, 2), (100, 4), (50000, 2), (500, 99)]
+SHAPES = [(1000, 1), (1000, 3), (100, 2), (100, 4), (50000, 2), (500, 99), (50000, 12), (50000, 19)]
 #: Seed of a (1000, 3) problem whose last line search stalls: the first
 #: from 0 up whose search, with glm.RESOLUTION = 0, rejects every trial.
 STALLED_SEED = 10

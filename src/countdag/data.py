@@ -55,8 +55,11 @@ class CountMatrix:
 
 
 def counts_to_csv(data: CountMatrix) -> str:
+    """The counts as CSV text: a header of column labels, then one line per
+    row, each formatted by one template over its Python ints."""
     header = ",".join(data.column_labels())
-    body = "\n".join(",".join(str(v) for v in row) for row in data.values)
+    row = ",".join(["%d"] * data.p)
+    body = "\n".join([row % tuple(values) for values in data.values.tolist()])
     return header + "\n" + body + ("\n" if data.n else "")
 
 

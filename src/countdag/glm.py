@@ -50,10 +50,12 @@ and X^T W X. For up to :data:`MOMENT_MAX_K` covariates both come from one
 matrix-vector product ``Zt @ w``, where the moment matrix ``Zt`` holds the
 centred columns and their pairwise products as rows; wider fits form
 X^T W X from a centred Fortran-ordered copy of X, or from X itself when
-the caller gives it up. The step-halving line search moves along the
-linear predictor, lp - eta * (X step), and evaluates the objective from
-sum(w), so a trial point costs one pass over the rows; X theta is
-recomputed only when a coefficient is clamped at -:data:`THETA_CAP`. A fit
+the caller gives it up, summed over cache-sized blocks of rows
+(:data:`MOMENT_BLOCK_ROWS`), so no weighted copy of all of X is made. The
+step-halving line search moves along the linear predictor,
+lp - eta * (X step), and evaluates the objective from sum(w), so a trial
+point costs one pass over the rows; X theta is recomputed only when a
+coefficient is clamped at -:data:`THETA_CAP`. A fit
 that reaches the optimum at floating-point resolution ends with a rejected
 full step whose promised decrease, <grad, step> / 2, is within
 :data:`RESOLUTION` of the objective's terms; the search ends there (a
@@ -99,8 +101,17 @@ _sum = np.add.reduce
 _max = np.maximum.reduce
 
 #: Widest fit whose Newton moments come from the precomputed moment matrix
-#: (k + k(k+1)/2 rows); wider fits form X^T W X by a matrix product.
+#: (k + k(k+1)/2 rows); wider fits form X^T W X by matrix products.
 MOMENT_MAX_K = 4
+
+#: Rows per block in which a wider fit forms its Newton moments: each block's
+#: weighted columns, k x 4,096 x 8 bytes (0.6 MB at k = 19), stay in a 2 MB
+#: L2 cache while they and the block's rows pass through X^T W X and X^T w.
+#: Of 1,024-16,384 rows, 4,096 was fastest on the 50,000-row workload's
+#: wide designs (k = 6-19): a moments call took 0.62x the time of one
+#: unblocked pass (1,024: 0.83x, 16,384: 0.93x). A fit of at most this
+#: many rows runs as one block.
+MOMENT_BLOCK_ROWS = 4096
 
 #: Share of the magnitude of the objective's terms below which a decrease
 #: is lost to rounding. A full Newton step that is rejected although it
@@ -554,7 +565,12 @@ def _newton_moments(X: np.ndarray, center: np.ndarray, overwrite: bool = False):
     (k + k(k+1)/2, n) moment matrix, whose first k rows are the centred columns;
     the Hessian is then exactly symmetric. Wider Hessians are symmetric up
     to rounding. A wider X that the caller gives up (``overwrite``) is
-    centred in place rather than copied.
+    centred in place rather than copied. Its moments are summed over blocks
+    of MOMENT_BLOCK_ROWS rows: each block's weighted columns go into one
+    (k, block) buffer kept for the fit, which then meets the block's rows in
+    X^T W X while both are still in cache, and the block's X^T w is taken
+    alongside. A fit of at most one block forms (X^T w, (X^T * w) X) as
+    two whole products.
     """
     n, k = X.shape
     if k <= MOMENT_MAX_K:
@@ -573,9 +589,25 @@ def _newton_moments(X: np.ndarray, center: np.ndarray, overwrite: bool = False):
 
     Xf = np.subtract(X, center, out=X if overwrite else None, order="F")
     Xft = Xf.T
+    block = MOMENT_BLOCK_ROWS
+    buf = np.empty((k, min(n, block)))
+    # Each block's rows of w, of X^T and of X, and its part of the buffer.
+    blocks = [
+        (slice(i, i + block), Xft[:, i : i + block], Xf[i : i + block], buf[:, : n - i])
+        for i in range(0, n, block)
+    ]
 
     def moments(w: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-        return (Xft @ w) * c, ((Xft * w) @ Xf) * c
+        g = H = None
+        for rows, xt, x, weighted in blocks:
+            wb = w[rows]
+            gb, Hb = xt @ wb, np.multiply(xt, wb, out=weighted) @ x
+            if H is None:
+                g, H = gb, Hb
+            else:
+                g += gb
+                H += Hb
+        return g * c, H * c
 
     return Xf, moments
 

@@ -38,6 +38,24 @@ class TestCsv:
         assert again.labels == ("a", "b")
         assert np.array_equal(again.values, m.values)
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((0, 1), dtype=np.int64),
+            np.array([[5], [0]]),
+            np.array([[0, 2**63 - 1], [17, 0]]),
+            np.random.default_rng(4).poisson(3.0, size=(50, 3)),
+        ],
+        ids=["n0", "p1", "zero-and-int64-max", "poisson"],
+    )
+    def test_text_matches_str_per_cell(self, values, labelled):
+        labels = tuple(f"v {j}" for j in range(values.shape[1])) if labelled else None
+        m = CountMatrix(values, labels)
+        header = ",".join(m.column_labels())
+        body = "\n".join(",".join(str(v) for v in row) for row in m.values)
+        assert counts_to_csv(m) == header + "\n" + body + ("\n" if m.n else "")
+
     def test_headerless(self):
         m = counts_from_csv("1,2\n3,4\n")
         assert m.labels is None

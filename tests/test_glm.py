@@ -621,6 +621,66 @@ class TestProfiledIntercept:
         assert wald(result, 0, 2000) > 100
 
 
+BLOCK = glm.MOMENT_BLOCK_ROWS
+
+
+def _unblocked_moments(Xf, w, c):
+    """The wide moments as a single pass forms them: (c X^T w, c X^T W X)."""
+    Xft = Xf.T
+    return (Xft @ w) * c, ((Xft * w) @ Xf) * c
+
+
+def _reference_fit_core(y, X, monkeypatch):
+    """The node regression with every row in one block of moments."""
+    with monkeypatch.context() as m:
+        m.setattr(glm, "MOMENT_BLOCK_ROWS", len(y))
+        return _profiled(y, X.copy())
+
+
+class TestBlockedMoments:
+    """Fits wider than MOMENT_MAX_K form their Newton moments in blocks of
+    MOMENT_BLOCK_ROWS rows; a fit of at most one block forms them as one
+    pass over all rows does."""
+
+    @staticmethod
+    def _moments(rng, n, k):
+        X = rng.poisson(rng.uniform(0.5, 3.0, size=k), size=(n, k)).astype(float)
+        Xf, moments = glm._newton_moments(X, X.mean(axis=0))
+        w = np.exp(rng.uniform(-4.0, 3.0, size=n))
+        return Xf, moments, w
+
+    @pytest.mark.parametrize("k", [5, 9])
+    @pytest.mark.parametrize("n", [1, 700, BLOCK])
+    def test_one_block_is_bit_equal(self, n, k):
+        Xf, moments, w = self._moments(np.random.default_rng(n + k), n, k)
+        for got, want in zip(moments(w, 0.37), _unblocked_moments(Xf, w, 0.37)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [5, 12, 19])
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_blocks_match_one_pass(self, n, k):
+        Xf, moments, w = self._moments(np.random.default_rng(n + k), n, k)
+        for _ in range(2):  # the block buffer is reused across calls
+            for got, want in zip(moments(w, 0.37), _unblocked_moments(Xf, w, 0.37)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_fit_core_on_blocks(self, k, monkeypatch):
+        y, X = _parity_problem(np.random.default_rng(9300 + k), 3 * BLOCK + 17, k)
+        blocked = _profiled(y, X.copy())
+        reference = _reference_fit_core(y, X, monkeypatch)
+        assert blocked.converged == reference.converged
+        assert blocked.diverged.tolist() == reference.diverged.tolist()
+        assert np.abs(blocked.theta - reference.theta).max() <= 1e-6
+        assert blocked.intercept == pytest.approx(reference.intercept, abs=1e-6)
+        assert blocked.nll == pytest.approx(reference.nll, rel=1e-10)
+        for t in range(k):
+            assert wald(blocked, t, len(y)) == pytest.approx(
+                wald(reference, t, len(y)), rel=1e-6
+            )
+        TestSolverParity._assert_same(blocked, fit(y, _with_ones(X)), len(y))
+
+
 class TestStallExit:
     """A full Newton step rejected although it promised a decrease within
     RESOLUTION ends the line search at that first trial (a stall). On each

@@ -541,8 +541,8 @@ class TestPatternPath:
 
 
 class TestPinnedEdges:
-    """Edge lists of the three learners on seeded table-1 data (p=10),
-    recorded from the node regressions with a free intercept (see
+    """Edge lists of the three learners on seeded table-1 data (p=10), and
+    of OR-LPGM on tall simulated data, recorded from the node regressions with a free intercept (see
     countdag.glm._fit_core). Rounding-level solver changes must leave every
     edge in place."""
 
@@ -586,3 +586,22 @@ class TestPinnedEdges:
         assert {name: sorted(dag.edges) for name, dag in edges.items()} == self.EXPECTED[
             (kind, n, seed)
         ]
+
+    # OR-LPGM on tall data: every fit wider than MOMENT_MAX_K here runs on
+    # all 20,000 rows, more than one block of moments (MOMENT_BLOCK_ROWS).
+    TALL = {
+        ("hub", 12, 17): [
+            (0, 4), (0, 8), (1, 3), (1, 5), (1, 7), (1, 9), (1, 11), (6, 0), (10, 0),
+        ],
+        ("scale_free", 10, 16): [
+            (0, 1), (0, 3), (2, 1), (4, 3), (4, 9), (5, 1), (6, 2), (7, 5), (8, 4),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind, p, seed", sorted(TALL))
+    def test_tall_or_lpgm_edges(self, kind, p, seed):
+        from countdag.simulate import SimConfig, simulate
+
+        _, ordering, data = simulate(SimConfig(graph_kind=kind, p=p, n=20000, seed=seed))
+        dag = or_lpgm(data, ordering, LearnConfig(alpha_b=0.15))
+        assert sorted(dag.edges) == self.TALL[(kind, p, seed)]
