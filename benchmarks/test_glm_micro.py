@@ -25,18 +25,34 @@ design cases time the builder alone at n=50,000: cold
 (level codes built, neither the set nor the node's cross products cached)
 against warm (both cached, so only the lookups are left), and log_fact
 times one column's log-factorial mean from its level counts.
+
+The level-0 cases time OR-PPGM's level 0, the regression of every variable
+on each earlier one alone (p(p - 1)/2 pairs), at (p, n) = (10, 1000), a
+table-1 dataset, and (100, 500), a Table-2 one, from a PatternBuilder whose
+value tables and cross products are built: level0_batch fits all pairs in
+one glm._fit_pairs batch, as OR-PPGM does, and level0_per_pair fits them
+one _fit_core call at a time on each pair's design, as a learner asking
+pair by pair would.
 """
 import numpy as np
 import pytest
 
 from countdag.data import CountMatrix
-from countdag.glm import PatternBuilder, _fit_core, _log_factorial, wald
+from countdag.glm import (
+    PatternBuilder,
+    SingularInformation,
+    _fit_core,
+    _fit_pairs,
+    _log_factorial,
+    wald,
+)
 
 SHAPES = [(1000, 1), (1000, 3), (100, 2), (100, 4), (50000, 2), (500, 99), (50000, 12), (50000, 19)]
 #: Seed of a (1000, 3) problem whose last line search stalls: the first
 #: from 0 up whose search, with glm.RESOLUTION = 0, rejects every trial.
 STALLED_SEED = 10
 PATTERN_KS = [1, 2, 3]
+LEVEL0 = [(10, 1000), (100, 500)]
 
 
 def _variables(n, k, seed=2993):
@@ -146,3 +162,37 @@ def test_log_fact(benchmark):
 
     result = benchmark.pedantic(PatternBuilder.log_fact, setup=fresh, rounds=50)
     assert result == pytest.approx(expected, rel=1e-12)
+
+
+def _level0(p, n):
+    """A PatternBuilder over (p, n) counts with every value table and cross
+    product built, and OR-PPGM's level-0 pairs (s, t), t < s."""
+    builder = PatternBuilder(CountMatrix(_variables(n, p - 1).T.astype(np.int64)))
+    for s in range(p):
+        builder.table(s)
+        builder.cross(s)
+    return builder, [(s, t) for s in range(p) for t in range(s)]
+
+
+@pytest.mark.parametrize("p,n", LEVEL0, ids=[f"p{p}-n{n}" for p, n in LEVEL0])
+def test_level0_batch(benchmark, p, n):
+    builder, pairs = _level0(p, n)
+    fits = benchmark(_fit_pairs, builder, pairs)
+    assert len(fits) == len(pairs)
+
+
+@pytest.mark.parametrize("p,n", LEVEL0, ids=[f"p{p}-n{n}" for p, n in LEVEL0])
+def test_level0_per_pair(benchmark, p, n):
+    builder, pairs = _level0(p, n)
+
+    def per_pair():
+        fits = []
+        for s, t in pairs:
+            xty, X, counts = builder.design(s, (t,))
+            try:
+                fits.append(_fit_core(xty, X, (t,), builder.log_fact(s), counts, builder.total(s)))
+            except SingularInformation as exc:
+                fits.append(exc)
+        return fits
+
+    assert len(benchmark(per_pair)) == len(pairs)

@@ -82,6 +82,16 @@ so no fit passes over the rows for it. The learners regress many nodes on
 the same few covariate sets, so the builder keeps each set's patterns for
 the life of one learner call and drops the least recently used sets once
 they take as many bytes as the float rows.
+
+A fit on one covariate always takes the grouped form, on the covariate's
+value table: its distinct values and their multiplicities, a few to a few
+dozen levels for count data. :func:`_fit_levels` runs many such fits as one
+batch, a single vectorised Newton loop over (node, covariate) pairs whose
+tables lie end to end, each pair's arithmetic its own. :func:`_fit_pairs`
+fits a learner's pairs from a PatternBuilder's value tables, which is how
+OR-PPGM's level 0, PK2's first forward steps and the exhaustive search's
+single parents are fitted, one batch per learner call; :func:`_fit_core`
+on one covariate is a batch of one, bit for bit the same fit.
 """
 from __future__ import annotations
 
@@ -123,15 +133,17 @@ MOMENT_BLOCK_ROWS = 4096
 RESOLUTION = 64 * math.ulp(1.0)
 
 # The Newton solver's limits, the same for every fit. fit, _fit_core and
-# _fit_single read them when called, so a test may patch them.
+# _fit_levels read them when called, so a test may patch them.
 TOL = 1e-8            # gradient max-norm at convergence (see RESOLUTION)
 MAX_ITER = 100
 THETA_CAP = 20.0      # freeze coefficients diverging below -THETA_CAP
 LP_CAP = 30.0         # fit clamps lp here inside exp; _fit_core shifts rates past it
 MAX_HALVINGS = 30
 
-#: Fewest rows for which a node regression may run on distinct covariate
-#: patterns (see :class:`PatternBuilder`); smaller fits run on the rows.
+#: Fewest rows for which a node regression on two or more covariates may
+#: run on distinct covariate patterns (see :class:`PatternBuilder`);
+#: smaller fits run on the rows. A fit on one covariate always runs on the
+#: covariate's value table (see :func:`_fit_levels`).
 #: Per learner call, patterns were 0.70-1.04x as fast on table-1 data
 #: (n = 100, 1000), about even at 2,000-3,000 rows of the 50,000-row
 #: workload's data and 1.25-1.5x faster for OR-PPGM and PKBIC from 5,000.
@@ -409,6 +421,10 @@ class PatternBuilder:
     first use and kept for the life of the builder (that of the NodeFitter
     holding it), so no fit passes over the rows for it.
 
+    Each variable's value table, its distinct values and their
+    multiplicities (:meth:`table`), comes from one bincount of its column
+    on first use; the variable's mean(log y!) and sum(y), its level codes
+    and the batched fits on one covariate (:func:`_fit_pairs`) all read it.
     Patterns come from per-variable level codes (each row's rank among the
     variable's distinct values, in the smallest unsigned type that holds
     it), built on first use and kept for the life of the builder. A
@@ -430,57 +446,85 @@ class PatternBuilder:
 
     def __init__(self, data: CountMatrix):
         self.variables = data.variables_as_float()
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = {}
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._log_fact: dict[int, float] = {}
-        self._total: dict[int, float] = {}
         self._cross: dict[int, np.ndarray] = {}
         self._patterns: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._pattern_bytes = 0
 
-    def log_fact(self, s: int) -> float:
-        """mean(log y!) of variable s, the objective's constant term: from
-        its value counts, sum_v c_v log(v!) / n, unless its largest value is
-        at least 4n (then the value counts would cost more than sorting the
-        column for its distinct values)."""
-        found = self._log_fact.get(s)
+    def _table(self, j: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Variable j's value table and the statistics read off it:
+        :meth:`table`, then :meth:`log_fact` and :meth:`total`."""
+        found = self._tables.get(j)
         if found is None:
-            y = self.variables[s]
-            column = y.astype(np.intp)
-            if column.size and int(column.max()) < 4 * column.size:
+            # The float rows hold the validated counts exactly (below
+            # 2**53) and, unlike the count matrix's columns, contiguously.
+            column = self.variables[j].astype(np.intp)
+            n = column.size
+            if n and int(column.max()) < 4 * n:
                 counts = np.bincount(column)
                 values = np.flatnonzero(counts)
-                found = float(counts[values] @ _log_factorial_table(values))
-                found /= column.size
+                mults = counts[values].astype(np.float64)
+                values = values.astype(np.float64)
+                log_fact = float(mults @ _log_factorial_table(values)) / n
             else:
-                found = float(np.mean(_log_factorial(y)))
-            self._log_fact[s] = found
+                values, inverse, mults = np.unique(
+                    column, return_inverse=True, return_counts=True
+                )
+                values, mults = values.astype(np.float64), mults.astype(np.float64)
+                log_fact = float(np.mean(_log_factorial_table(values)[inverse]))
+            for array in (values, mults):
+                array.flags.writeable = False
+            found = self._tables[j] = (values, mults, log_fact, float(mults @ values))
         return found
 
+    def table(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Variable j's value table: its distinct values, ascending, and
+        their multiplicities, both floats and read-only. It comes from one
+        bincount of the column, or from one sort when the largest value is
+        at least 4n (then the value counts would cost more), is built on
+        first use and kept for the life of the builder. :meth:`log_fact`,
+        :meth:`total` and :func:`_fit_pairs` all read it, so no column is
+        passed over twice for them."""
+        return self._table(j)[:2]
+
+    def log_fact(self, s: int) -> float:
+        """mean(log y!) of variable s, the objective's constant term, from
+        its value table: sum_v c_v log(v!) / n, or, when the table came
+        from a sort, the mean over the rows of log(v!) of each row's value."""
+        return self._table(s)[2]
+
     def total(self, s: int) -> float:
-        """sum(y) of variable s, the sufficient statistic of the intercept."""
-        found = self._total.get(s)
-        if found is None:
-            found = self._total[s] = float(_sum(self.variables[s]))
-        return found
+        """sum(y) of variable s, the sufficient statistic of the intercept,
+        from its value table (exact while the sum stays below 2**53)."""
+        return self._table(s)[3]
 
     def levels(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Variable j's distinct values (ascending, as floats) and the row
         codes indexing them."""
         found = self._levels.get(j)
         if found is None:
-            # The float rows hold the validated counts exactly (below
-            # 2**53) and, unlike the count matrix's columns, contiguously.
+            values = self._table(j)[0]
             column = self.variables[j].astype(np.intp)
-            top = int(column.max())
+            code_type = np.min_scalar_type(values.size - 1)
+            top = int(values[-1])
             if top < 4 * column.size:
-                seen = np.bincount(column, minlength=top + 1).astype(bool)
-                values = np.flatnonzero(seen)
-                rank = np.cumsum(seen) - 1
-                codes = rank.astype(np.min_scalar_type(values.size - 1))[column]
+                rank = np.zeros(top + 1, dtype=code_type)
+                rank[values.astype(np.intp)] = np.arange(values.size)
+                codes = rank[column]
             else:
-                values, codes = np.unique(column, return_inverse=True)
-                codes = codes.astype(np.min_scalar_type(values.size - 1))
-            found = self._levels[j] = (values.astype(np.float64), codes)
+                codes = np.searchsorted(values, column).astype(code_type)
+            found = self._levels[j] = (values, codes)
+        return found
+
+    def cross(self, s: int) -> np.ndarray:
+        """The cross products of variable s with every variable,
+        ``variables @ variables[s]``, formed on first use and kept: X^T y of
+        every regression of s is a slice of it. It holds sums of products of
+        counts, so it is exact while they stay below 2**53."""
+        found = self._cross.get(s)
+        if found is None:
+            found = self._cross[s] = self.variables @ self.variables[s]
         return found
 
     def patterns(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -535,12 +579,8 @@ class PatternBuilder:
         """``(xty, X, counts)`` for :func:`_fit_core`'s regression of variable
         s on the covariates: X^T y over all rows, then the patterns and their
         multiplicities, or the rows, a fresh column-major gather that the
-        caller may overwrite, and None. X^T y holds sums of products of
-        counts, so it is exact while they stay below 2**53."""
-        cross = self._cross.get(s)
-        if cross is None:
-            cross = self._cross[s] = self.variables @ self.variables[s]
-        xty = cross[list(covariates)]
+        caller may overwrite, and None. X^T y is read off :meth:`cross`."""
+        xty = self.cross(s)[list(covariates)]
         found = self.patterns(covariates)
         if found is None:
             return xty, self.variables[list(covariates)].T, None
@@ -657,6 +697,14 @@ def _fit_core(
     column-major X in place: pass it only for an X of no further use, such
     as a fresh gather of the rows, never for an array a caller passed in.
 
+    A fit on one covariate runs on the covariate's value table, whatever X
+    holds: its distinct values with the multiplicities of the rows (or the
+    sums of ``counts``) go to :func:`_fit_levels` as a batch of one, so
+    PATTERN_MIN_ROWS does not apply to it and the fit is bit for bit the
+    one the same pair gets in any batch of :func:`_fit_pairs`. What follows
+    describes the loop for two covariates or more; :func:`_fit_levels` runs
+    the same steps for one.
+
     Each iteration takes the gradient and the information at the current
     rates w from one call of the fit's moment map (see the module
     docstring), solves for the Newton step on the free coefficients and
@@ -676,7 +724,8 @@ def _fit_core(
     information and the final gradient without another pass.
     """
     n, k = X.shape
-    inv_n = 1.0 / (n if counts is None else float(_sum(counts)))
+    rows = n if counts is None else float(_sum(counts))
+    inv_n = 1.0 / rows
     if k == 0 or total == 0.0:
         # The closed form: the intercept is log(mean y).
         if total == 0.0:
@@ -695,6 +744,19 @@ def _fit_core(
             intercept=intercept,
         )
 
+    if k == 1:
+        # The covariate's value table, and the batch solver on it alone.
+        values, inverse = np.unique(X[:, 0], return_inverse=True)
+        mults = np.bincount(inverse, counts).astype(np.float64, copy=False)
+        found = _fit_levels(
+            values, mults, np.array([values.size]), xty, np.array([total]),
+            np.array([log_fact]), rows, list(covariates),
+        )[0]
+        if isinstance(found, SingularInformation):
+            # A copy: raising the one bound here would tie it to this frame.
+            raise type(found)(*found.args)
+        return found
+
     w = np.ones(n)  # the rates at theta = 0
     if counts is not None:
         w *= counts
@@ -704,10 +766,6 @@ def _fit_core(
     current = mean_y * math.log(sw * inv_n) + const
     if not math.isfinite(current):
         raise InvalidData("objective non-finite at theta = 0")
-    if k == 1:
-        return _fit_single(
-            xty, X[:, 0], covariates, log_fact, counts, inv_n, w, sw, current, total, const
-        )
 
     cap = LP_CAP
     floor = -THETA_CAP
@@ -870,127 +928,234 @@ def _fit_core(
     )
 
 
-def _fit_single(
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _fit_levels(
+    values: np.ndarray,
+    mults: np.ndarray,
+    sizes: np.ndarray,
     xty: np.ndarray,
-    x: np.ndarray,
-    covariates: tuple[int, ...],
-    log_fact: float,
-    counts: np.ndarray | None,
-    inv_n: float,
-    w: np.ndarray,
-    sw: float,
-    current: float,
-    total: float,
-    const: float,
-) -> GlmFit:
-    """:func:`_fit_core` for one covariate, with scalars as Python floats.
+    total: np.ndarray,
+    log_fact: np.ndarray,
+    n: float,
+    covariates: list[int],
+) -> list[GlmFit | SingularInformation]:
+    """:func:`_fit_core` for one covariate, for a batch of regressions at once.
 
-    Starts from theta = 0 with rates ``w``, their sum ``sw`` and objective
-    ``current``, whose constant term is ``const``; rows weigh ``counts``
-    (None: 1 each) and ``inv_n`` is one over their total; ``total`` is
-    sum(y). Each trial forms the linear predictor x * theta exactly and
-    reads its maximum off the extremes of x. A stalled full
-    step ends the loop as in :func:`_fit_core`. The 1x1 ridge cannot rescue
-    a singular information, so no fit here counts a ridge rescue.
+    Member b regresses a response on covariate ``covariates[b]`` through its
+    value table: the covariate's ``sizes[b]`` distinct values, ascending,
+    and their multiplicities, the member's stretch of ``values`` and
+    ``mults`` (the members' tables laid end to end, so no member is padded
+    to another's length). ``xty[b]``, ``total[b]`` and ``log_fact[b]`` are
+    the member's X^T y, sum(y) and mean(log y!), and every member's
+    multiplicities sum to ``n``. This is the grouped form of the regression
+    on the rows (see the module docstring), so each Newton iteration costs
+    the member's levels, not its rows.
+
+    Every member runs :func:`_fit_core`'s Newton loop on its own: the closed
+    form at total 0, the collinear constant covariate, the LP_CAP shift,
+    the THETA_CAP freeze, the RESOLUTION stall, the halvings, MAX_ITER and
+    the step the fit converged on. A trial forms the linear predictor
+    x * theta exactly and reads its maximum off the extremes of x. The 1x1
+    ridge cannot rescue a singular information, so such a member's result
+    is a SingularInformation, as is a collinear member's, and no fit counts
+    a ridge rescue.
+
+    The members advance together: each step of the loop is one vectorised
+    operation over the members still iterating, or, within a line search,
+    still halving, and members drop out of the arrays as they finish. Sums
+    over a member's levels never mix members, so each result depends only on
+    the member's own inputs and is the same, bit for bit, alone or in any
+    batch. Results come back in the members' order, each fit's arrays a view
+    of the batch's. Each step pays numpy's call overhead once for all the
+    members it covers, so a batch's cost grows far slower than its size,
+    and a batch of one costs mostly that overhead.
     """
-    cap = LP_CAP
-    floor = -THETA_CAP
-    Zt = np.empty((2, x.size))
+    cap, floor = LP_CAP, -THETA_CAP
+    inv_n = 1.0 / n
+    count = sizes.size
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    zero = total == 0.0  # the closed form (see _fit_core)
     mean_y = total * inv_n
-    center = float(xty[0]) / total
-    np.subtract(x, center, out=Zt[0])
-    x = Zt[0]
-    np.multiply(x, x, out=Zt[1])
-    x_hi, x_lo = float(_max(x)), float(np.minimum.reduce(x))
-    if x_hi == x_lo:
-        raise _collinear(covariates[0])
+    log_total = np.log(total)
+    const = mean_y * (1.0 - np.log(mean_y)) + log_fact
+    sw = np.full(count, float(n))  # the sum of each member's rates
+    current = mean_y * np.log(sw * inv_n) + const
+    if not np.isfinite(current[~zero]).all():
+        raise InvalidData("objective non-finite at theta = 0")
+    center = xty / total
+    x_all = values - np.repeat(center, sizes)
+    x_hi, x_lo = x_all[ends - 1], x_all[starts]
+    collinear = (x_hi == x_lo) & ~zero
 
-    def derivatives(w: np.ndarray, sw: float) -> tuple[float, float]:
-        g, h = (Zt @ w * (total / sw * inv_n)).tolist()
-        return g, h - g * g / mean_y
+    theta = np.zeros(count)
+    shift = np.zeros(count)  # the rates are exp(x theta - shift)
+    a = np.log(mean_y)  # the intercept at theta (centred x), as in _fit_core
+    settled = np.full(count, math.inf)  # the Newton step at which a fit converged
+    g, h = np.zeros(count), np.zeros(count)
+    diverged, converged, singular = zero.copy(), zero.copy(), np.zeros(count, dtype=bool)
+    iterations, halvings = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
 
-    def evaluate(trial: float, w_t: np.ndarray, a_t: float) -> tuple[float, float, float]:
-        """The objective at ``trial``, with w_t filled by its rates:
-        (value, sum of w_t, shift), as in _fit_core."""
-        top = trial * (x_hi if trial >= 0.0 else x_lo)
-        np.multiply(x, trial, out=w_t)
-        shift_t = top if top > cap else 0.0
-        if shift_t:
-            w_t -= shift_t
-        np.exp(w_t, out=w_t)
-        if counts is not None:
-            w_t *= counts
-        sw_t = float(_sum(w_t))
-        return _joint_value(a_t, shift_t, sw_t * inv_n, mean_y, log_fact), sw_t, shift_t
+    # The members still iterating, their levels' centred values, squares,
+    # multiplicities and rates, each level's member among them, and where
+    # each member's levels start.
+    iterating = ~(zero | collinear)
+    live = np.flatnonzero(iterating)
+    on = np.repeat(iterating, sizes)
+    x, mm = x_all[on], mults[on]
+    x2, w = x * x, mm
 
-    w_t = np.empty_like(w)  # the trial rates; swapped with w on acceptance
-    theta = shift = 0.0  # the rates are exp(x theta - shift)
-    a, da = math.log(mean_y), 0.0  # as in _fit_core
-    settled = math.inf  # the Newton step at the point where the fit converged
-    diverged = converged = False
-    fresh = False  # g and h belong to the current w
-    iterations = halvings = 0
+    def layout(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each level's position among ``members`` and each member's first level."""
+        size = sizes[members]
+        return np.repeat(np.arange(members.size), size), np.cumsum(size) - size
+
+    def derivatives() -> tuple[np.ndarray, np.ndarray]:
+        """g and h of the live members, at their rates w, as in _fit_core."""
+        scale = total[live] / sw[live] * inv_n
+        g_l = np.add.reduceat(x * w, first) * scale
+        h_l = np.add.reduceat(x2 * w, first) * scale - g_l * g_l / mean_y[live]
+        g[live], h[live] = g_l, h_l
+        return g_l, h_l
+
+    seg, first = layout(live)
     for _ in range(MAX_ITER):
-        g, h = derivatives(w, sw)
-        fresh = True
-        if diverged:
-            converged = True
+        if not live.size:
             break
-        if h == 0.0 or not math.isfinite(h):
-            # The 1x1 ridge, 1e-10 * h, cannot rescue h = 0 or non-finite h.
-            raise SingularInformation("information matrix singular; ridge rescue impossible")
-        step = g / h
-        if abs(g) <= TOL and abs(step) <= 1e-4:
-            converged = True
-            settled = step
-            break
-        da = -g * step / mean_y
+        g_l, h_l = derivatives()
+        done = diverged[live]
+        bad = ~done & ((h_l == 0.0) | ~np.isfinite(h_l))
+        step = g_l / h_l
+        near = ~(done | bad) & (np.abs(g_l) <= TOL) & (np.abs(step) <= 1e-4)
+        settled[live[near]] = step[near]
+        converged[live[done | near]] = True
+        singular[live[bad]] = True
+        search = ~(done | bad | near)
+        if not search.all():
+            on = search[seg]
+            x, x2, mm, w = x[on], x2[on], mm[on], w[on]
+            live, step, g_l, h_l = live[search], step[search], g_l[search], h_l[search]
+            seg, first = layout(live)
+            if not live.size:
+                break
+        my = mean_y[live]
+        da = -g_l * step / my
 
-        accepted = False
+        # The line search: ``trying`` indexes the live members still
+        # halving, ``m`` their members and ``pos`` their levels among the
+        # live levels (None: all of them); ``w_new`` collects the rates of
+        # each accepted trial.
+        w_new = np.empty_like(w)
+        accepted = np.zeros(live.size, dtype=bool)
+        trying, pos = np.arange(live.size), None
+        xs, mms, segs, firsts = x, mm, seg, first
         for trial_index in range(MAX_HALVINGS + 1):
-            trial = theta - step
+            m = live[trying]
+            trial = theta[m] - step
             clamped = trial <= floor
-            if clamped:
-                trial = floor
-            value, sw_t, shift_t = evaluate(trial, w_t, a - da)
-            if value < current and math.isfinite(value):
-                theta, sw, shift = trial, sw_t, shift_t
-                a = math.log(total) - math.log(sw) - shift
-                current = mean_y * (math.log(sw * inv_n) + shift) + const
-                w, w_t = w_t, w
-                diverged = clamped
-                accepted = True
-                fresh = False
+            trial[clamped] = floor
+            top = trial * np.where(trial >= 0.0, x_hi[m], x_lo[m])
+            shift_t = np.where(top > cap, top, 0.0)
+            w_t = xs * trial[segs]
+            w_t -= shift_t[segs]
+            np.exp(w_t, out=w_t)
+            w_t *= mms
+            sw_t = np.add.reduceat(w_t, firsts)
+            # _joint_value for every trial: +inf where exp overflows.
+            a_t = a[m] - da
+            e = a_t + shift_t
+            value = np.exp(e) * (sw_t * inv_n) - a_t * my[trying] + log_fact[m]
+            value[e > 709.0] = math.inf
+            ok = (value < current[m]) & np.isfinite(value)
+            if ok.any():
+                won = m[ok]
+                theta[won], sw[won], shift[won] = trial[ok], sw_t[ok], shift_t[ok]
+                # Profiling the intercept out lowers the objective again.
+                a[won] = log_total[won] - np.log(sw[won]) - shift[won]
+                current[won] = mean_y[won] * (np.log(sw[won] * inv_n) + shift[won]) + const[won]
+                diverged[won] = clamped[ok]
+                accepted[trying[ok]] = True
+                on = ok[segs]
+                w_new[on if pos is None else pos[on]] = w_t[on]
+            rest = ~ok
+            if not rest.any():
                 break
             if trial_index == 0:
-                scale = mean_y * (1.0 + abs(math.log(sw * inv_n) + shift)) + abs(const)
-                converged = 0.5 * g * g / h <= RESOLUTION * scale
-                if converged:
-                    settled = step
-                    break  # a stall, as in _fit_core
-            step *= 0.5
-            da *= 0.5
-            halvings += 1
-        iterations += 1
-        if not accepted:
-            break
+                # A stall (see RESOLUTION), at the point the step left.
+                scale = my * (1.0 + np.abs(np.log(sw[m] * inv_n) + shift[m])) + np.abs(const[m])
+                stall = rest & (0.5 * g_l * g_l / h_l <= RESOLUTION * scale)
+                settled[m[stall]] = step[stall]
+                converged[m[stall]] = True
+                rest &= ~stall
+                if not rest.any():
+                    break
+            if not rest.all():
+                on = rest[segs]
+                pos = np.flatnonzero(on) if pos is None else pos[on]
+                trying, step, da = trying[rest], step[rest], da[rest]
+                xs, mms = xs[on], mms[on]
+                segs, firsts = layout(live[trying])
+            step = step * 0.5
+            da = da * 0.5
+            halvings[live[trying]] += 1
+        iterations[live] += 1
+        if not accepted.all():
+            on = accepted[seg]
+            x, x2, mm, w_new = x[on], x2[on], mm[on], w_new[on]
+            live = live[accepted]
+            seg, first = layout(live)
+        w = w_new
 
-    if abs(settled) <= 1e-4:
-        theta -= settled  # the last step, as in _fit_core
-    if not fresh:
-        g, h = derivatives(w, sw)
-    if not converged:
-        converged = diverged or abs(g) <= TOL
-    return GlmFit(
-        covariates=covariates,
-        theta=np.array([theta]),
-        fisher=np.array([[h]]),
-        nll=current,
-        converged=converged,
-        iterations=iterations,
-        diverged=np.array([diverged]),
-        halvings=halvings,
-        intercept=a - center * theta,
+    if live.size:  # MAX_ITER ended these fits after an accepted step
+        derivatives()
+    theta = np.where(np.abs(settled) <= 1e-4, theta - settled, theta)
+    intercept = np.where(zero, -math.inf, a - center * theta)
+    converged |= diverged | (np.abs(g) <= TOL)
+    nll = np.where(zero, log_fact, current)
+    thetas, fishers, flags = theta[:, None], h[:, None, None], diverged[:, None]
+    fits: list[GlmFit | SingularInformation] = []
+    for b, (t, fails, fails_h, *record) in enumerate(zip(
+        covariates, collinear.tolist(), singular.tolist(), nll.tolist(), converged.tolist(),
+        iterations.tolist(), halvings.tolist(), intercept.tolist(),
+    )):
+        if fails:
+            fits.append(_collinear(t))
+        elif fails_h:
+            fits.append(SingularInformation("information matrix singular; ridge rescue impossible"))
+        else:
+            nll_b, converged_b, iterations_b, halvings_b, intercept_b = record
+            fits.append(GlmFit(
+                covariates=(t,),
+                theta=thetas[b],
+                fisher=fishers[b],
+                nll=nll_b,
+                converged=converged_b,
+                iterations=iterations_b,
+                diverged=flags[b],
+                halvings=halvings_b,
+                intercept=intercept_b,
+            ))
+    return fits
+
+
+def _fit_pairs(
+    builder: PatternBuilder, pairs: list[tuple[int, int]]
+) -> list[GlmFit | SingularInformation]:
+    """The node regression of s on (t,) for each (s, t) of ``pairs``, all in
+    one :func:`_fit_levels` batch on the builder's value tables, with X^T y
+    from s's cross products: each a GlmFit, or the SingularInformation of
+    a failed fit, in the order of ``pairs``. The batch is bit for bit
+    :func:`_fit_core` on each pair's rows or patterns alone."""
+    tables = [builder.table(t) for _, t in pairs]
+    return _fit_levels(
+        np.concatenate([values for values, _ in tables]),
+        np.concatenate([mults for _, mults in tables]),
+        np.array([values.size for values, _ in tables], dtype=np.intp),
+        np.array([builder.cross(s)[t] for s, t in pairs]),
+        np.array([builder.total(s) for s, _ in pairs]),
+        np.array([builder.log_fact(s) for s, _ in pairs]),
+        float(builder.variables.shape[1]),
+        [t for _, t in pairs],
     )
 
 

@@ -24,7 +24,9 @@ information, and one helper records it, rejecting iff |z| exceeds
   position, is tested given each l-subset S of the other remaining parents
   of s, and t -> s is deleted on the first non-rejected test of
   H0: theta_{st|K} = 0 with K = S + {t}. The child is done after level m,
-  or when no remaining parent has l others to condition on.
+  or when no remaining parent has l others to condition on. Level 0 tests
+  every t -> s with t in pre(s) given nothing, so its regressions on one
+  covariate are known in advance: they are fitted first, in one batch.
 * ``or_lpgm`` fits each node once on all of its precedents and keeps the
   covariates whose coefficient test rejects.
 
@@ -38,6 +40,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from statistics import NormalDist
+from typing import Iterable
 
 from .data import CountMatrix
 from .glm import (
@@ -46,6 +49,7 @@ from .glm import (
     PatternBuilder,
     SingularInformation,
     _fit_core,
+    _fit_pairs,
     wald,
 )
 from .graphs import Dag, GraphError, Ordering
@@ -181,8 +185,15 @@ class NodeFitter:
     like a fit, so a set is attempted once and every request for it raises.
     An all-zero x_s is no failure: its fit flags every coefficient
     diverged, so each test of it has z = 0.
-    OR-PPGM asks child by child, levels 0..m within each child; OR-LPGM
-    asks once per node; the score searches ask per candidate parent set.
+
+    Regressions on one covariate may be asked for in bulk
+    (:meth:`fit_singles`), which fits them in one vectorised batch, each
+    bit for bit the fit :meth:`fit` makes alone. OR-PPGM asks so for its
+    whole level 0 before its first child, PK2 for every first forward step
+    its floor leaves open, and the exhaustive search for its size-1 sets;
+    then OR-PPGM asks child by child for levels 1..m, OR-LPGM once per
+    node, and the score searches per candidate parent set, so those
+    single-covariate requests are cache hits.
     :meth:`made` only looks a fit up: PK2 reads there the fit of a child on
     all of its precedents, if an earlier learner made it, as the floor of
     every candidate's nll (see :func:`countdag.scores._nll_floor`).
@@ -216,6 +227,25 @@ class NodeFitter:
             # this frame, so a stored one would keep the fitter in a cycle.
             raise type(found)(*found.args)
         return found
+
+    def fit_singles(self, pairs: Iterable[tuple[int, int]], tally: FitTally) -> None:
+        """Fit s on (t,) for each (s, t) of ``pairs`` that is not stored yet,
+        all in one batch (see :func:`countdag.glm._fit_pairs`), and store
+        each fit, counted in ``tally``, or its SingularInformation, as
+        :meth:`fit` would. A stored fit is bit for bit the one :meth:`fit`
+        makes alone, so a later request for it is a cache hit whichever way
+        it was made. The batch pays only when it is large: callers ask for
+        all the pairs of a learner call that they will use, not child by
+        child."""
+        missing = [
+            pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in self._store
+        ]
+        if not missing:
+            return
+        for (s, t), found in zip(missing, _fit_pairs(self._rows, missing)):
+            if isinstance(found, GlmFit):
+                tally.add(found)
+            self._store[(s, (t,))] = found
 
     def made(self, s: int, covariates: tuple[int, ...]) -> GlmFit | None:
         """The fit of s on ``covariates`` if this fitter has already made it,
@@ -273,6 +303,10 @@ def or_ppgm_detailed(
     # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
     fitter, crit = _node_fitter(data, fitter), cfg.critical_value(data.n)
+    # Level 0 tests every t -> s with t in pre(s): fit them all in one batch.
+    fitter.fit_singles(
+        ((s, t) for s in ordering.perm for t in ordering.precedents(s)), report.fits
+    )
     edges = frozenset(
         (t, s)
         for s in ordering.perm

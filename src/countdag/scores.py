@@ -26,8 +26,13 @@ the warning of a candidate that fails, are spared.
 This module holds only the score arithmetic and the searches: every fit
 goes through the learners' one engine, :class:`countdag.learn.NodeFitter`,
 which fits each (node, parent set) once over its data, so a revisited set
-costs no fit. A search given the fitter of earlier learners on the same
-data, as in a :mod:`countdag.bench` replicate, also reuses their fits: its
+costs no fit. PK2's first forward step scores each precedent of a child as
+its lone parent, so before the child-by-child search PK2 asks in one
+request (:meth:`~countdag.learn.NodeFitter.fit_singles`, one vectorised
+batch) for those fits of every child whose first step the floor leaves
+open; the exhaustive search asks likewise for its size-1 sets. A search
+given the fitter of earlier learners on the same data, as in a
+:mod:`countdag.bench` replicate, also reuses their fits: its
 single-parent scores are OR-PPGM's level-0 regressions, and OR-LPGM's
 regressions on all precedents give its floors. So PK2 alone, or run
 before OR-LPGM, makes more fits than PK2 after it, for the same output.
@@ -152,9 +157,19 @@ def pk2_detailed(
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
     fitter = _node_fitter(data, fitter)
+    n = data.n
+    fitter.fit_singles(
+        (
+            (s, t)
+            for s in ordering.perm
+            if _first_step_open(fitter, report, n, ordering, s, cfg)
+            for t in ordering.precedents(s)
+        ),
+        report.fits,
+    )
     edges = []
     for s in ordering.perm:
-        final = _pk2_parents(fitter, report, data.n, ordering, s, cfg)
+        final = _pk2_parents(fitter, report, n, ordering, s, cfg)
         report.total_score += final.score
         edges.extend((t, s) for t in final.parents)
     return Dag(data.p, frozenset(edges), data.labels), report
@@ -185,6 +200,21 @@ def _nll_floor(fitter: NodeFitter, s: int, pre: tuple[int, ...]) -> float:
         return -math.inf
     scale = math.exp(null.intercept) + abs(full.nll - null.nll) + abs(null.nll)
     return full.nll - TOL * (scale + len(pre))
+
+
+def _first_step_open(
+    fitter: NodeFitter, report: ScoreReport, n: int, ordering: Ordering, s: int,
+    cfg: ScoreConfig,
+) -> bool:
+    """Whether PK2's forward phase for s takes its first step, scoring every
+    precedent as a lone parent: s has a precedent, ``max_parents`` allows
+    one, and the floor does not close the step (see :func:`_pk2_parents`).
+    It makes the fit of s on no covariate, as the search does first."""
+    pre = ordering.precedents(s)
+    current = _score(fitter, report, n, s, (), cfg)
+    if not pre or cfg.max_parents == 0:
+        return False
+    return 2.0 * n * _nll_floor(fitter, s, pre) + cfg.penalty(n) < current.score
 
 
 def _pk2_parents(
@@ -240,18 +270,32 @@ def exhaustive_search(
     parent set per node, by size. Exponential in p; intended as a small-p
     oracle. The fit on all precedents comes first, as PK2's floor (see
     :func:`_nll_floor`): sizes stop once no set of the next size can score
-    below the best so far."""
+    below the best so far. The size-1 sets of every child that reaches them
+    are fitted in one batch before the enumeration."""
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
     fitter = NodeFitter(data)
     penalty = cfg.penalty(data.n)
     edges: list[tuple[int, int]] = []
     total = 0.0
+    starts = {}
     for s in ordering.perm:
         pre = ordering.precedents(s)
         best = _score(fitter, report, data.n, s, (), cfg)
         full = _score(fitter, report, data.n, s, pre, cfg)
-        floor = 2.0 * data.n * _nll_floor(fitter, s, pre)
+        starts[s] = pre, best, full, 2.0 * data.n * _nll_floor(fitter, s, pre)
+    # The size-1 sets of every child whose enumeration reaches them, in one
+    # batch; a child with one precedent has only the fit on all of them.
+    fitter.fit_singles(
+        (
+            (s, t)
+            for s, (pre, best, _, floor) in starts.items()
+            if len(pre) > 1 and floor + penalty < best.score
+            for t in pre
+        ),
+        report.fits,
+    )
+    for s, (pre, best, full, floor) in starts.items():
         for size in range(1, len(pre) + 1):
             if floor + penalty * size >= best.score:
                 break

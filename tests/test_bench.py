@@ -188,7 +188,7 @@ class TestSharedFitter:
 
     def test_each_regression_is_fitted_once_per_replicate(self, monkeypatch):
         requested, attempted, tallies, own = [], [], [], []
-        real_fit, real_core = NodeFitter.fit, learn._fit_core
+        real_fit, real_core, real_pairs = NodeFitter.fit, learn._fit_core, learn._fit_pairs
 
         def fit(self, s, covariates, tally):
             requested.append((s, covariates))
@@ -197,6 +197,10 @@ class TestSharedFitter:
         def fit_core(*args):
             attempted.append(requested[-1])  # the request that missed the store
             return real_core(*args)
+
+        def fit_pairs(builder, pairs):
+            attempted.extend((s, (t,)) for s, t in pairs)  # fitted ahead of their requests
+            return real_pairs(builder, pairs)
 
         def detailed(runner):
             def run_learner(data, ordering, cfg, fitter=None):
@@ -209,6 +213,7 @@ class TestSharedFitter:
 
         monkeypatch.setattr(NodeFitter, "fit", fit)
         monkeypatch.setattr(learn, "_fit_core", fit_core)
+        monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
         monkeypatch.setattr(bench, "or_ppgm", detailed(learn.or_ppgm_detailed))
         monkeypatch.setattr(bench, "or_lpgm", detailed(learn.or_lpgm_detailed))
         monkeypatch.setattr(bench, "pk2", detailed(scores.pk2_detailed))

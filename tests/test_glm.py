@@ -738,6 +738,155 @@ class TestStallExit:
         assert _solve_plain(np.zeros((k, k)), np.eye(k)) is None
 
 
+def _same_result(a, b):
+    """Two outcomes of a node regression equal bit for bit: the same fit,
+    or SingularInformation with the same message."""
+    if isinstance(a, SingularInformation) or isinstance(b, SingularInformation):
+        return type(a) is type(b) and a.args == b.args
+    return (
+        a.covariates == b.covariates
+        and a.theta.tobytes() == b.theta.tobytes()
+        and a.fisher.tobytes() == b.fisher.tobytes()
+        and a.diverged.tolist() == b.diverged.tolist()
+        and (a.nll, a.intercept, a.converged, a.iterations, a.halvings, a.ridge_rescues)
+        == (b.nll, b.intercept, b.converged, b.iterations, b.halvings, b.ridge_rescues)
+    )
+
+
+def _batch(problems, names=None):
+    """One glm._fit_levels batch over (y, x) problems on the same rows, each
+    on the value table of its x; member b's covariate is names[b]."""
+    tables = [np.unique(x, return_counts=True) for _, x in problems]
+    return glm._fit_levels(
+        np.concatenate([values for values, _ in tables]),
+        np.concatenate([mults for _, mults in tables]).astype(float),
+        np.array([values.size for values, _ in tables]),
+        np.array([x @ y for y, x in problems]),
+        np.array([y.sum() for y, _ in problems]),
+        np.array([np.mean(glm._log_factorial(y)) for y, _ in problems]),
+        len(problems[0][0]),
+        list(range(len(problems))) if names is None else names,
+    )
+
+
+def _on_rows(y, x, name):
+    """The same regression through _fit_core on the rows, or its SingularInformation."""
+    try:
+        return glm._fit_core(
+            np.array([x @ y]), x[:, None], (name,), float(np.mean(glm._log_factorial(y))),
+            None, float(y.sum()),
+        )
+    except SingularInformation as exc:
+        return exc
+
+
+class TestBatchedSingles:
+    """glm._fit_levels fits many single-covariate regressions in one
+    vectorised Newton loop; each member is the fit it gets alone, and
+    _fit_core on one covariate is a batch of one."""
+
+    @staticmethod
+    def _far_level(n):
+        """x is 0 on all rows but six: five at 1, where y is large, and one
+        at 5, where y is 0. The first full Newton step overshoots and puts
+        the largest linear predictor far past LP_CAP, so the trials take
+        their rates relative to it."""
+        x = np.repeat([0.0, 1.0, 5.0], [n - 6, 5, 1])
+        rates = np.repeat([0.05, 10.0, 0.3], [n - 6, 5, 1])
+        return np.random.default_rng(9502).poisson(rates).astype(float), x
+
+    @staticmethod
+    def _first_trial_top(y, x):
+        """The largest linear predictor of the first full Newton step from
+        theta = 0, on x centred at X^T y / sum(y)."""
+        xc = x - x @ y / y.sum()
+        m, S = xc.mean(), (xc * xc).mean()
+        trial = -y.mean() * m / (y.mean() * (S - m * m))
+        return trial * (xc.max() if trial >= 0 else xc.min())
+
+    @pytest.mark.parametrize("n", [30, 1000])
+    def test_members_match_fits_alone(self, n):
+        rng = np.random.default_rng(9400 + n)
+        problems = [_parity_problem(rng, n, 1) for _ in range(24)]
+        problems = [(y, X[:, 0]) for y, X in problems]
+        batch = _batch(problems)
+        for b, (y, x) in enumerate(problems):
+            assert _same_result(batch[b], _batch([(y, x)], [b])[0])
+            assert _same_result(batch[b], _on_rows(y, x, b))
+        # Any sub-batch, in any order, gives the same members.
+        order = rng.permutation(len(problems))[:9]
+        part = _batch([problems[b] for b in order], order.tolist())
+        assert all(_same_result(batch[b], found) for b, found in zip(order, part))
+
+    def test_mixed_batch(self, monkeypatch):
+        n = 1000
+
+        def single(problem):
+            y, X = problem
+            return y, X[:, 0]
+
+        ordinary = single(_parity_problem(np.random.default_rng(9500), n, 1))
+        problems = [
+            ordinary,
+            (np.zeros(n), ordinary[1]),  # an all-zero response
+            single(_parity_problem(np.random.default_rng(13), n, 1)),  # a stall: TestStallExit
+            (ordinary[0], np.full(n, 3.0)),  # a constant covariate
+            single(_separation_problem(np.random.default_rng(9501), n, 1)),
+            self._far_level(n),
+        ]
+        assert self._first_trial_top(*problems[5]) > glm.LP_CAP
+        batch = _batch(problems)
+        for b, (y, x) in enumerate(problems):
+            assert _same_result(batch[b], _batch([(y, x)], [b])[0])
+            assert _same_result(batch[b], _on_rows(y, x, b))
+        # Each fit matches the ones-column fit of the same model.
+        for b in (0, 2, 4, 5):
+            y, x = problems[b]
+            TestSolverParity._assert_same(_on_rows(y, x, 0), fit(y, _with_ones(x[:, None])), n)
+            assert batch[b].converged
+        assert batch[5].halvings > 0  # the overshoot is halved back
+        # The all-zero response: the closed form.
+        assert batch[1].intercept == -math.inf and batch[1].nll == 0.0
+        assert batch[1].diverged[0] and batch[1].converged and batch[1].iterations == 0
+        # The constant covariate is collinear with the intercept.
+        assert isinstance(batch[3], SingularInformation)
+        assert "covariate 3 is constant" in str(batch[3])
+        # Separation: the coefficient is frozen at the cap and flagged.
+        assert batch[4].theta[0] == -glm.THETA_CAP and batch[4].diverged[0]
+        assert wald(batch[4], 4, n) == 0.0
+        # The stall: without the exit, its last search tries every halving,
+        # and no other member changes.
+        with monkeypatch.context() as m:
+            m.setattr(glm, "RESOLUTION", 0.0)
+            slow = _batch(problems)
+        assert slow[2].halvings - batch[2].halvings == glm.MAX_HALVINGS + 1
+        assert slow[2].iterations == batch[2].iterations
+        assert all(_same_result(slow[b], batch[b]) for b in (0, 1, 3, 4, 5))
+
+    @pytest.mark.parametrize("min_rows", [0, 10**9])
+    def test_fit_pairs_match_fit_core_on_design(self, min_rows, monkeypatch):
+        """_fit_pairs on a builder's value tables gives, for each pair, what
+        _fit_core gives on the builder's design, rows or patterns."""
+        monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", min_rows)
+        rng = np.random.default_rng(9600)
+        values = rng.poisson(rng.uniform(0.5, 4.0, size=5), size=(400, 5))
+        values[:, 2] = 4  # a constant column
+        values[:, 3] = rng.poisson(np.exp(0.3 * values[:, 0]))
+        builder = glm.PatternBuilder(CountMatrix(values))
+        pairs = [(s, t) for s in range(5) for t in range(5) if s != t]
+        batch = glm._fit_pairs(builder, pairs)
+        for (s, t), found in zip(pairs, batch):
+            xty, X, counts = builder.design(s, (t,))
+            try:
+                alone = glm._fit_core(
+                    xty, X, (t,), builder.log_fact(s), counts, builder.total(s)
+                )
+            except SingularInformation as exc:
+                alone = exc
+            assert _same_result(found, alone)
+        assert sum(isinstance(found, SingularInformation) for found in batch) == 4
+
+
 class TestPatternBuilder:
     """Distinct covariate patterns of a count matrix, and the path choice."""
 

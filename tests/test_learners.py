@@ -347,17 +347,24 @@ class TestFitTally:
     @pytest.mark.parametrize("runner", [or_ppgm_detailed, or_lpgm_detailed])
     def test_counts_match_returned_fits(self, runner, monkeypatch):
         from countdag import learn
-        from countdag.glm import FitTally
+        from countdag.glm import FitTally, GlmFit
 
         returned = []
-        original = learn._fit_core
+        original, original_pairs = learn._fit_core, learn._fit_pairs
 
         def recording(*args):
             fit = original(*args)
             returned.append(fit)
             return fit
 
+        def recording_pairs(*args):
+            # The batch of single-covariate fits bypasses _fit_core.
+            fits = original_pairs(*args)
+            returned.extend(fit for fit in fits if isinstance(fit, GlmFit))
+            return fits
+
         monkeypatch.setattr(learn, "_fit_core", recording)
+        monkeypatch.setattr(learn, "_fit_pairs", recording_pairs)
         rng = np.random.default_rng(12)
         edges = [(0, 1), (1, 2), (0, 3)]
         weights = {e: 0.4 for e in edges}
@@ -413,7 +420,7 @@ class TestNodeFitter:
         from countdag.scores import pk2_detailed
 
         keys, fitted, singular = [], [], []
-        design, fit_core = glm.PatternBuilder.design, learn._fit_core
+        design, fit_core, fit_pairs = glm.PatternBuilder.design, learn._fit_core, learn._fit_pairs
 
         def recording_design(self, s, covariates):
             keys.append((s, covariates))
@@ -427,8 +434,17 @@ class TestNodeFitter:
                 singular.append(keys[-1])
                 raise
 
+        def recording_pairs(builder, pairs):
+            fits = fit_pairs(builder, pairs)
+            for (s, t), found in zip(pairs, fits):
+                fitted.append((s, (t,)))
+                if isinstance(found, glm.SingularInformation):
+                    singular.append((s, (t,)))
+            return fits
+
         monkeypatch.setattr(glm.PatternBuilder, "design", recording_design)
         monkeypatch.setattr(learn, "_fit_core", recording_fit)
+        monkeypatch.setattr(learn, "_fit_pairs", recording_pairs)
         data, ordering = self._zero_column_data()
         if learner == "pkbic":
             pk2_detailed(data, ordering)
@@ -481,6 +497,57 @@ class TestNodeFitter:
             if enabled:
                 gc.enable()
 
+    def test_fit_singles_stores_what_fit_would(self):
+        """The bulk request fits each missing pair once, counts the fits in
+        the caller's tally and stores a SingularInformation for fit to raise."""
+        from countdag.glm import FitTally, SingularInformation
+        from countdag.learn import NodeFitter
+
+        data, _ = self._zero_column_data()
+        fitter, tally = NodeFitter(data), FitTally()
+        fitter.fit_singles([(0, 1), (0, 2), (0, 2), (3, 2)], tally)
+        assert tally.fits == 2
+        fitter.fit_singles([(0, 2), (3, 2)], tally)  # stored already
+        assert tally.fits == 2
+        with pytest.raises(SingularInformation, match="constant"):
+            fitter.fit(0, (1,), tally)
+        alone = NodeFitter(data).fit(0, (2,), FitTally())
+        stored = fitter.fit(0, (2,), tally)
+        assert tally.fits == 2 and stored is fitter.fit(0, (2,), tally)
+        assert np.array_equal(stored.theta, alone.theta) and stored.nll == alone.nll
+
+    @pytest.mark.parametrize("kind, n, seed", [("hub", 1000, 12), ("scale_free", 100, 11)])
+    def test_single_covariate_fits_alike_from_any_learner(self, kind, n, seed):
+        """A stored fit on one covariate is the same, bit for bit, whether
+        OR-PPGM's level-0 batch, PK2's first-step batch or a direct request
+        made it."""
+        from countdag.glm import FitTally
+        from countdag.learn import NodeFitter
+        from countdag.scores import ScoreConfig, pk2
+        from countdag.simulate import SimConfig, simulate
+
+        _, ordering, data = simulate(SimConfig(graph_kind=kind, p=10, n=n, seed=seed))
+        by_ppgm, by_pk2, direct = NodeFitter(data), NodeFitter(data), NodeFitter(data)
+        or_ppgm(data, ordering, LearnConfig(alpha_b=0.15, m=8), by_ppgm)
+        pk2(data, ordering, ScoreConfig(), by_pk2)
+        compared = {"or_ppgm": 0, "pk2": 0}
+        for s in ordering.perm:
+            for t in ordering.precedents(s):
+                alone = direct.fit(s, (t,), FitTally())
+                for name, fitter in (("or_ppgm", by_ppgm), ("pk2", by_pk2)):
+                    stored = fitter.made(s, (t,))
+                    if stored is None:
+                        continue
+                    compared[name] += 1
+                    assert stored.theta.tobytes() == alone.theta.tobytes()
+                    assert stored.fisher.tobytes() == alone.fisher.tobytes()
+                    assert (stored.nll, stored.intercept, stored.iterations, stored.halvings) == (
+                        alone.nll, alone.intercept, alone.iterations, alone.halvings
+                    )
+                    assert stored.converged == alone.converged
+                    assert stored.diverged.tolist() == alone.diverged.tolist()
+        assert compared["or_ppgm"] == 45 and compared["pk2"] >= 9
+
     @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
     def test_fitter_over_other_data_is_refused(self, learner):
         from countdag.learn import NodeFitter
@@ -513,7 +580,7 @@ class TestPatternPath:
         from countdag import glm, learn, scores
         from countdag.scores import ScoreConfig, pk2_detailed
 
-        grouped = []
+        grouped, batched = [], []
         with monkeypatch.context() as m:
             m.setattr(glm, "PATTERN_MIN_ROWS", min_rows)
             for module in (learn, scores):
@@ -522,12 +589,20 @@ class TestPatternPath:
                     return original(*args)
 
                 m.setattr(module, "_fit_core", recording)
+
+            # Batched single-covariate fits run on value tables whatever
+            # the cut-off, so they count as fits but not as pattern fits.
+            def recording_pairs(builder, pairs, original=learn._fit_pairs):
+                batched.extend(pairs)
+                return original(builder, pairs)
+
+            m.setattr(learn, "_fit_pairs", recording_pairs)
             if learner == "pkbic":
                 dag, report = pk2_detailed(data, ordering, ScoreConfig())
             else:
                 runner = or_ppgm_detailed if learner == "or_ppgm" else or_lpgm_detailed
                 dag, report = runner(data, ordering, LearnConfig(alpha=0.01, m=2))
-        return dag.edges, dataclasses.asdict(report.fits), sum(grouped), len(grouped)
+        return dag.edges, dataclasses.asdict(report.fits), sum(grouped), len(grouped) + len(batched)
 
     @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
     def test_same_edges_and_fits_on_either_path(self, tall, learner, monkeypatch):

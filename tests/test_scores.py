@@ -247,17 +247,24 @@ class TestScoreConfig:
 class TestFitTally:
     def test_counts_every_uncached_fit(self, monkeypatch):
         from countdag import learn
-        from countdag.glm import FitTally
+        from countdag.glm import FitTally, GlmFit
 
         returned = []
-        original = learn._fit_core
+        original, original_pairs = learn._fit_core, learn._fit_pairs
 
         def recording(*args):
             fit = original(*args)
             returned.append(fit)
             return fit
 
+        def recording_pairs(*args):
+            # The batch of PK2's first forward steps bypasses _fit_core.
+            fits = original_pairs(*args)
+            returned.extend(fit for fit in fits if isinstance(fit, GlmFit))
+            return fits
+
         monkeypatch.setattr(learn, "_fit_core", recording)
+        monkeypatch.setattr(learn, "_fit_pairs", recording_pairs)
         rng = np.random.default_rng(8)
         x = rng.poisson(1.0, size=(300, 3))
         x[:, 2] = rng.poisson(np.exp(0.4 * x[:, 0]))
@@ -300,14 +307,20 @@ class TestFloor:
         data = CountMatrix(rng.poisson(1.5, size=(300, 8)))
         ordering = Ordering((2, 0, 5, 7, 1, 3, 6, 4))
         fitter = _lpgm_fitter(data, ordering)
-        made, real_fit = [], NodeFitter.fit
+        made, real_fit, real_singles = [], NodeFitter.fit, NodeFitter.fit_singles
 
         def fit(self, s, covariates, tally):
             if self.made(s, covariates) is None:
                 made.append((s, covariates))
             return real_fit(self, s, covariates, tally)
 
+        def fit_singles(self, pairs, tally):
+            pairs = list(dict.fromkeys(pairs))
+            made.extend((s, (t,)) for s, t in pairs if self.made(s, (t,)) is None)
+            return real_singles(self, pairs, tally)
+
         monkeypatch.setattr(NodeFitter, "fit", fit)
+        monkeypatch.setattr(NodeFitter, "fit_singles", fit_singles)
         _, report = pk2_detailed(data, ordering, BIC, fitter)
         assert report.fits.fits == len(made)
         penalty, excluded = BIC.penalty(data.n), 0
@@ -366,13 +379,18 @@ class TestFloor:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exhaustive_search_matches_plain_enumeration(self, cfg, seed, monkeypatch):
         _, ordering, data = simulate(SimConfig("scale_free", p=6, n=150, seed=seed))
-        calls, real_core = [], learn._fit_core
+        calls, real_core, real_pairs = [], learn._fit_core, learn._fit_pairs
 
         def fit_core(*args):
             calls.append(args[2])
             return real_core(*args)
 
+        def fit_pairs(builder, pairs):
+            calls.extend((t,) for _, t in pairs)
+            return real_pairs(builder, pairs)
+
         monkeypatch.setattr(learn, "_fit_core", fit_core)
+        monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
         dag, total = exhaustive_search(data, ordering, cfg)
         fits = len(calls)
         ref_dag, ref_total = _plain_exhaustive(data, ordering, cfg)
