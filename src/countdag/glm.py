@@ -67,8 +67,8 @@ The solver's limits are module constants, the same for every fit:
 :data:`TOL` (gradient max-norm at convergence), :data:`MAX_ITER` (Newton
 iterations), :data:`MAX_HALVINGS` (step halvings per line search),
 :data:`THETA_CAP` (coefficients diverging below -THETA_CAP are frozen) and
-:data:`LP_CAP` (:func:`fit` clamps linear predictors there; above it,
-:func:`_fit_core` takes the rates relative to the largest).
+:data:`LP_CAP` (above it, :func:`_fit_core` and :func:`_fit_levels` take
+the rates relative to the largest linear predictor).
 
 The rows may carry multiplicities c: the rates become w = c * exp(X theta)
 and n becomes sum(c), so a fit on the distinct rows of X, their
@@ -137,7 +137,7 @@ RESOLUTION = 64 * math.ulp(1.0)
 TOL = 1e-8            # gradient max-norm at convergence (see RESOLUTION)
 MAX_ITER = 100
 THETA_CAP = 20.0      # freeze coefficients diverging below -THETA_CAP
-LP_CAP = 30.0         # fit clamps lp here inside exp; _fit_core shifts rates past it
+LP_CAP = 30.0         # _fit_core, _fit_levels: past it, rates relative to the largest lp
 MAX_HALVINGS = 30
 
 #: Fewest rows for which a node regression on two or more covariates may
@@ -171,7 +171,8 @@ class GlmFit:
     converged: bool
     iterations: int
     diverged: np.ndarray
-    lp_capped: bool = False      # an accepted point of fit clamped at LP_CAP
+    # Always False. Only perfbench/tracing.py reads it, for glm.lp_capped*; it goes with them.
+    lp_capped: bool = False
     halvings: int = 0            # step halvings over all line searches
     ridge_rescues: int = 0       # Newton systems solved only with the ridge
     # The fitted intercept of a node regression (see _fit_core); None for
@@ -320,41 +321,35 @@ def _solve_with_ridge(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]
     return out, True
 
 
-def fit(y, X, covariates=None) -> GlmFit:
+def fit(y, X) -> GlmFit:
     """The zero-intercept model: minimize :func:`nll` by Newton iterations
     with step-halving, within the solver limits :data:`TOL`,
     :data:`MAX_ITER` and :data:`MAX_HALVINGS`. Each trial point recomputes
     X theta, and each iteration forms X^T W X.
 
-    ``covariates`` names the columns of X (node indices); defaults to
-    0..k-1. Coefficients trending below ``-THETA_CAP`` (separation, MLE at
-    -infinity) are frozen at the cap and flagged in ``diverged``. Linear
-    predictors are clamped at :data:`LP_CAP` inside exp (``lp_capped``), a
-    singular information is solved with the ridge (``ridge_rescues``), and
-    a full step stalls at :data:`RESOLUTION` as in :func:`_fit_core`.
+    The covariates are the columns of X, named 0..k-1. Coefficients
+    trending below ``-THETA_CAP`` (separation, MLE at -infinity) are frozen
+    at the cap and flagged in ``diverged``. A trial point whose rates
+    overflow has objective +inf and is halved away like any rejected trial,
+    a singular information is solved with the ridge (``ridge_rescues``),
+    and a full step stalls at :data:`RESOLUTION` as in :func:`_fit_core`.
     """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     _check_data(y, X)
     n, k = X.shape
-    covariates = tuple(range(k) if covariates is None else map(int, covariates))
-    if len(covariates) != k:
-        raise InvalidData("covariate name list does not match X columns")
     log_fact = float(np.mean(_log_factorial(y)))
     inv_n = 1.0 / n
     Xty = (X.T @ y) * inv_n
 
-    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, bool]:
-        """The objective at theta, its (clamped) rates and whether any was clamped."""
-        lp = X @ theta
-        capped = bool(lp.max() > LP_CAP)
-        w = np.exp(np.minimum(lp, LP_CAP) if capped else lp)
-        return (float(w.sum()) * inv_n - float(theta @ Xty)) + log_fact, w, capped
+    @np.errstate(over="ignore")
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective at theta, +inf where a rate overflows, and the rates."""
+        w = np.exp(X @ theta)
+        return (float(w.sum()) * inv_n - float(theta @ Xty)) + log_fact, w
 
     theta = np.zeros(k)
-    current, w, lp_capped = evaluate(theta)
+    current, w = evaluate(theta)
     if not math.isfinite(current):
         raise InvalidData("objective non-finite at theta = 0")
     diverged = np.zeros(k, dtype=bool)
@@ -382,10 +377,9 @@ def fit(y, X, covariates=None) -> GlmFit:
             trial = theta - step
             hit = trial <= -THETA_CAP
             trial[hit] = -THETA_CAP
-            value, w_t, capped = evaluate(trial)
+            value, w_t = evaluate(trial)
             if value < current and math.isfinite(value):
                 theta, current, w = trial, value, w_t
-                lp_capped |= capped
                 diverged |= hit
                 accepted = True
                 break
@@ -405,8 +399,8 @@ def fit(y, X, covariates=None) -> GlmFit:
     if not converged:
         converged = float(np.abs(grad[~diverged]).max(initial=0.0)) <= TOL
     J = ((X.T * w) @ X) * inv_n
-    return GlmFit(covariates, theta, (J + J.T) / 2.0, current, converged, iterations,
-                  diverged, lp_capped, halvings, ridge_rescues)
+    return GlmFit(tuple(range(k)), theta, (J + J.T) / 2.0, current, converged, iterations,
+                  diverged, halvings=halvings, ridge_rescues=ridge_rescues)
 
 
 class PatternBuilder:

@@ -200,6 +200,8 @@ class NodeFitter:
     """
 
     def __init__(self, data: CountMatrix):
+        if data.n < 1:  # every learner and node_score fit through here
+            raise GraphError("need at least 1 observation, got 0")
         self.data = data
         self.n = data.n
         self._rows = PatternBuilder(data)

@@ -50,7 +50,7 @@ from .glm import TOL, FitTally, SingularInformation
 # Unused here since every fit goes through learn.NodeFitter; kept because
 # perfbench/tracing.py wraps this name and needs it to exist.
 from .glm import _fit_core  # noqa: F401
-from .graphs import Dag, Ordering
+from .graphs import Dag, GraphError, Ordering
 from .learn import NodeFitter, _check_inputs, _node_fitter
 
 logger = logging.getLogger(__name__)
@@ -86,10 +86,13 @@ def node_score(
     """Penalized deviance-style score of node s given a candidate parent set.
 
     A fit that fails numerically scores +inf so the search never selects it.
+    Node and parents must be distinct nodes of ``data``.
     """
-    parents = [int(t) for t in parents]
+    nodes = [s, *parents]
+    if len(set(nodes)) < len(nodes) or not all(int(t) == t and 0 <= t < data.p for t in nodes):
+        raise GraphError(f"node {s} and parents {nodes[1:]} must be distinct nodes of p={data.p}")
     report = ScoreReport(criterion=cfg.criterion)
-    return _score(NodeFitter(data), report, data.n, s, parents, cfg)
+    return _score(NodeFitter(data), report, data.n, int(s), map(int, nodes[1:]), cfg)
 
 
 def _score(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,8 +197,9 @@ class TestFit:
         with pytest.raises(InvalidData):
             fit([-1.0, 2.0], [[1.0], [1.0]])
         # fit, nll, gradient and fisher_information share one shape check.
-        with pytest.raises(InvalidData, match="covariate matrix must be 2-D"):
-            fit(np.ones(3), np.ones((3, 2, 2)))
+        for X in (np.ones(3), np.ones((3, 2, 2))):
+            with pytest.raises(InvalidData, match="covariate matrix must be 2-D"):
+                fit(np.ones(3), X)
 
     def test_gradient_small_when_converged(self):
         rng = np.random.default_rng(78)
@@ -320,9 +322,11 @@ class TestSolverParity:
         return _profiled(y, X.copy()), fit(y, _with_ones(X))
 
     @staticmethod
-    def _assert_same(profiled, stacked, n):
-        """The same theta, intercept, nll, flags and Wald z."""
-        k = len(profiled.theta)
+    def _assert_same(profiled, stacked, y, X):
+        """The same theta, intercept, nll, flags and Wald z; the ones-column
+        fit's nll is its objective at its theta."""
+        n, k = X.shape
+        assert stacked.nll == pytest.approx(nll(stacked.theta, y, _with_ones(X)), rel=1e-12)
         assert np.abs(profiled.theta - stacked.theta[:k]).max() <= 1e-6
         assert profiled.intercept == pytest.approx(stacked.theta[k], abs=1e-6)
         assert profiled.nll == pytest.approx(stacked.nll, rel=1e-10)
@@ -338,7 +342,7 @@ class TestSolverParity:
         rng = np.random.default_rng(1000 * n + k)
         for _ in range(8):
             y, X = _parity_problem(rng, n, k)
-            self._assert_same(*self._both(y, X), n)
+            self._assert_same(*self._both(y, X), y, X)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_separation_freezes_same_coefficient(self, k):
@@ -347,30 +351,38 @@ class TestSolverParity:
         profiled, stacked = self._both(y, X)
         assert stacked.diverged[0] and stacked.theta[0] == -glm.THETA_CAP
         assert profiled.theta[0] == -glm.THETA_CAP
-        self._assert_same(profiled, stacked, 200)
-
-    @staticmethod
-    def _assert_clamped(y, X, cap, monkeypatch):
-        """glm.fit with linear predictors clamped at ``cap`` reports the
-        objective and the information of the clamped rates at its theta; at
-        the default LP_CAP the same problem clamps nothing."""
-        assert not fit(y, X).lp_capped
-        monkeypatch.setattr(glm, "LP_CAP", cap)
-        result = fit(y, X)
-        assert result.lp_capped
-        n = len(y)
-        w = np.exp(np.minimum(X @ result.theta, cap))
-        value = w.mean() - result.theta @ (X.T @ y) / n + np.mean(glm._log_factorial(y))
-        assert result.nll == pytest.approx(value, rel=1e-12)
-        J = (X.T * w) @ X / n
-        assert np.abs(result.fisher - J).max() <= 1e-12 * np.abs(J).max()
+        self._assert_same(profiled, stacked, y, X)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_linear_predictor_cap(self, k, monkeypatch):
+        """glm.fit does not read LP_CAP: lowered below the fitted linear
+        predictors, it leaves the fit bit for bit the same, and converged."""
         rng = np.random.default_rng(41 + k)
         X = rng.poisson(2.0, size=(300, k)).astype(float)
         y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
-        self._assert_clamped(y, X, 2.0, monkeypatch)
+        expected = fit(y, X)
+        assert (X @ expected.theta).max() > 1.0
+        for cap in (1.0, 2.0):
+            monkeypatch.setattr(glm, "LP_CAP", cap)
+            result = fit(y, X)
+            assert result.converged
+            assert result.theta.tobytes() == expected.theta.tobytes()
+            assert result.nll == expected.nll
+            assert result.fisher.tobytes() == expected.fisher.tobytes()
+
+    def test_heavy_rates_report_their_objective(self):
+        """Rates of e^26 and more: every trial of the first Newton step
+        from theta = 0 overflows, so the fit stays at theta = 0, reports
+        the objective there and does not claim convergence."""
+        rng = np.random.default_rng(26)
+        x = rng.poisson(3.0, size=400).astype(float)
+        X = np.column_stack([np.ones(400), x])
+        y = rng.poisson(np.exp(26.0 + x)).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(y, X)
+            assert result.nll == pytest.approx(nll(result.theta, y, X), rel=1e-12)
+        assert not result.converged
 
     @staticmethod
     def _assert_zero_column_ignored(y, X):
@@ -463,12 +475,12 @@ class TestSolverParity:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_patterns_linear_predictor_cap(self, k, monkeypatch):
-        # glm.fit clamps at the lowered cap; the profile instead takes every
-        # trial's rates relative to the largest, on rows and on patterns alike.
+        # Past the lowered cap the profile takes every trial's rates relative
+        # to the largest linear predictor, on rows and on patterns alike.
         rng = np.random.default_rng(7041 + k)
         X = np.minimum(rng.poisson(2.0, size=(600, k)), 4).astype(float)
         y = rng.poisson(np.exp(np.minimum(X @ np.full(k, 0.5 / k), 5.0))).astype(float)
-        self._assert_clamped(y, X, 1.0, monkeypatch)
+        monkeypatch.setattr(glm, "LP_CAP", 1.0)
         self._assert_rows_match(*self._rows_and_patterns(y, X))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
@@ -678,7 +690,7 @@ class TestBlockedMoments:
             assert wald(blocked, t, len(y)) == pytest.approx(
                 wald(reference, t, len(y)), rel=1e-6
             )
-        TestSolverParity._assert_same(blocked, fit(y, _with_ones(X)), len(y))
+        TestSolverParity._assert_same(blocked, fit(y, _with_ones(X)), y, X)
 
 
 class TestStallExit:
@@ -720,7 +732,7 @@ class TestStallExit:
         )
         assert np.abs(fast.theta - (slow.theta - step)).max() <= 1e-12
         assert fast.converged is True
-        TestSolverParity._assert_same(fast, fit(y, _with_ones(X)), n)
+        TestSolverParity._assert_same(fast, fit(y, _with_ones(X)), y, X)
 
     @pytest.mark.parametrize("k", [3, 4, 7])
     def test_solve_matches_numpy(self, k):
@@ -842,7 +854,9 @@ class TestBatchedSingles:
         # Each fit matches the ones-column fit of the same model.
         for b in (0, 2, 4, 5):
             y, x = problems[b]
-            TestSolverParity._assert_same(_on_rows(y, x, 0), fit(y, _with_ones(x[:, None])), n)
+            TestSolverParity._assert_same(
+                _on_rows(y, x, 0), fit(y, _with_ones(x[:, None])), y, x[:, None]
+            )
             assert batch[b].converged
         assert batch[5].halvings > 0  # the overshoot is halved back
         # The all-zero response: the closed form.

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -135,6 +136,23 @@ class TestNodeScore:
         values[:, 1] = np.random.default_rng(1).poisson(1.0, size=50)
         assert node_score(CountMatrix(values), 1, {0}, BIC).score == math.inf
 
+    @pytest.mark.parametrize(
+        "s, parents",
+        [(0, [-1]), (1, [1.5]), (0, [0]), (2, [1, 1]), (5, [0]), (1, [3])],
+        ids=["negative", "fractional", "self", "repeated", "node-range", "parent-range"],
+    )
+    def test_rejects_what_is_no_parent_set(self, s, parents):
+        # Before, -1 scored node p - 1, 1.5 was read as 1, self and repeated
+        # parents gave finite scores, and node 5 raised a bare IndexError.
+        data = CountMatrix(np.random.default_rng(2).poisson(1.0, size=(20, 3)))
+        with pytest.raises(GraphError):
+            node_score(data, s, parents, BIC)
+
+    def test_numpy_indices_accepted(self):
+        data = CountMatrix(np.random.default_rng(2).poisson(1.0, size=(20, 3)))
+        expected = node_score(data, 2, {0, 1}, BIC)
+        assert node_score(data, np.int64(2), np.array([1, 0]), BIC) == expected
+
 
 class TestPk2:
     def test_p1_empty(self):
@@ -232,6 +250,27 @@ class TestPerChildSearch:
                 search(data, ordering, BIC)
         one_column = CountMatrix(np.array([[1]]))
         assert pk2(one_column, Ordering((0,)), BIC).edge_count == 0
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda data, ordering: pk2(data, ordering, BIC),
+            lambda data, ordering: exhaustive_search(data, ordering, BIC),
+            lambda data, ordering: node_score(data, 0, [], BIC),
+            lambda data, ordering: learn.or_ppgm(data, ordering, LearnConfig(alpha_b=0.15)),
+            lambda data, ordering: or_lpgm(data, ordering, LearnConfig(alpha_b=0.15)),
+        ],
+        ids=["pk2", "exhaustive_search", "node_score", "or_ppgm", "or_lpgm"],
+    )
+    def test_no_rows_refused(self, search, p):
+        # Before, these raised ZeroDivisionError after numpy's "Mean of
+        # empty slice" warning, or for p = 1 returned an empty graph.
+        data = CountMatrix(np.zeros((0, p), dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="need at least"):
+                search(data, Ordering(tuple(range(p))))
 
 
 class TestScoreConfig:
