@@ -20,16 +20,16 @@ which solves its information, and at (500, 99) every test of one fit, of
 which only the first solves. The pattern cases time what a learner pays
 per fit on the 50,000-row workload: X^T y, the distinct covariate
 patterns and their multiplicities from a PatternBuilder that has the
-node's cross products and the set cached, then the fit on them. The
+variables' Gram matrix and the set cached, then the fit on them. The
 design cases time the builder alone at n=50,000: cold
-(level codes built, neither the set nor the node's cross products cached)
+(level codes built, neither the set nor the Gram matrix cached)
 against warm (both cached, so only the lookups are left), and log_fact
 times one column's log-factorial mean from its level counts.
 
 The level-0 cases time OR-PPGM's level 0, the regression of every variable
 on each earlier one alone (p(p - 1)/2 pairs), at (p, n) = (10, 1000), a
 table-1 dataset, and (100, 500), a Table-2 one, from a PatternBuilder whose
-value tables and cross products are built: level0_batch fits all pairs in
+value tables and Gram matrix are built: level0_batch fits all pairs in
 one glm._fit_pairs batch, as OR-PPGM does, and level0_per_pair fits them
 one _fit_core call at a time on each pair's design, as a learner asking
 pair by pair would.
@@ -165,8 +165,8 @@ def test_log_fact(benchmark):
 
 
 def _level0(p, n):
-    """A PatternBuilder over (p, n) counts with every value table and cross
-    product built, and OR-PPGM's level-0 pairs (s, t), t < s."""
+    """A PatternBuilder over (p, n) counts with every value table and the
+    Gram matrix built, and OR-PPGM's level-0 pairs (s, t), t < s."""
     builder = PatternBuilder(CountMatrix(_variables(n, p - 1).T.astype(np.int64)))
     for s in range(p):
         builder.table(s)

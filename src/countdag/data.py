@@ -1,4 +1,11 @@
-"""Count-data matrices and their CSV representation."""
+"""Count-data matrices and their CSV representation.
+
+:func:`counts_to_csv` writes the plain form, which :func:`counts_from_csv`
+reads in vectorised passes over its bytes (:func:`_read_plain`). Any other
+counts CSV goes through numpy's C reader, and rows that it refuses are
+scanned cell by cell (:func:`_scan_rows`) to name the bad cell; see
+:func:`counts_from_csv` for when each reader runs.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,6 +14,17 @@ import numpy as np
 from .graphs import _check_labels, default_labels
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Bytes of CSV rows :func:`_read_plain` converts at a time, extended to
+#: the end of the line they stop in: small enough that a block's
+#: temporaries (several bytes per byte of text) stay in cache and add
+#: little to peak memory, large enough that numpy's per-call overhead is
+#: small against a block's work.
+_PLAIN_BLOCK = 1 << 17
+#: The most digits of a plain cell: 10**18 - 1 is below 2**63, so the sum
+#: of a cell's digits times their place values cannot overflow int64.
+_PLAIN_DIGITS = 18
+_PLACE_VALUES = 10 ** np.arange(_PLAIN_DIGITS, dtype=np.int64)
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
 class InvalidData(ValueError):
@@ -56,35 +74,51 @@ class CountMatrix:
 
 def counts_to_csv(data: CountMatrix) -> str:
     """The counts as CSV text: a header of column labels, then one line per
-    row, each formatted by one template over its Python ints."""
-    header = ",".join(data.column_labels())
+    row, each formatted by one template over its Python ints.
+
+    Raises InvalidData for labels that :func:`counts_from_csv` would not
+    read back: a label holding ``,`` or a line break, or with blanks at
+    either end, and a header whose every label reads as an integer (it
+    would be read as a data row)."""
+    labels = data.column_labels()
+    for label in labels:
+        if "," in label or label.splitlines() != [label] or label != label.strip():
+            raise InvalidData(f"label {label!r} would not read back from a counts CSV")
+    if all(_is_int(label) for label in labels):
+        raise InvalidData(f"labels {labels!r} would read back from a counts CSV as a data row")
+    header = ",".join(labels)
     row = ",".join(["%d"] * data.p)
     body = "\n".join([row % tuple(values) for values in data.values.tolist()])
     return header + "\n" + body + ("\n" if data.n else "")
 
 
 def counts_from_csv(text: str) -> CountMatrix:
-    """Parse a counts CSV. The header row is optional: a first row with any
+    r"""Parse a counts CSV. The header row is optional: a first row with any
     non-integer cell is taken as column labels.
 
-    Data rows go through numpy's C reader, which takes the same cells as
-    :func:`_is_int` (an optional sign and ASCII digits, blanks around them).
-    When it refuses the rows or finds a negative count, they are scanned
-    again cell by cell to name the offending line and column.
+    Text in the plain form that :func:`counts_to_csv` writes (rows of 1 to
+    18 ASCII digits per cell, separated by ``,``, every row as wide as the
+    first line, each ended by ``\n`` but perhaps the last, no blank line) is
+    read by :func:`_read_plain` in vectorised passes over its bytes. Any
+    other text goes through numpy's C reader, which takes the same cells
+    as :func:`_is_int` (an optional sign and digits, blanks around them),
+    and skips blank lines. When the C reader refuses the rows, finds them
+    not as wide as the first row or finds a negative count, they are
+    scanned again cell by cell (:func:`_scan_rows`) to name the offending
+    line and column. All three read the same counts from any text they
+    take.
     """
+    plain = _read_plain(text)
+    if plain is not None:
+        return plain
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise InvalidData("empty counts CSV")
-    first = [cell.strip() for cell in lines[0].split(",")]
-    labels: tuple[str, ...] | None = None
-    start = 0
-    if not all(_is_int(cell) for cell in first):
-        labels = tuple(first)
-        start = 1
+    labels, width = _header(lines[0])
+    start = 0 if labels is None else 1
     body = lines[start:]
     if not body:
         raise InvalidData("counts CSV has a header but no data rows")
-    width = len(first)
     try:
         values = np.loadtxt(body, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError):
@@ -92,6 +126,81 @@ def counts_from_csv(text: str) -> CountMatrix:
     if values is None or values.shape[1] != width or values.min() < 0:
         values = _scan_rows(body, start + 1, width)
     return CountMatrix(values, labels)
+
+
+def _header(line: str) -> tuple[tuple[str, ...] | None, int]:
+    """The labels a CSV's first line gives, None when every cell is an
+    integer (the line is a data row), and the number of its cells."""
+    cells = [cell.strip() for cell in line.split(",")]
+    labels = None if all(_is_int(cell) for cell in cells) else tuple(cells)
+    return labels, len(cells)
+
+
+def _read_plain(text: str) -> CountMatrix | None:
+    """The counts of a CSV in plain form (see :func:`counts_from_csv`), or
+    None for any other text.
+
+    The rows are encoded to ASCII and converted in line-aligned blocks of
+    about :data:`_PLAIN_BLOCK` bytes by :func:`_plain_block`, straight into
+    the (n, p) result."""
+    end = text.find("\n")
+    head = text[:end] if end >= 0 else text
+    # The first physical line must be the first line the general reader
+    # sees: not blank, and holding no other line break.
+    if not head.strip() or head.splitlines() != [head]:
+        return None
+    labels, width = _header(head)
+    try:
+        rows = (text if labels is None else text[len(head) + 1:]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if not rows:
+        return None
+    if not rows.endswith(b"\n"):
+        rows += b"\n"
+    data = np.frombuffer(rows, dtype=np.uint8)
+    values = np.empty((np.count_nonzero(data == _NEWLINE), width), dtype=np.int64)
+    start = row = 0
+    while start < len(rows):
+        # A line longer than a block makes a block of its own.
+        stop = rows.rfind(b"\n", start, start + _PLAIN_BLOCK) + 1 or rows.find(b"\n", start) + 1
+        block = _plain_block(data[start:stop], width)
+        if block is None:
+            return None
+        values[row:row + len(block)] = block
+        row += len(block)
+        start = stop
+    return CountMatrix(values, labels)
+
+
+def _plain_block(data: np.ndarray, width: int) -> np.ndarray | None:
+    r"""The (rows, width) counts of whole plain CSV lines, given as ASCII
+    bytes ending in ``\n``, or None if they are not in plain form.
+
+    Every byte that is not a digit is a separator. The separators, as
+    int32 offsets, must fall into rows of width - 1 commas and then a
+    ``\n``, and enclose 1 to :data:`_PLAIN_DIGITS` digits each. A cell's
+    value sums its digits, each times the place value of its position from
+    the cell's end; its last digit is the byte before its separator."""
+    digits = data - _ZERO
+    ends = np.flatnonzero(digits > 9).astype(np.int32)
+    rows = ends.size // width
+    if (
+        ends.size != rows * width
+        or np.count_nonzero(data == _COMMA) != rows * (width - 1)
+        or not np.all(data.take(ends[width - 1::width]) == _NEWLINE)
+    ):
+        return None
+    lengths = np.diff(ends, prepend=np.int32(-1))
+    lengths -= 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _PLAIN_DIGITS:
+        return None
+    values = digits.take(ends - 1).astype(np.int64)
+    for place in range(1, longest):
+        cells = np.flatnonzero(lengths > place)
+        values[cells] += digits.take(ends.take(cells) - (place + 1)) * _PLACE_VALUES[place]
+    return values.reshape(rows, width)
 
 
 def _scan_rows(lines: list[str], first_lineno: int, width: int) -> np.ndarray:

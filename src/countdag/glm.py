@@ -77,7 +77,7 @@ form of a Poisson GLM; McCullagh and Nelder, *Generalized Linear Models*).
 Count covariates repeat, so on tall data a node regression has far fewer
 distinct covariate patterns than rows, and :class:`PatternBuilder` hands
 the learners that form whenever it pays. X^T y is a slice of the node's
-cross products with every variable, which the builder forms once per node,
+row of the variables' Gram matrix, which the builder forms in one product,
 so no fit passes over the rows for it. The learners regress many nodes on
 the same few covariate sets, so the builder keeps each set's patterns for
 the life of one learner call and drops the least recently used sets once
@@ -411,9 +411,10 @@ class PatternBuilder:
     of the model. :meth:`design` returns that form whenever :meth:`patterns`
     finds it, so Newton iterations cost O(patterns) rather than O(n), and
     the rows otherwise. Either way X^T y is read off the node's cross
-    products with every variable, ``variables @ variables[s]``, formed on
-    first use and kept for the life of the builder (that of the NodeFitter
-    holding it), so no fit passes over the rows for it.
+    products with every variable, its row of the Gram matrix
+    ``variables @ variables.T``, formed in one product on first use and
+    kept for the life of the builder (that of the NodeFitter holding it),
+    so no fit passes over the rows for it.
 
     Each variable's value table, its distinct values and their
     multiplicities (:meth:`table`), comes from one bincount of its column
@@ -442,7 +443,7 @@ class PatternBuilder:
         self.variables = data.variables_as_float()
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = {}
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cross: dict[int, np.ndarray] = {}
+        self._gram: np.ndarray | None = None
         self._patterns: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._pattern_bytes = 0
 
@@ -513,13 +514,16 @@ class PatternBuilder:
 
     def cross(self, s: int) -> np.ndarray:
         """The cross products of variable s with every variable,
-        ``variables @ variables[s]``, formed on first use and kept: X^T y of
-        every regression of s is a slice of it. It holds sums of products of
-        counts, so it is exact while they stay below 2**53."""
-        found = self._cross.get(s)
-        if found is None:
-            found = self._cross[s] = self.variables @ self.variables[s]
-        return found
+        ``variables @ variables[s]``: X^T y of every regression of s is a
+        slice of it. It is row s of the Gram matrix ``variables @
+        variables.T``, formed for every variable in one product on first use
+        and kept, read-only. Its entries are sums of products of counts, so
+        they are exact, in any order of summation, while they stay below
+        2**53."""
+        if self._gram is None:
+            self._gram = self.variables @ self.variables.T
+            self._gram.flags.writeable = False
+        return self._gram[s]
 
     def patterns(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
         """The distinct rows X of the covariates' columns (in lexicographic

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from countdag.data import (
+    _PLAIN_BLOCK,
     CountMatrix,
     InvalidData,
+    _read_plain,
     counts_from_csv,
     counts_to_csv,
     outlier_filter,
@@ -55,6 +57,42 @@ class TestCsv:
         header = ",".join(m.column_labels())
         body = "\n".join(",".join(str(v) for v in row) for row in m.values)
         assert counts_to_csv(m) == header + "\n" + body + ("\n" if m.n else "")
+
+    @pytest.mark.parametrize(
+        "labels",
+        [None, ("v 0", "v 1"), ("1", "a"), ("a\tb", "\u00e9")],
+        ids=["default", "inner-space", "one-integer", "inner-tab-non-ascii"],
+    )
+    def test_labels_round_trip(self, labels):
+        m = CountMatrix(np.array([[5, 6], [7, 8]]), labels)
+        again = counts_from_csv(counts_to_csv(m))
+        assert again.labels == m.column_labels()
+        assert np.array_equal(again.values, m.values)
+
+    @pytest.mark.parametrize(
+        "labels,bad",
+        [
+            (("a,b", "c"), "a,b"),
+            (("a\nb", "c"), "a\nb"),
+            (("a", "b\r"), "b\r"),
+            (("a", "b\u2028c"), "b\u2028c"),
+            ((" a", "b"), " a"),
+            (("a", "b\t"), "b\t"),
+            (("a", ""), ""),
+        ],
+        ids=["comma", "newline", "carriage-return", "line-separator", "leading-blank",
+             "trailing-blank", "empty"],
+    )
+    def test_refuses_label_that_does_not_read_back(self, labels, bad):
+        m = CountMatrix(np.array([[5, 6], [7, 8]]), labels)
+        with pytest.raises(InvalidData, match=re.escape(repr(bad))):
+            counts_to_csv(m)
+
+    @pytest.mark.parametrize("labels", [("1", "2"), ("+1", "007")])
+    def test_refuses_header_read_as_a_row(self, labels):
+        m = CountMatrix(np.array([[5, 6], [7, 8]]), labels)
+        with pytest.raises(InvalidData, match=re.escape(repr(labels))):
+            counts_to_csv(m)
 
     def test_headerless(self):
         m = counts_from_csv("1,2\n3,4\n")
@@ -172,3 +210,86 @@ class TestCsvFastPath:
         values = rng.integers(0, 10**6, size=(50, 4))
         text = "\n".join(",".join(f" +{v}" if v % 3 == 0 else str(v) for v in row) for row in values)
         assert counts_from_csv(text).values.tolist() == values.tolist()
+
+
+class TestPlainReader:
+    """The vectorised reader takes exactly the text counts_to_csv writes;
+    anything else reads, or is refused, as by the general readers."""
+
+    @pytest.mark.parametrize("p,n", [(1, 60_000), (2, 40_000), (20, 4_000)])
+    def test_round_trip_over_several_blocks(self, p, n):
+        rng = np.random.default_rng(p)
+        values = rng.integers(0, 10 ** rng.integers(1, 19, size=(n, p)), dtype=np.int64)
+        values[: n // 4] //= 10**15  # short cells too, down to 0
+        values[1, 0], values[2, -1] = 0, 10**18 - 1
+        m = CountMatrix(values)
+        text = counts_to_csv(m)
+        assert len(text) > 3 * _PLAIN_BLOCK
+        plain = _read_plain(text)
+        assert plain is not None and plain.labels == m.column_labels()
+        assert np.array_equal(plain.values, values)
+        assert np.array_equal(counts_from_csv(text).values, values)
+
+    def test_line_longer_than_a_block(self):
+        values = np.arange(3 * 40_000).reshape(3, 40_000) % 1000
+        text = counts_to_csv(CountMatrix(values))
+        assert len(text) // 3 > _PLAIN_BLOCK
+        assert np.array_equal(_read_plain(text).values, values)
+
+    @pytest.mark.parametrize(
+        "text,plain,expected",
+        [
+            ("a,b\n1,2\n3,4", True, [[1, 2], [3, 4]]),
+            ("1,2\n3,4", True, [[1, 2], [3, 4]]),
+            ("a,b\n123456789012345678,0\n", True, [[123456789012345678, 0]]),
+            ("a,b\r\n1,2\r\n3,4\r\n", False, [[1, 2], [3, 4]]),
+            ("a,b\n1,2\r\n", False, [[1, 2]]),
+            ("a,b\n1, 2\n3 ,4\n", False, [[1, 2], [3, 4]]),
+            ("a,b\n+1,2\n", False, [[1, 2]]),
+            ("a,b\n1,2\n\n3,4\n\n", False, [[1, 2], [3, 4]]),
+            ("\na,b\n1,2\n", False, [[1, 2]]),
+            ("a,b\n1234567890123456789,2\n", False, [[1234567890123456789, 2]]),
+            ("a,b\n\u0663,2\n", False, [[3, 2]]),
+            ("a,b\n1,2,\n", False, "line 2: expected 2 columns, got 3"),
+            ("a,b\n1\n", False, "line 2: expected 2 columns, got 1"),
+            ("a,b\n1,2,3\n", False, "line 2: expected 2 columns, got 3"),
+            ("a,b\n1\n2,3,4\n", False, "line 2: expected 2 columns, got 1"),
+            ("a,b\n1\n2\n3,4\n5,6\n", False, "line 2: expected 2 columns, got 1"),
+            ("a,b\n1,,2\n", False, "line 2: expected 2 columns, got 3"),
+            ("a,b\n,1\n", False, "line 2, column 1: '' is not an integer"),
+            ("a,b\n1,2\x0b\n", False, [[1, 2]]),
+            ("a\x0cb,c\n1,2\n", False, "line 2: expected 1 columns, got 2"),
+            ("a,b\n9223372036854775808,2\n", False,
+             "line 2, column 1: count 9223372036854775808 exceeds int64"),
+            ("a,b\n", False, "counts CSV has a header but no data rows"),
+            ("a,b", False, "counts CSV has a header but no data rows"),
+            ("\n\n", False, "empty counts CSV"),
+        ],
+        ids=["no-final-newline", "headerless-no-final-newline", "18-digits", "crlf",
+             "crlf-in-rows", "blanks", "plus", "blank-lines", "leading-blank-line",
+             "19-digits", "arabic-indic-digit", "trailing-comma", "short-row", "long-row",
+             "short-then-long-row", "short-rows-as-many-cells", "empty-cell",
+             "leading-empty-cell", "vertical-tab", "form-feed-in-header", "beyond-int64",
+             "lone-header", "lone-header-no-newline", "only-blank-lines"],
+    )
+    def test_matches_general_readers(self, text, plain, expected):
+        assert (_read_plain(text) is not None) == plain
+        if isinstance(expected, str):
+            with pytest.raises(InvalidData, match=f"^{re.escape(expected)}$"):
+                counts_from_csv(text)
+        else:
+            assert counts_from_csv(text).values.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("1,x", "line 70002, column 2: 'x' is not an integer"),
+            ("1,-4", "line 70002, column 2: negative count -4"),
+            ("1,2,3", "line 70002: expected 2 columns, got 3"),
+        ],
+    )
+    def test_bad_row_past_the_first_block(self, row, message):
+        text = "a,b\n" + "1,2\n" * 70_000 + row + "\n" + "3,4\n" * 10
+        assert text.index(row) > _PLAIN_BLOCK
+        with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
+            counts_from_csv(text)

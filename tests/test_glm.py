@@ -949,6 +949,20 @@ class TestPatternBuilder:
                 assert xty.tolist() == want.tolist()
         assert built.count((0, 1)) == 2
 
+    def test_cross_rows_are_the_per_node_products(self):
+        # Each row of the Gram matrix is bit for bit the node's own product
+        # with every variable, also with counts near 10**6, whose products
+        # (about 10**12, summed over 2,000 rows) still sum exactly.
+        rng = np.random.default_rng(11)
+        values = rng.poisson(3.0, size=(2000, 7))
+        values[:, 2] = rng.integers(10**6 - 1000, 10**6, size=2000)
+        values[:, 5] = rng.integers(0, 10**6, size=2000)
+        builder = glm.PatternBuilder(CountMatrix(values))
+        for s in range(7):
+            cross = builder.cross(s)
+            assert cross.tobytes() == (builder.variables @ builder.variables[s]).tobytes()
+            assert not cross.flags.writeable
+
     def test_level_codes_in_smallest_type(self):
         from countdag.data import CountMatrix
         from countdag.glm import PatternBuilder
