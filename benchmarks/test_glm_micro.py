@@ -20,9 +20,9 @@ which solves its information, and at (500, 99) every test of one fit, of
 which only the first solves. The pattern cases time what a learner pays
 per fit on the 50,000-row workload: X^T y, the distinct covariate
 patterns and their multiplicities from a PatternBuilder that has the
-variables' Gram matrix and the set cached, then the fit on them. The
+node's cross products and the set cached, then the fit on them. The
 design cases time the builder alone at n=50,000: cold
-(level codes built, neither the set nor the Gram matrix cached)
+(level codes built, neither the set nor the node's cross products cached)
 against warm (both cached, so only the lookups are left), and log_fact
 times one column's log-factorial mean from its level counts.
 

@@ -199,7 +199,11 @@ def _plain_block(data: np.ndarray, width: int) -> np.ndarray | None:
     values = digits.take(ends - 1).astype(np.int64)
     for place in range(1, longest):
         cells = np.flatnonzero(lengths > place)
-        values[cells] += digits.take(ends.take(cells) - (place + 1)) * _PLACE_VALUES[place]
+        # dtype: numpy 1.x would keep a uint8 digit times a place value
+        # that fits uint8 (100) in uint8, and wrap.
+        values[cells] += np.multiply(
+            digits.take(ends.take(cells) - (place + 1)), _PLACE_VALUES[place], dtype=np.int64
+        )
     return values.reshape(rows, width)
 
 

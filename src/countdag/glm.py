@@ -77,7 +77,8 @@ form of a Poisson GLM; McCullagh and Nelder, *Generalized Linear Models*).
 Count covariates repeat, so on tall data a node regression has far fewer
 distinct covariate patterns than rows, and :class:`PatternBuilder` hands
 the learners that form whenever it pays. X^T y is a slice of the node's
-row of the variables' Gram matrix, which the builder forms in one product,
+cross products with every variable, which the builder forms once (for
+more than one node, as rows of the variables' Gram matrix in one product),
 so no fit passes over the rows for it. The learners regress many nodes on
 the same few covariate sets, so the builder keeps each set's patterns for
 the life of one learner call and drops the least recently used sets once
@@ -411,10 +412,10 @@ class PatternBuilder:
     of the model. :meth:`design` returns that form whenever :meth:`patterns`
     finds it, so Newton iterations cost O(patterns) rather than O(n), and
     the rows otherwise. Either way X^T y is read off the node's cross
-    products with every variable, its row of the Gram matrix
-    ``variables @ variables.T``, formed in one product on first use and
-    kept for the life of the builder (that of the NodeFitter holding it),
-    so no fit passes over the rows for it.
+    products with every variable (:meth:`cross`), kept for the life of the
+    builder (that of the NodeFitter holding it), so no fit passes over the
+    rows for it: the first node's own product, then, once a second node is
+    asked for, the Gram matrix ``variables @ variables.T`` in one product.
 
     Each variable's value table, its distinct values and their
     multiplicities (:meth:`table`), comes from one bincount of its column
@@ -443,6 +444,7 @@ class PatternBuilder:
         self.variables = data.variables_as_float()
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = {}
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._first: tuple[int, np.ndarray] | None = None
         self._gram: np.ndarray | None = None
         self._patterns: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._pattern_bytes = 0
@@ -514,15 +516,24 @@ class PatternBuilder:
 
     def cross(self, s: int) -> np.ndarray:
         """The cross products of variable s with every variable,
-        ``variables @ variables[s]``: X^T y of every regression of s is a
-        slice of it. It is row s of the Gram matrix ``variables @
-        variables.T``, formed for every variable in one product on first use
-        and kept, read-only. Its entries are sums of products of counts, so
-        they are exact, in any order of summation, while they stay below
-        2**53."""
+        ``variables @ variables[s]``, read-only: X^T y of every regression
+        of s is a slice of it. The first node asked for gets its own
+        product, O(pn), so a caller that fits one node (as
+        :func:`countdag.scores.node_score` does) pays no more. A second
+        node forms the Gram matrix ``variables @ variables.T`` for every
+        variable in one product, O(p^2 n), and each later row is read off
+        it. Its entries are sums of products of counts, so they are exact,
+        in any order of summation, while they stay below 2**53: the row of
+        a node is the same either way."""
         if self._gram is None:
+            if self._first is None:
+                self._first = (s, self.variables @ self.variables[s])
+                self._first[1].flags.writeable = False
+            if self._first[0] == s:
+                return self._first[1]
             self._gram = self.variables @ self.variables.T
             self._gram.flags.writeable = False
+            self._first = None
         return self._gram[s]
 
     def patterns(self, covariates: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:

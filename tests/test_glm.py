@@ -958,10 +958,12 @@ class TestPatternBuilder:
         values[:, 2] = rng.integers(10**6 - 1000, 10**6, size=2000)
         values[:, 5] = rng.integers(0, 10**6, size=2000)
         builder = glm.PatternBuilder(CountMatrix(values))
-        for s in range(7):
+        for i, s in enumerate([3, 3, *range(7), 3]):
             cross = builder.cross(s)
             assert cross.tobytes() == (builder.variables @ builder.variables[s]).tobytes()
             assert not cross.flags.writeable
+            # Node 3 alone never forms the whole Gram matrix; a second node does.
+            assert (builder._gram is None) == (i < 2)
 
     def test_level_codes_in_smallest_type(self):
         from countdag.data import CountMatrix
