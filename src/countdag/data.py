@@ -1,10 +1,11 @@
 """Count-data matrices and their CSV representation.
 
-:func:`counts_to_csv` writes the plain form, which :func:`counts_from_csv`
-reads in vectorised passes over its bytes (:func:`_read_plain`). Any other
-counts CSV goes through numpy's C reader, and rows that it refuses are
-scanned cell by cell (:func:`_scan_rows`) to name the bad cell; see
-:func:`counts_from_csv` for when each reader runs.
+:func:`counts_to_csv` writes the plain form in vectorised passes over
+blocks of rows (:func:`_csv_block`), with no Python object per cell, and
+:func:`counts_from_csv` reads it back in vectorised passes over its bytes
+(:func:`_read_plain`). Any other counts CSV goes through numpy's C reader,
+and rows that it refuses are scanned cell by cell (:func:`_scan_rows`) to
+name the bad cell; see :func:`counts_from_csv` for when each reader runs.
 """
 from __future__ import annotations
 
@@ -15,15 +16,17 @@ from .graphs import _check_labels, default_labels
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Bytes of CSV rows :func:`_read_plain` converts at a time, extended to
-#: the end of the line they stop in: small enough that a block's
-#: temporaries (several bytes per byte of text) stay in cache and add
-#: little to peak memory, large enough that numpy's per-call overhead is
-#: small against a block's work.
+#: the end of the line they stop in, and bytes of counts :func:`counts_to_csv`
+#: writes at a time: small enough that a block's temporaries (several bytes
+#: per byte of text or of counts) stay in cache and add little to peak
+#: memory, large enough that numpy's per-call overhead is small against a
+#: block's work.
 _PLAIN_BLOCK = 1 << 17
 #: The most digits of a plain cell: 10**18 - 1 is below 2**63, so the sum
 #: of a cell's digits times their place values cannot overflow int64.
 _PLAIN_DIGITS = 18
-_PLACE_VALUES = 10 ** np.arange(_PLAIN_DIGITS, dtype=np.int64)
+#: 10**0 through 10**18, the largest power of ten below 2**63.
+_PLACE_VALUES = 10 ** np.arange(_PLAIN_DIGITS + 1, dtype=np.int64)
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
@@ -73,8 +76,14 @@ class CountMatrix:
 
 
 def counts_to_csv(data: CountMatrix) -> str:
-    """The counts as CSV text: a header of column labels, then one line per
-    row, each formatted by one template over its Python ints.
+    r"""The counts as CSV text: a header of column labels, then one line per
+    row, its counts in decimal digits separated by ``,`` and ended by
+    ``\n``. With every count below 10**18 this is the plain form that
+    :func:`counts_from_csv` reads in vectorised passes.
+
+    The rows are written in blocks of about :data:`_PLAIN_BLOCK` bytes of
+    counts by :func:`_csv_block`, which forms no Python object per cell.
+    The blocks' bytes are joined and decoded once, after the header.
 
     Raises InvalidData for labels that :func:`counts_from_csv` would not
     read back: a label holding ``,`` or a line break, or with blanks at
@@ -86,10 +95,45 @@ def counts_to_csv(data: CountMatrix) -> str:
             raise InvalidData(f"label {label!r} would not read back from a counts CSV")
     if all(_is_int(label) for label in labels):
         raise InvalidData(f"labels {labels!r} would read back from a counts CSV as a data row")
-    header = ",".join(labels)
-    row = ",".join(["%d"] * data.p)
-    body = "\n".join([row % tuple(values) for values in data.values.tolist()])
-    return header + "\n" + body + ("\n" if data.n else "")
+    values = data.values
+    step = max(1, _PLAIN_BLOCK // (values.itemsize * data.p))
+    # The joined bytes are not bound to a name, so they are freed once
+    # decoded: at most two copies of the text are alive at a time.
+    return ",".join(labels) + "\n" + b"".join(
+        [_csv_block(values[start:start + step]) for start in range(0, data.n, step)]
+    ).decode("ascii")
+
+
+def _csv_block(values: np.ndarray) -> np.ndarray:
+    r"""The CSV lines of a (rows, p) block of counts, as ASCII bytes.
+
+    A cell's width is its number of digits: one, plus one for each power of
+    ten it reaches. The cumulative widths, each plus one for the cell's
+    separator, place the separators: ``,`` after a cell and ``\n`` after
+    a row's last. The digits are filled from each cell's last place, one
+    division by ten per place over the cells that still have digits."""
+    cells = values.ravel()
+    top = cells.max()
+    widths = np.ones(cells.size, dtype=np.int64)
+    for power in _PLACE_VALUES[1:]:
+        if power > top:
+            break
+        widths += cells >= power
+    seps = np.cumsum(widths + 1)
+    seps -= 1
+    out = np.empty(int(seps[-1]) + 1, dtype=np.uint8)
+    out[seps] = _COMMA
+    out[seps[values.shape[1] - 1::values.shape[1]]] = _NEWLINE
+    rest, pos = cells, seps
+    while rest.size:
+        # Floor division by a scalar is several times faster than % or
+        # np.divmod, so the digit is taken as rest - 10 * quot.
+        quot = rest // 10
+        pos -= 1
+        out[pos] = rest - quot * 10 + _ZERO
+        more = (quot > 0).nonzero()[0]
+        rest, pos = quot.take(more), pos.take(more)
+    return out
 
 
 def counts_from_csv(text: str) -> CountMatrix:
@@ -124,7 +168,8 @@ def counts_from_csv(text: str) -> CountMatrix:
     except (ValueError, OverflowError):
         values = None
     if values is None or values.shape[1] != width or values.min() < 0:
-        values = _scan_rows(body, start + 1, width)
+        linenos = [i for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        values = _scan_rows(body, linenos[start:], width)
     return CountMatrix(values, labels)
 
 
@@ -140,9 +185,10 @@ def _read_plain(text: str) -> CountMatrix | None:
     """The counts of a CSV in plain form (see :func:`counts_from_csv`), or
     None for any other text.
 
-    The rows are encoded to ASCII and converted in line-aligned blocks of
-    about :data:`_PLAIN_BLOCK` bytes by :func:`_plain_block`, straight into
-    the (n, p) result."""
+    The rows are taken in line-aligned blocks of about :data:`_PLAIN_BLOCK`
+    characters, each encoded to ASCII on its own and converted by
+    :func:`_plain_block` straight into the (n, p) result, so only one
+    block's bytes are alive at a time."""
     end = text.find("\n")
     head = text[:end] if end >= 0 else text
     # The first physical line must be the first line the general reader
@@ -150,21 +196,28 @@ def _read_plain(text: str) -> CountMatrix | None:
     if not head.strip() or head.splitlines() != [head]:
         return None
     labels, width = _header(head)
-    try:
-        rows = (text if labels is None else text[len(head) + 1:]).encode("ascii")
-    except UnicodeEncodeError:
+    start = 0 if labels is None else len(head) + 1
+    if start >= len(text):
         return None
-    if not rows:
-        return None
-    if not rows.endswith(b"\n"):
-        rows += b"\n"
-    data = np.frombuffer(rows, dtype=np.uint8)
-    values = np.empty((np.count_nonzero(data == _NEWLINE), width), dtype=np.int64)
-    start = row = 0
-    while start < len(rows):
-        # A line longer than a block makes a block of its own.
-        stop = rows.rfind(b"\n", start, start + _PLAIN_BLOCK) + 1 or rows.find(b"\n", start) + 1
-        block = _plain_block(data[start:stop], width)
+    # A row per \n, and one for a last line without it.
+    n = text.count("\n", start) + (not text.endswith("\n"))
+    values = np.empty((n, width), dtype=np.int64)
+    row = 0
+    while start < len(text):
+        # A line longer than a block makes a block of its own; the last
+        # line may have no \n.
+        stop = (
+            text.rfind("\n", start, start + _PLAIN_BLOCK) + 1
+            or text.find("\n", start) + 1
+            or len(text)
+        )
+        try:
+            rows = text[start:stop].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if not rows.endswith(b"\n"):
+            rows += b"\n"
+        block = _plain_block(np.frombuffer(rows, dtype=np.uint8), width)
         if block is None:
             return None
         values[row:row + len(block)] = block
@@ -207,11 +260,12 @@ def _plain_block(data: np.ndarray, width: int) -> np.ndarray | None:
     return values.reshape(rows, width)
 
 
-def _scan_rows(lines: list[str], first_lineno: int, width: int) -> np.ndarray:
+def _scan_rows(lines: list[str], linenos: list[int], width: int) -> np.ndarray:
     """Cell-by-cell parse of data rows; raises InvalidData at the first bad
-    cell, numbering lines from ``first_lineno``."""
+    cell, naming its line by its number in ``linenos``, the rows' numbers
+    in the file."""
     rows = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in zip(linenos, lines):
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != width:
             raise InvalidData(f"line {lineno}: expected {width} columns, got {len(cells)}")

@@ -1,17 +1,63 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countdag.data import (
     _PLAIN_BLOCK,
     CountMatrix,
     InvalidData,
+    _is_int,
     _read_plain,
     counts_from_csv,
     counts_to_csv,
     outlier_filter,
 )
+
+
+def template_csv(m: CountMatrix) -> str:
+    """The per-row template writer that counts_to_csv replaced, kept as the
+    oracle for its bytes."""
+    row = ",".join(["%d"] * m.p)
+    body = "\n".join([row % tuple(values) for values in m.values.tolist()])
+    return ",".join(m.column_labels()) + "\n" + body + ("\n" if m.n else "")
+
+
+def _cells_of_every_width() -> np.ndarray:
+    """0, 10**k - 1 and 10**k for k = 1..18, and 2**63 - 1: the least and
+    the greatest count of every width from 1 to 19 digits."""
+    cells = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+    return np.array(cells, dtype=np.int64)
+
+
+def _writer_blocks(p: int) -> np.ndarray:
+    """Counts of every width from 1 to 19 digits, in p columns and rows for
+    three and a half of counts_to_csv's blocks (:data:`_PLAIN_BLOCK` bytes
+    of int64 counts each)."""
+    n = 7 * _PLAIN_BLOCK // (2 * 8 * p)
+    rng = np.random.default_rng(p)
+    values = rng.integers(0, 10 ** rng.integers(1, 19, size=(n, p)), dtype=np.int64)
+    values[::7] = rng.choice(_cells_of_every_width(), size=values[::7].shape)
+    return values
+
+
+_LABEL = st.text(min_size=1, max_size=4).filter(
+    lambda s: "," not in s and s.splitlines() == [s] and s == s.strip()
+)
+
+
+@st.composite
+def _count_matrices(draw) -> CountMatrix:
+    p = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([9, 10**6, 10**18 - 1, 2**63 - 1]))
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=p, max_size=p),
+                         min_size=1, max_size=30))
+    labels = draw(st.none() | st.lists(_LABEL, min_size=p, max_size=p, unique=True).filter(
+        lambda labels: not all(_is_int(label) for label in labels)))
+    return CountMatrix(np.array(rows, dtype=np.int64), labels)
 
 
 class TestCountMatrix:
@@ -48,8 +94,13 @@ class TestCsv:
             np.array([[5], [0]]),
             np.array([[0, 2**63 - 1], [17, 0]]),
             np.random.default_rng(4).poisson(3.0, size=(50, 3)),
+            _cells_of_every_width().reshape(-1, 1),
+            _cells_of_every_width()[::-1].reshape(-1, 2),
+            _writer_blocks(1),
+            _writer_blocks(30),
         ],
-        ids=["n0", "p1", "zero-and-int64-max", "poisson"],
+        ids=["n0", "p1", "zero-and-int64-max", "poisson", "every-width-p1",
+             "every-width-p2", "several-blocks-p1", "several-blocks-p30"],
     )
     def test_text_matches_str_per_cell(self, values, labelled):
         labels = tuple(f"v {j}" for j in range(values.shape[1])) if labelled else None
@@ -57,6 +108,17 @@ class TestCsv:
         header = ",".join(m.column_labels())
         body = "\n".join(",".join(str(v) for v in row) for row in m.values)
         assert counts_to_csv(m) == header + "\n" + body + ("\n" if m.n else "")
+
+    def test_traced_peak_is_at_most_three_texts(self):
+        rng = np.random.default_rng(2993)
+        m = CountMatrix(rng.poisson(rng.uniform(0.2, 4.0, size=20), size=(200_000, 20)))
+        tracemalloc.start()
+        try:
+            text = counts_to_csv(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
     @pytest.mark.parametrize(
         "labels",
@@ -264,13 +326,16 @@ class TestPlainReader:
             ("a,b\n", False, "counts CSV has a header but no data rows"),
             ("a,b", False, "counts CSV has a header but no data rows"),
             ("\n\n", False, "empty counts CSV"),
+            ("a,b\n\n1,x\n", False, "line 3, column 2: 'x' is not an integer"),
+            ("a,b\n\n\n1,2\n-1,2\n", False, "line 5, column 1: negative count -1"),
         ],
         ids=["no-final-newline", "headerless-no-final-newline", "18-digits", "crlf",
              "crlf-in-rows", "blanks", "plus", "blank-lines", "leading-blank-line",
              "19-digits", "arabic-indic-digit", "trailing-comma", "short-row", "long-row",
              "short-then-long-row", "short-rows-as-many-cells", "empty-cell",
              "leading-empty-cell", "vertical-tab", "form-feed-in-header", "beyond-int64",
-             "lone-header", "lone-header-no-newline", "only-blank-lines"],
+             "lone-header", "lone-header-no-newline", "only-blank-lines",
+             "bad-cell-after-blank-line", "negative-after-blank-lines"],
     )
     def test_matches_general_readers(self, text, plain, expected):
         assert (_read_plain(text) is not None) == plain
@@ -279,6 +344,21 @@ class TestPlainReader:
                 counts_from_csv(text)
         else:
             assert counts_from_csv(text).values.tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_count_matrices())
+    def test_reads_back_the_writers_text(self, m):
+        text = counts_to_csv(m)
+        assert text == template_csv(m)
+        plain = _read_plain(text)
+        if m.values.max() < 10**18:
+            assert plain is not None and plain.labels == m.column_labels()
+            assert np.array_equal(plain.values, m.values)
+        else:  # 19 digits: read by the general readers
+            assert plain is None
+        again = counts_from_csv(text)
+        assert again.labels == m.column_labels()
+        assert np.array_equal(again.values, m.values)
 
     @pytest.mark.parametrize(
         "row,message",
