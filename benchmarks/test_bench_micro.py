@@ -11,10 +11,16 @@ its precedents shows that none can lower its score (see scores._nll_floor).
 The PK2 cases time PKBIC alone on the erdos_renyi replicate's data, through
 a new NodeFitter ("alone") and through one that already holds OR-LPGM's
 fits, made afresh before each call ("after_or_lpgm"); their gap is what
-the floor and OR-LPGM's cached fits save. Timed with
+the floor and OR-LPGM's cached fits save. The PKAIC case times PKAIC
+alone on the data of Criterion 2's erdos_renyi replicate 0 (p = 100,
+n = 500), where nearly every forward candidate is skipped by its dual
+bound (see scores._pk2_parents); its untimed pass checks the edge set
+against a digest of the one PKAIC finds when it fits every candidate. Timed with
 
     python -m pytest benchmarks/test_bench_micro.py --benchmark-only
 """
+import hashlib
+
 import pytest
 
 from countdag.bench import Experiment, LearnerSpec, make_truth, run_replicate
@@ -59,3 +65,16 @@ def test_pk2(benchmark, prior):
         return (data, ordering, ScoreConfig("bic"), fitter), {}
 
     assert benchmark.pedantic(pk2, setup=fresh, rounds=50) == expected
+
+
+def test_pkaic_p100(benchmark):
+    sim = SimConfig(graph_kind="erdos_renyi", p=100, n=500, seed=2993, er_gamma=0.02)
+    exp = Experiment(sim=sim, learners=(LearnerSpec("pkaic", "pkaic"),), replicates=1)
+    wdag, ordering = make_truth(exp, 0)
+    data = sample_data(wdag, ordering, sim.n, sim, make_rng(sim.seed, 1, 0))
+    dag = benchmark.pedantic(pk2, args=(data, ordering, ScoreConfig("aic")), rounds=5)
+    edges = sorted((int(t), int(s)) for t, s in dag.edges)
+    assert len(edges) == 805
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+        "b7e801302e2bb15e7bc00e4c286e3a3abf08bc56adfb943c06355ad10e862fac"
+    )

@@ -90,9 +90,14 @@ dozen levels for count data. :func:`_fit_levels` runs many such fits as one
 batch, a single vectorised Newton loop over (node, covariate) pairs whose
 tables lie end to end, each pair's arithmetic its own. :func:`_fit_pairs`
 fits a learner's pairs from a PatternBuilder's value tables, which is how
-OR-PPGM's level 0, PK2's first forward steps and the exhaustive search's
-single parents are fitted, one batch per learner call; :func:`_fit_core`
-on one covariate is a batch of one, bit for bit the same fit.
+OR-PPGM's level 0 and PK2's first forward steps are fitted, one batch
+per learner call; :func:`_fit_core` on one covariate is a batch of one,
+bit for bit the same fit.
+
+:func:`_dual_bounds` fits nothing: from a node regression's fit on
+covariates P it bounds, by weak duality, the minimum nll of the
+regression on P and one more covariate, for many candidates in one pass,
+which lets PK2 skip the candidates that cannot win a step.
 """
 from __future__ import annotations
 
@@ -110,6 +115,7 @@ from .data import CountMatrix, InvalidData
 # the method's Python wrapper: the Newton loop calls them on every trial.
 _sum = np.add.reduce
 _max = np.maximum.reduce
+_min = np.minimum.reduce
 
 #: Widest fit whose Newton moments come from the precomputed moment matrix
 #: (k + k(k+1)/2 rows); wider fits form X^T W X by matrix products.
@@ -1166,6 +1172,122 @@ def _fit_pairs(
         float(builder.variables.shape[1]),
         [t for _, t in pairs],
     )
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _dual_bounds(
+    covariates: np.ndarray,
+    candidates: np.ndarray,
+    intercept: float,
+    theta: np.ndarray,
+    xty: np.ndarray,
+    total: float,
+    log_fact: float,
+) -> np.ndarray:
+    """Lower bounds on the nll of the node regressions on the k
+    ``covariates`` plus one of the r ``candidates`` each, from the
+    regression on the covariates alone: -inf for a candidate that gets no
+    bound. Both arrays hold variables as rows, (k, n) and (r, n), k >= 1;
+    ``candidates`` is a fresh gather, which this overwrites. ``intercept``
+    and ``theta`` are the coefficients of the fit on the covariates, ``xty``
+    the k + r cross products of the response with the covariates and then
+    the candidates, and ``total`` and ``log_fact`` its sum(y) and mean(log y!).
+
+    *The bound.* Let Z = [1, X_P, x_t] be the design of candidate t and
+    mu >= 0 any rates with Z^T mu = Z^T y. Row by row, e^eta >= mu + mu
+    (eta - log mu) (the tangent of exp at log mu; 0 at mu = 0), so for any
+    coefficients, with eta = Z theta, sum(e^eta - y eta) is at least
+    sum(mu - mu log mu) + (mu - y)^T Z theta = sum(mu - mu log mu): weak
+    duality. So min nll >= mean(mu - mu log mu) + mean(log y!), whether or
+    not the fit on X_P is at its optimum. The mu taken is one Newton step
+    from the fit's rates m: mu = m (1 + Z c) with (Z^T M Z) c = Z^T (y - m),
+    so Z^T mu = Z^T y. When t adds nothing to an optimal fit, c = 0 and
+    the bound is the minimum; to second order its gap is the Rao score
+    statistic of t. The systems of all candidates share the block
+    A = X_P'^T M X_P' of X_P' = [1, X_P], so one solve with A serves them
+    all: with b_t = X_P'^T M x_t, h = A^-1 X_P'^T (y - m), W = A^-1 B and
+    the Schur complement s_t = x_t^T M x_t - b_t^T A^-1 b_t, the step is
+    g_t = (x_t^T (y - m) - b_t^T h) / s_t on x_t and h - g_t A^-1 b_t on
+    X_P'. A rate m that underflows to 0 gives mu = 0 whatever its row of
+    1 + Z c, and adds 0 to the sum.
+
+    A candidate gets no bound when some entry of 1 + Z c at a positive rate
+    is not positive (mu is then no feasible point, or log mu is -inf) or
+    when s_t is not positive at rounding: s_t, the m-weighted residual sum
+    of squares of x_t on X_P', is a difference of terms up to x_t^T M x_t,
+    with an error of about eps cond(A) times it, so an s_t within
+    sqrt(RESOLUTION) (about 1e-7) of x_t^T M x_t cannot be told from 0
+    (x_t is collinear with X_P', as a duplicated or constant column is)
+    and its step g_t would be rounding noise. No candidate gets one when A
+    is singular, or when by the same test a column of X_P' is collinear
+    with the others, its variance inflation A_jj (A^-1)_jj at least
+    1 / sqrt(RESOLUTION): as when P's fit ran off so far that its rates
+    leave a covariate nearly constant, so that A's solve is rounding noise.
+
+    *The margin.* The computed mu meets Z^T mu = Z^T y only up to the
+    residual r of the solve and of forming mu, which moves the bound by
+    r^T theta* at the candidate's optimum theta*: for a backward-stable
+    solve, at most about (k + 2) eps sum_i mu_i |eta*_i|, with eta* about
+    log mu. Summing the n terms mu (1 - log mu) errs by at most
+    n eps sum_i |mu_i (1 - log mu_i)|, and the fitted nll, an objective
+    value at a real point and so never below the minimum, is itself rounded
+    by a few eps times its terms. As mean(mu) = ybar, each is within
+    (n + k + 2) eps (ybar (1 + L) + |mean(log y!)|), with L the largest
+    |eta| plus the largest |log(1 + Z c)|, at least every |log mu|. The
+    margin is that with RESOLUTION (64 eps) for eps, so it covers each
+    with room to spare, and the rescaling to a score (a product by 2n and a
+    sum, each rounded once). At n < PATTERN_MIN_ROWS, (n + k + 2)
+    RESOLUTION is below 1e-10, so the margin costs no screening. Each
+    bound is less its margin: a candidate whose bound exceeds a score
+    cannot fit below that score, or tie it.
+    """
+    k, n = covariates.shape
+    r = candidates.shape[0]
+    design = np.empty((k + 1, n))  # X_P'^T
+    design[0] = 1.0
+    design[1:] = covariates
+    eta = theta @ covariates
+    eta += intercept
+    m = np.exp(eta)
+    weighted = design * m
+    A = weighted @ design.T
+    B = candidates @ weighted.T  # each row b_t^T
+    square = (candidates * candidates) @ m
+    rhs = np.empty((k + 1, r + k + 2))
+    rhs[0, 0] = total
+    rhs[1:, 0] = xty[:k]
+    rhs[:, 0] -= A[:, 0]
+    rhs[:, 1 : r + 1] = B.T
+    rhs[:, r + 1 :] = np.eye(k + 1)
+    solved = _solve_plain(A, rhs)
+    limit = 1.0 / math.sqrt(RESOLUTION)
+    if solved is None or not (np.abs(A.diagonal() * solved[:, r + 1 :].diagonal()) < limit).all():
+        return np.full(r, -math.inf)
+    h, W = solved[:, 0], solved[:, 1 : r + 1]
+    schur = square - np.einsum("ij,ji->i", B, W)
+    step = (xty[k:] - B[:, 0] - B @ h) / schur
+    coef = h - (W * step).T
+    coef[:, 0] += 1.0
+    # The rates of mu relative to m, 1 + Z c, one row per candidate.
+    ratio = coef @ design
+    ratio += np.multiply(candidates, step[:, None], out=candidates)
+    if not m.all():
+        ratio[:, m == 0.0] = 1.0  # mu is 0 there, whatever the ratio
+    low = _min(ratio, axis=1)
+    ok = (schur * limit > square) & (low > 0.0)
+    ratio[~ok] = 1.0
+    # L, at most the largest |eta| plus the largest |log(ratio)|.
+    spread = float(_max(np.abs(eta))) + max(
+        math.log(float(_max(ratio, axis=None))), -math.log(float(_min(low[ok], initial=1.0)))
+    )
+    # sum mu (1 - log mu), with log mu = eta + log(ratio): a rate m that
+    # underflows to 0 adds 0, not 0 * log 0.
+    logs = np.log(ratio)
+    mu = np.multiply(ratio, m, out=ratio)
+    sums = _sum(mu, axis=1) - mu @ eta - np.einsum("ij,ij->i", mu, logs)
+    bounds = sums / n + log_fact
+    margin = (n + k + 2) * RESOLUTION * (total / n * (1.0 + spread) + abs(log_fact))
+    return np.where(ok & np.isfinite(bounds), bounds - margin, -math.inf)
 
 
 def wald(fit: GlmFit, target: int, n: int) -> float:

@@ -42,12 +42,16 @@ from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable
 
+import numpy as np
+
 from .data import CountMatrix
 from .glm import (
+    PATTERN_MIN_ROWS,
     FitTally,
     GlmFit,
     PatternBuilder,
     SingularInformation,
+    _dual_bounds,
     _fit_core,
     _fit_pairs,
     wald,
@@ -189,14 +193,17 @@ class NodeFitter:
     Regressions on one covariate may be asked for in bulk
     (:meth:`fit_singles`), which fits them in one vectorised batch, each
     bit for bit the fit :meth:`fit` makes alone. OR-PPGM asks so for its
-    whole level 0 before its first child, PK2 for every first forward step
-    its floor leaves open, and the exhaustive search for its size-1 sets;
-    then OR-PPGM asks child by child for levels 1..m, OR-LPGM once per
-    node, and the score searches per candidate parent set, so those
-    single-covariate requests are cache hits.
-    :meth:`made` only looks a fit up: PK2 reads there the fit of a child on
-    all of its precedents, if an earlier learner made it, as the floor of
-    every candidate's nll (see :func:`countdag.scores._nll_floor`).
+    whole level 0 before its first child and PK2 for every first forward
+    step its floor leaves open; then OR-PPGM asks child by child for
+    levels 1..m, OR-LPGM once per node, and the score searches per
+    candidate parent set, so those single-covariate requests are cache
+    hits.
+    :meth:`made` only looks a fit up, and PK2 reads it twice: the fit of a
+    child on all of its precedents, if an earlier learner made it, as the
+    floor of every candidate's nll (see :func:`countdag.scores._nll_floor`),
+    and, through :meth:`bounds`, the fit on a forward step's current
+    parents, whose rates give every candidate of the step a dual lower
+    bound on its nll (see :func:`countdag.glm._dual_bounds`).
     """
 
     def __init__(self, data: CountMatrix):
@@ -255,6 +262,26 @@ class NodeFitter:
         counts nothing."""
         found = self._store.get((s, covariates))
         return found if isinstance(found, GlmFit) else None
+
+    def bounds(
+        self, s: int, parents: tuple[int, ...], candidates: list[int]
+    ) -> np.ndarray | None:
+        """Lower bounds on the nll of s on ``parents`` plus each t of
+        ``candidates`` (see :func:`countdag.glm._dual_bounds`), -inf where
+        a candidate gets none, from the stored fit of s on ``parents`` and
+        the float rows; it never fits and counts nothing. None when that
+        fit is absent or has a diverged coefficient (as every fit of an
+        all-zero s has, with a -inf intercept), and at n >= PATTERN_MIN_ROWS,
+        where fits run on patterns and a pass over the rows costs more than
+        the fits it could spare."""
+        fit = self.made(s, parents)
+        if self.n >= PATTERN_MIN_ROWS or fit is None or fit.diverged.any():
+            return None
+        rows = self._rows
+        return _dual_bounds(
+            rows.variables[list(parents)], rows.variables[candidates], fit.intercept,
+            fit.theta, rows.cross(s)[[*parents, *candidates]], rows.total(s), rows.log_fact(s),
+        )
 
 
 def _node_fitter(data: CountMatrix, fitter: NodeFitter | None) -> NodeFitter:

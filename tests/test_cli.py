@@ -181,6 +181,8 @@ class TestLearn:
         # Scores of a | {}, b | {} and b | {a}; the backward phase hits the cache.
         assert payload["fits"]["fits"] == 3
         assert payload["fits"]["newton_iterations"] > 0
+        # b's one step is its first, whose candidates get no bound and are not counted.
+        assert payload["screening"] == {"bounded": 0, "skipped": 0, "unbounded": 0}
 
     def test_outlier_filter_flag(self, tmp_path):
         rows = [[1, 1]] * 11 + [[101, 1]]

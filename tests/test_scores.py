@@ -4,15 +4,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from countdag import learn, scores
+from countdag import glm, learn, scores
 from countdag.data import CountMatrix
-from countdag.glm import FitTally, SingularInformation
+from countdag.glm import PATTERN_MIN_ROWS, FitTally, SingularInformation
 from countdag.graphs import Dag, GraphError, Ordering, is_consistent
 from countdag.learn import LearnConfig, NodeFitter, or_lpgm
 from countdag.scores import (
     ScoreConfig,
     ScoreReport,
+    Screening,
     _nll_floor,
     _score,
     exhaustive_search,
@@ -71,31 +74,16 @@ def _reference_pk2(data, ordering, cfg):
     return Dag(data.p, edges, data.labels), report
 
 
-def _plain_exhaustive(data, ordering, cfg):
-    """Every ordering-consistent parent set of every node, scored through
-    a fresh NodeFitter, the lowest kept (ties to the first in size, then
-    lexicographic order)."""
-    report = ScoreReport(criterion=cfg.criterion)
-    fitter = NodeFitter(data)
-    edges, total = [], 0.0
-    for s in ordering.perm:
-        pre = ordering.precedents(s)
-        best = None
-        for size in range(len(pre) + 1):
-            for parents in combinations(pre, size):
-                trial = _score(fitter, report, data.n, s, parents, cfg)
-                if best is None or trial.score < best.score:
-                    best = trial
-        total += best.score
-        edges.extend((t, s) for t in best.parents)
-    return Dag(data.p, frozenset(edges), data.labels), total
-
-
 def _lpgm_fitter(data, ordering):
     """A NodeFitter over ``data`` that holds OR-LPGM's fits, as in a bench replicate."""
     fitter = NodeFitter(data)
     or_lpgm(data, ordering, LearnConfig(alpha_b=0.15), fitter=fitter)
     return fitter
+
+
+def _without_bounds(monkeypatch):
+    """PK2 from here on gives no forward candidate a bound, so fits them all."""
+    monkeypatch.setattr(NodeFitter, "bounds", lambda self, s, parents, candidates: None)
 
 
 class TestNodeScore:
@@ -229,7 +217,7 @@ class TestPerChildSearch:
     child's own score depends on its parents."""
 
     @pytest.mark.parametrize("p, seed, moves", [(60, 2, 6), (30, 9, 0), (30, 6, 2)])
-    def test_matches_global_backward_phase(self, p, seed, moves):
+    def test_matches_global_backward_phase(self, p, seed, moves, monkeypatch):
         _, ordering, data = simulate(SimConfig("scale_free", p=p, n=300, seed=seed))
         dag, report = pk2_detailed(data, ordering, AIC)
         ref_dag, ref = _reference_pk2(data, ordering, AIC)
@@ -238,9 +226,12 @@ class TestPerChildSearch:
         assert report.forward_moves == ref.forward_moves
         assert len(report.backward_moves) == moves
         assert sorted(report.backward_moves) == sorted(ref.backward_moves)
-        assert report.fits == ref.fits
         positions = [ordering.position(s) for _, s, _ in report.backward_moves]
         assert positions == sorted(positions)
+        # The reference fits every forward candidate, as PK2 does without its bound.
+        assert report.fits.fits < ref.fits.fits
+        _without_bounds(monkeypatch)
+        assert pk2_detailed(data, ordering, AIC)[1].fits == ref.fits
 
     def test_fewer_than_two_rows_refused(self):
         data = CountMatrix(np.array([[1, 2, 3]]))
@@ -417,22 +408,318 @@ class TestFloor:
     @pytest.mark.parametrize("cfg", [BIC, AIC], ids=["bic", "aic"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exhaustive_search_matches_plain_enumeration(self, cfg, seed, monkeypatch):
+        """The oracle fits every ordering-consistent parent set once, in one
+        fit each (no batch, no floor), and keeps each node's minimum, as
+        node_score gives it."""
         _, ordering, data = simulate(SimConfig("scale_free", p=6, n=150, seed=seed))
-        calls, real_core, real_pairs = [], learn._fit_core, learn._fit_pairs
+        calls, real_core = [], learn._fit_core
 
         def fit_core(*args):
             calls.append(args[2])
             return real_core(*args)
 
-        def fit_pairs(builder, pairs):
-            calls.extend((t,) for _, t in pairs)
-            return real_pairs(builder, pairs)
-
         monkeypatch.setattr(learn, "_fit_core", fit_core)
-        monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
+        monkeypatch.setattr(learn, "_fit_pairs", None)  # a batch would fail
         dag, total = exhaustive_search(data, ordering, cfg)
-        fits = len(calls)
-        ref_dag, ref_total = _plain_exhaustive(data, ordering, cfg)
+        sets = [
+            (s, parents)
+            for s in ordering.perm
+            for size in range(len(ordering.precedents(s)) + 1)
+            for parents in combinations(ordering.precedents(s), size)
+        ]
+        assert len(calls) == len(sets)
+        monkeypatch.undo()
+        edges, expected = [], 0.0
+        for s in ordering.perm:
+            best = min(
+                (node_score(data, s, parents, cfg) for c, parents in sets if c == s),
+                key=lambda found: found.score,
+            )
+            expected += best.score
+            edges.extend((t, s) for t in best.parents)
+        assert set(dag.edges) == set(edges)
+        assert total == expected
+
+
+#: Column kinds of the bound's property test, each drawn beside a response y
+#: and its one parent u: a Poisson column, one that is 85% zeros, a copy or
+#: an affine image (2 x + 1) of an earlier column, a constant, and one that
+#: is positive only where y = 0 (a coefficient without a finite MLE).
+KINDS = ("poisson", "zero_heavy", "duplicate", "affine", "constant", "separated")
+
+
+def _bound_problem(seed, n, kinds):
+    """Counts over y, u and one column of each of ``kinds``, and the columns
+    that lie in the span of the ones and u (so collinear with PK2's design
+    on them)."""
+    rng = np.random.default_rng(seed)
+    u = rng.poisson(1.5, n)
+    y = rng.poisson(np.exp(0.4 * u - 0.3))
+    columns, spanned = [y, u], {1}
+    for kind in kinds:
+        source = int(rng.integers(0, len(columns)))
+        if kind == "poisson":
+            column = rng.poisson(rng.uniform(0.3, 3.0), n)
+        elif kind == "zero_heavy":
+            column = np.where(rng.random(n) < 0.85, 0, rng.poisson(2.0, n))
+        elif kind in ("duplicate", "affine"):
+            column = columns[source] * (1 if kind == "duplicate" else 2) + (kind == "affine")
+            if source in spanned:
+                spanned.add(len(columns))
+        elif kind == "constant":
+            column = np.full(n, int(rng.integers(0, 4)))
+            spanned.add(len(columns))
+        else:
+            column = np.where(y == 0, rng.integers(1, 4, n), 0)
+        columns.append(column)
+    return CountMatrix(np.column_stack(columns)), spanned
+
+
+class TestBound:
+    """PK2 skips a forward candidate whose dual bound (glm._dual_bounds)
+    shows that it cannot score below the step's best; the search is that of
+    PK2 without the bound."""
+
+    CASES = [
+        (p, cfg, prior)
+        for p in (6, 10, 30)
+        for cfg in (BIC, AIC, ScoreConfig("bic", max_parents=2), ScoreConfig("aic", max_parents=2))
+        for prior in ("fresh", "lpgm")
+    ]
+
+    @pytest.mark.parametrize(
+        "p, cfg, prior", CASES,
+        ids=[f"p{p}-{c.criterion}-{c.max_parents}-{prior}" for p, c, prior in CASES],
+    )
+    def test_same_search_with_fewer_fits(self, p, cfg, prior, monkeypatch):
+        _, ordering, data = simulate(SimConfig("erdos_renyi", p=p, n=200, seed=p))
+
+        def fitter():
+            return NodeFitter(data) if prior == "fresh" else _lpgm_fitter(data, ordering)
+
+        dag, report = pk2_detailed(data, ordering, cfg, fitter())
+        _without_bounds(monkeypatch)
+        ref_dag, ref = pk2_detailed(data, ordering, cfg, fitter())
         assert dag == ref_dag
-        assert total == ref_total
-        assert fits < len(calls) - fits
+        assert report.total_score == ref.total_score
+        assert report.forward_moves == ref.forward_moves
+        assert report.backward_moves == ref.backward_moves
+        assert report.fits.fits < ref.fits.fits
+        # The same steps, so the same candidates, each bounded or not.
+        considered = report.screening.bounded + report.screening.unbounded
+        assert ref.screening == Screening(unbounded=considered)
+        assert 0 < report.screening.skipped <= report.screening.bounded
+
+    def test_counts_on_a_small_case(self, monkeypatch):
+        """Children 1 and 2 take no parent and 3 takes 0 alone, so the one step
+        after a first step is 3's from {0}, whose candidates 1 and 2 are
+        bounded and skipped."""
+        rng = np.random.default_rng(3)
+        x = rng.poisson(1.0, size=(400, 4))
+        x[:, 3] = rng.poisson(np.exp(0.7 * x[:, 0] - 0.5))
+        data, ordering = CountMatrix(x), Ordering((0, 1, 2, 3))
+        dag, report = pk2_detailed(data, ordering, BIC)
+        assert dag.edges == {(0, 3)}
+        assert report.screening == Screening(bounded=2, skipped=2)
+        # Four fits on no parent and six on one; the sets {0, 1} and {0, 2}
+        # are never fitted.
+        assert report.fits.fits == 10
+        assert report.as_json(("a", "b", "c", "d"))["screening"] == {
+            "bounded": 2, "skipped": 2, "unbounded": 0,
+        }
+        _without_bounds(monkeypatch)
+        _, ref = pk2_detailed(data, ordering, BIC)
+        assert ref.fits.fits == 12
+        assert ref.screening == Screening(unbounded=2)
+
+    def test_step_with_no_candidate_left(self, monkeypatch):
+        """With max_parents above |pre(s)| and no floor, a step starts once
+        every precedent is a parent; it has no candidate to bound and ends."""
+        monkeypatch.setattr(scores, "_nll_floor", lambda *args: -math.inf)
+        rng = np.random.default_rng(1)
+        x = rng.poisson(1.0, size=(300, 2))
+        x[:, 1] = rng.poisson(np.exp(0.8 * x[:, 0]))
+        dag, report = pk2_detailed(
+            CountMatrix(x), Ordering((0, 1)), ScoreConfig("bic", max_parents=3)
+        )
+        assert dag.edges == {(0, 1)}
+        assert report.screening == Screening()
+
+    @pytest.mark.parametrize("patched", [False, True], ids=["bounds", "larger-t-first"])
+    def test_exact_tie_goes_to_the_smaller_index(self, patched, monkeypatch):
+        """Columns 1 and 2 are equal, so s on {0, 1} and on {0, 2} fit bit for
+        bit alike: the step from {0} must add 1, whichever it fits first.
+        Patched, each bound is lowered by 10 t (still a lower bound), so 2
+        comes first."""
+        rng = np.random.default_rng(11)
+        x = rng.poisson(1.0, size=(300, 4))
+        x[:, 2] = x[:, 1]
+        x[:, 3] = rng.poisson(np.exp(0.8 * x[:, 0] + 0.4 * x[:, 1] - 1.0))
+        data, ordering = CountMatrix(x), Ordering((0, 1, 2, 3))
+        fitter = NodeFitter(data)
+        assert fitter.fit(3, (0, 1), FitTally()).nll == fitter.fit(3, (0, 2), FitTally()).nll
+        if patched:
+            real = NodeFitter.bounds
+
+            def bounds(self, s, parents, candidates):
+                found = real(self, s, parents, candidates)
+                return None if found is None else found - 10.0 * np.array(candidates)
+
+            monkeypatch.setattr(NodeFitter, "bounds", bounds)
+        dag, report = pk2_detailed(data, ordering, BIC, NodeFitter(data))
+        assert [(t, s) for t, s, _ in report.forward_moves if s == 3] == [(0, 3), (1, 3)]
+        assert dag.parents(3) == (0, 1)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 80),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+        parents=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_never_above_the_fitted_nll(self, seed, n, kinds, parents):
+        """Every bound is at most the nll its candidate's fit reports, and a
+        candidate collinear with the parents' design gets none."""
+        data, spanned = _bound_problem(seed, n, kinds)
+        parents = tuple(range(1, min(parents, data.p - 2) + 1))
+        candidates = list(range(len(parents) + 1, data.p))
+        fitter = NodeFitter(data)
+        try:
+            fit = fitter.fit(0, parents, FitTally())
+        except SingularInformation:
+            assert fitter.bounds(0, parents, candidates) is None
+            return
+        bounds = fitter.bounds(0, parents, candidates)
+        if fit.intercept == -math.inf or fit.diverged.any():
+            assert bounds is None
+            return
+        assert bounds.shape == (len(candidates),)
+        for t, bound in zip(candidates, bounds.tolist()):
+            if t in spanned:  # collinear with the ones and u, so with the parents
+                assert bound == -math.inf
+            try:
+                fitted = fitter.fit(0, parents + (t,), FitTally()).nll
+            except SingularInformation:
+                continue
+            assert bound <= fitted
+
+    @pytest.mark.parametrize(
+        "seed, n, kinds, parents",
+        [
+            (12, 12, ["affine", "affine", "duplicate"], (1, 2, 3)),
+            (1_219_100_662, 4, ["poisson", "affine"], (1,)),
+        ],
+        ids=["collinear-parents", "runaway-fit"],
+    )
+    def test_no_bound_when_the_parents_design_is_collinear(self, seed, n, kinds, parents):
+        """No candidate gets a bound when the parents' weighted design is
+        collinear at rounding: the parents 1 and 2 = 2 u + 1 (whose fit
+        needed the ridge), or u under a fit run off so far (theta 36) that
+        its rates leave u nearly constant. In the first, a bound taken from
+        that solve exceeded the candidate's fitted nll."""
+        data, _ = _bound_problem(seed, n, kinds)
+        fitter = NodeFitter(data)
+        fitter.fit(0, parents, FitTally())
+        bounds = fitter.bounds(0, parents, list(range(len(parents) + 1, data.p)))
+        assert (bounds == -math.inf).all()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_margin_covers_an_exact_bound(self, seed):
+        """Every row appears twice, once at each level of the candidate t, so
+        t adds nothing: its minimum is the parents' and the bound meets it
+        but for rounding, which the margin covers (about a third of these
+        bounds would exceed the fitted nll by an ulp without it)."""
+        rng = np.random.default_rng(seed)
+        half = int(rng.integers(10, 200))
+        u = rng.poisson(1.5, half)
+        y = rng.poisson(np.exp(0.3 * u))
+        level = int(rng.integers(1, 4))
+        values = np.column_stack([np.tile(y, 2), np.tile(u, 2), np.repeat([0, level], half)])
+        fitter = NodeFitter(CountMatrix(values))
+        fitter.fit(0, (1,), FitTally())
+        (bound,) = fitter.bounds(0, (1,), [2]).tolist()
+        fitted = fitter.fit(0, (1, 2), FitTally()).nll
+        assert fitted - 1e-9 < bound <= fitted
+
+    def test_matches_the_full_newton_system(self):
+        """The Schur-complement pass gives each candidate the bound of the
+        (k + 2)-column Newton system solved alone, and none to a separated
+        candidate, whose step makes a rate negative."""
+        rng = np.random.default_rng(4)
+        n = 120
+        X = rng.poisson(1.2, size=(n, 4)).astype(float)
+        y = rng.poisson(np.exp(0.3 * X[:, 0] - 0.2 * X[:, 1])).astype(float)
+        X[:, 3] = np.where(y == 0, rng.integers(1, 4, n), 0)
+        data = CountMatrix(np.column_stack([y, X]).astype(np.int64))
+        fitter = NodeFitter(data)
+        fit = fitter.fit(0, (1, 2), FitTally())
+        bounds = fitter.bounds(0, (1, 2), [3, 4]).tolist()
+        log_fact = float(np.mean(glm._log_factorial(y)))
+        for t, bound in zip((3, 4), bounds):
+            Z = np.column_stack([np.ones(n), X[:, :2], X[:, t - 1]])
+            m = np.exp(fit.intercept + X[:, :2] @ fit.theta)
+            c = np.linalg.solve(Z.T @ (Z * m[:, None]), Z.T @ (y - m))
+            ratio = 1.0 + Z @ c
+            if t == 4:
+                assert ratio.min() < 0.0 and bound == -math.inf
+                continue
+            mu = m * ratio
+            assert bound == pytest.approx(np.mean(mu - mu * np.log(mu)) + log_fact, abs=1e-10)
+
+    def test_rates_that_underflow_add_nothing(self):
+        """Weak duality holds at any rates m, so a parents' point whose rates
+        underflow to 0 on some rows (eta < -745, as a runaway coefficient
+        gives) still bounds each candidate: mu is 0 there, even where
+        1 + Z c is negative."""
+        rng = np.random.default_rng(4)
+        n = 150
+        x = rng.poisson(1.0, size=(n, 3)).astype(float)
+        far = rng.random(n) < 0.2
+        x[:, 0] = np.where(far, 800.0, np.minimum(x[:, 0], 2.0))  # rates 0 at 800
+        y = rng.poisson(np.exp(1.0 - 1.5 * np.minimum(x[:, 0], 3) + 0.3 * x[:, 1]))
+        y = np.where(far, 0, y).astype(float)
+        fitter = NodeFitter(CountMatrix(np.column_stack([y, x]).astype(np.int64)))
+        theta, intercept = np.array([-1.0]), 0.0
+        log_fact = float(np.mean(glm._log_factorial(y)))
+        bounds = glm._dual_bounds(
+            x[:, :1].T.copy(), x[:, 1:].T.copy(), intercept, theta,
+            x.T @ y, float(y.sum()), log_fact,
+        )
+        m = np.exp(intercept + x[:, 0] * theta[0])
+        assert (m == 0.0).sum() == far.sum() > 0
+        for t, bound in zip((2, 3), bounds.tolist()):
+            Z = np.column_stack([np.ones(n), x[:, 0], x[:, t - 1]])
+            ratio = 1.0 + Z @ np.linalg.solve(Z.T @ (Z * m[:, None]), Z.T @ (y - m))
+            assert ratio[far].max() < 0.0 < ratio[~far].min()
+            mu = m * ratio
+            logs = np.log(np.where(far, 1.0, mu))
+            # Less a margin that grows with |eta|, up to 800 here.
+            assert bound == pytest.approx(np.mean(mu - mu * logs) + log_fact, abs=1e-8)
+            assert bound <= fitter.fit(0, (1, t), FitTally()).nll
+
+    def test_no_bound_from_an_unusable_fit(self):
+        """No bound from a parents' fit that is absent, has a -inf intercept
+        (an all-zero response) or a diverged coefficient, at
+        n >= PATTERN_MIN_ROWS, or with a singular A."""
+        rng = np.random.default_rng(6)
+        x = rng.poisson(1.0, size=(200, 4))
+        x[:, 1] = 0
+        fitter = NodeFitter(CountMatrix(x))
+        assert fitter.bounds(0, (3,), [2]) is None  # absent
+        assert fitter.fit(1, (3,), FitTally()).intercept == -math.inf
+        assert fitter.bounds(1, (3,), [0, 2]) is None
+        fit = fitter.fit(0, (2, 3), FitTally())
+        assert fitter.bounds(0, (2, 3), [1]) is not None
+        fit.diverged = np.array([False, True])
+        assert fitter.bounds(0, (2, 3), [1]) is None
+        tall = CountMatrix(rng.poisson(1.0, size=(PATTERN_MIN_ROWS, 3)))
+        fitter = NodeFitter(tall)
+        fitter.fit(0, (1,), FitTally())
+        assert fitter.bounds(0, (1,), [2]) is None
+        # A constant covariate: A = [[sum m, 2 sum m], [2 sum m, 4 sum m]].
+        ones = np.ones((1, 50))
+        found = glm._dual_bounds(
+            2.0 * ones, rng.poisson(1.0, size=(2, 50)).astype(float), 0.0, np.zeros(1),
+            np.array([100.0, 60.0, 40.0]), 50.0, 0.5,
+        )
+        assert (found == -math.inf).all()
