@@ -20,19 +20,21 @@ which solves its information, and at (500, 99) every test of one fit, of
 which only the first solves. The pattern cases time what a learner pays
 per fit on the 50,000-row workload: X^T y, the distinct covariate
 patterns and their multiplicities from a PatternBuilder that has the
-node's cross products and the set cached, then the fit on them. The
-design cases time the builder alone at n=50,000: cold
-(level codes built, neither the set nor the node's cross products cached)
-against warm (both cached, so only the lookups are left), and log_fact
-times one column's log-factorial mean from its level counts.
+node's cross products and the set cached, then the fit on them. Every
+case on one covariate times instead the road that NodeFitter.fit takes
+for such a fit: a glm._fit_pairs batch of one on a PatternBuilder's value
+tables, with the node's cross products built. The design cases time the
+builder alone at n=50,000: cold (level codes built, neither the set nor
+the node's cross products cached) against warm (both cached, so only the
+lookups are left), and log_fact times one column's log-factorial mean
+from its level counts.
 
 The level-0 cases time OR-PPGM's level 0, the regression of every variable
 on each earlier one alone (p(p - 1)/2 pairs), at (p, n) = (10, 1000), a
 table-1 dataset, and (100, 500), a Table-2 one, from a PatternBuilder whose
 value tables and Gram matrix are built: level0_batch fits all pairs in
 one glm._fit_pairs batch, as OR-PPGM does, and level0_per_pair fits them
-one _fit_core call at a time on each pair's design, as a learner asking
-pair by pair would.
+one batch of one at a time, as a learner asking pair by pair does.
 """
 import numpy as np
 import pytest
@@ -40,7 +42,6 @@ import pytest
 from countdag.data import CountMatrix
 from countdag.glm import (
     PatternBuilder,
-    SingularInformation,
     _fit_core,
     _fit_pairs,
     _log_factorial,
@@ -73,9 +74,22 @@ def _problem(n, k, seed=2993):
     return X.T @ y, X, cov, float(np.mean(_log_factorial(y))), None, float(y.sum())
 
 
+def _single(n):
+    """A PatternBuilder over (2, n) counts whose value tables and node 0's
+    cross products are built, as after a learner's first fit of node 0."""
+    builder = PatternBuilder(CountMatrix(_variables(n, 1).T.astype(np.int64)))
+    for j in (0, 1):
+        builder.table(j)
+    builder.cross(0)
+    return builder
+
+
 @pytest.mark.parametrize("n,k", SHAPES, ids=[f"n{n}-k{k}" for n, k in SHAPES])
 def test_fit_core(benchmark, n, k):
-    result = benchmark(_fit_core, *_problem(n, k))
+    if k == 1:
+        (result,) = benchmark(_fit_pairs, _single(n), [(0, 1)])
+    else:
+        result = benchmark(_fit_core, *_problem(n, k))
     assert result.converged
 
 
@@ -86,6 +100,10 @@ def test_fit_core_stalled(benchmark):
 
 @pytest.mark.parametrize("k", PATTERN_KS, ids=[f"n50000-k{k}" for k in PATTERN_KS])
 def test_fit_core_patterns(benchmark, k):
+    if k == 1:
+        (result,) = benchmark(_fit_pairs, _single(50000), [(0, 1)])
+        assert result.converged
+        return
     variables = _variables(50000, k)
     builder = PatternBuilder(CountMatrix(variables.T.astype(np.int64)))
     cov = tuple(range(1, k + 1))
@@ -186,13 +204,6 @@ def test_level0_per_pair(benchmark, p, n):
     builder, pairs = _level0(p, n)
 
     def per_pair():
-        fits = []
-        for s, t in pairs:
-            xty, X, counts = builder.design(s, (t,))
-            try:
-                fits.append(_fit_core(xty, X, (t,), builder.log_fact(s), counts, builder.total(s)))
-            except SingularInformation as exc:
-                fits.append(exc)
-        return fits
+        return [_fit_pairs(builder, [pair])[0] for pair in pairs]
 
     assert len(benchmark(per_pair)) == len(pairs)

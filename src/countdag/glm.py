@@ -89,10 +89,10 @@ value table: its distinct values and their multiplicities, a few to a few
 dozen levels for count data. :func:`_fit_levels` runs many such fits as one
 batch, a single vectorised Newton loop over (node, covariate) pairs whose
 tables lie end to end, each pair's arithmetic its own. :func:`_fit_pairs`
-fits a learner's pairs from a PatternBuilder's value tables, which is how
-OR-PPGM's level 0 and PK2's first forward steps are fitted, one batch
-per learner call; :func:`_fit_core` on one covariate is a batch of one,
-bit for bit the same fit.
+fits a learner's pairs from a PatternBuilder's value tables. It is the one
+road of every single-covariate node regression: OR-PPGM's level 0 and
+PK2's first forward steps are one batch per learner call, and any other
+request is a batch of one. :func:`_fit_core` fits the rest.
 
 :func:`_dual_bounds` fits nothing: from a node regression's fit on
 covariates P it bounds, by weak duality, the minimum nll of the
@@ -712,13 +712,9 @@ def _fit_core(
     column-major X in place: pass it only for an X of no further use, such
     as a fresh gather of the rows, never for an array a caller passed in.
 
-    A fit on one covariate runs on the covariate's value table, whatever X
-    holds: its distinct values with the multiplicities of the rows (or the
-    sums of ``counts``) go to :func:`_fit_levels` as a batch of one, so
-    PATTERN_MIN_ROWS does not apply to it and the fit is bit for bit the
-    one the same pair gets in any batch of :func:`_fit_pairs`. What follows
-    describes the loop for two covariates or more; :func:`_fit_levels` runs
-    the same steps for one.
+    It fits no covariate, in the closed form, or two or more; a fit on one
+    covariate runs on the covariate's value table in :func:`_fit_levels`,
+    which takes the same steps as the loop below.
 
     Each iteration takes the gradient and the information at the current
     rates w from one call of the fit's moment map (see the module
@@ -739,8 +735,7 @@ def _fit_core(
     information and the final gradient without another pass.
     """
     n, k = X.shape
-    rows = n if counts is None else float(_sum(counts))
-    inv_n = 1.0 / rows
+    inv_n = 1.0 / (n if counts is None else float(_sum(counts)))
     if k == 0 or total == 0.0:
         # The closed form: the intercept is log(mean y).
         if total == 0.0:
@@ -758,19 +753,6 @@ def _fit_core(
             diverged=np.full(k, total == 0.0),
             intercept=intercept,
         )
-
-    if k == 1:
-        # The covariate's value table, and the batch solver on it alone.
-        values, inverse = np.unique(X[:, 0], return_inverse=True)
-        mults = np.bincount(inverse, counts).astype(np.float64, copy=False)
-        found = _fit_levels(
-            values, mults, np.array([values.size]), xty, np.array([total]),
-            np.array([log_fact]), rows, list(covariates),
-        )[0]
-        if isinstance(found, SingularInformation):
-            # A copy: raising the one bound here would tie it to this frame.
-            raise type(found)(*found.args)
-        return found
 
     w = np.ones(n)  # the rates at theta = 0
     if counts is not None:
@@ -954,7 +936,8 @@ def _fit_levels(
     n: float,
     covariates: list[int],
 ) -> list[GlmFit | SingularInformation]:
-    """:func:`_fit_core` for one covariate, for a batch of regressions at once.
+    """The node regression of :func:`_fit_core` on one covariate, for a batch
+    of regressions at once.
 
     Member b regresses a response on covariate ``covariates[b]`` through its
     value table: the covariate's ``sizes[b]`` distinct values, ascending,
@@ -1159,8 +1142,8 @@ def _fit_pairs(
     """The node regression of s on (t,) for each (s, t) of ``pairs``, all in
     one :func:`_fit_levels` batch on the builder's value tables, with X^T y
     from s's cross products: each a GlmFit, or the SingularInformation of
-    a failed fit, in the order of ``pairs``. The batch is bit for bit
-    :func:`_fit_core` on each pair's rows or patterns alone."""
+    a failed fit, in the order of ``pairs``. Each member is bit for bit
+    the same in any batch, a batch of one included."""
     tables = [builder.table(t) for _, t in pairs]
     return _fit_levels(
         np.concatenate([values for values, _ in tables]),

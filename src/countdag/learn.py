@@ -181,23 +181,26 @@ class NodeFitter:
     A PatternBuilder over the validated data gives each fit its inputs for
     the pre-validated solver (X^T y, then the distinct covariate patterns
     with their multiplicities where that pays and the rows otherwise, then
-    sum(x_s), the sufficient statistic of the intercept). A fit depends only on
-    the data, s and K, so it is the same whichever learner asks first. Each
-    fit is counted in the tally of the call that made it; a cache hit
-    counts nowhere. A SingularInformation, such as that of a covariate
-    constant over the rows and so collinear with the intercept, is cached
-    like a fit, so a set is attempted once and every request for it raises.
+    sum(x_s), the sufficient statistic of the intercept). A fit on one
+    covariate always runs on the covariate's value table, in a batch of
+    :func:`countdag.glm._fit_pairs` (see :meth:`fit_singles`), however it
+    is asked for. A fit depends only on the data, s and K, so it is the
+    same whichever learner asks first. Each fit is counted in the tally of
+    the call that made it; a cache hit counts nowhere. A
+    SingularInformation, such as that of a covariate constant over the rows
+    and so collinear with the intercept, is cached like a fit, so a set is
+    attempted once and every request for it raises.
     An all-zero x_s is no failure: its fit flags every coefficient
     diverged, so each test of it has z = 0.
 
     Regressions on one covariate may be asked for in bulk
-    (:meth:`fit_singles`), which fits them in one vectorised batch, each
-    bit for bit the fit :meth:`fit` makes alone. OR-PPGM asks so for its
-    whole level 0 before its first child and PK2 for every first forward
-    step its floor leaves open; then OR-PPGM asks child by child for
-    levels 1..m, OR-LPGM once per node, and the score searches per
-    candidate parent set, so those single-covariate requests are cache
-    hits.
+    (:meth:`fit_singles`), which fits them in one vectorised batch; a
+    request to :meth:`fit` for one that is not stored is a batch of one.
+    OR-PPGM and PK2 each ask in bulk for every pair (s, t in pre(s))
+    before their first child, OR-PPGM for its level 0 and PK2 for its
+    first forward steps; then OR-PPGM asks child by child for levels
+    1..m, OR-LPGM once per node, and the score searches per candidate
+    parent set, so those single-covariate requests are cache hits.
     :meth:`made` only looks a fit up, and PK2 reads it twice: the fit of a
     child on all of its precedents, if an earlier learner made it, as the
     floor of every candidate's nll (see :func:`countdag.scores._nll_floor`),
@@ -216,8 +219,11 @@ class NodeFitter:
 
     def fit(self, s: int, covariates: tuple[int, ...], tally: FitTally) -> GlmFit:
         """The fit of s on ``covariates``, which must be ascending; a fit
-        made by this call is added to ``tally``."""
+        made by this call is added to ``tally``. A fit on one covariate
+        that is not stored is made by :meth:`fit_singles`, as a batch of one."""
         key = (s, covariates)
+        if len(covariates) == 1 and key not in self._store:
+            self.fit_singles([(s, covariates[0])], tally)
         found = self._store.get(key)
         if found is None:
             xty, X, counts = self._rows.design(s, covariates)
@@ -240,12 +246,11 @@ class NodeFitter:
     def fit_singles(self, pairs: Iterable[tuple[int, int]], tally: FitTally) -> None:
         """Fit s on (t,) for each (s, t) of ``pairs`` that is not stored yet,
         all in one batch (see :func:`countdag.glm._fit_pairs`), and store
-        each fit, counted in ``tally``, or its SingularInformation, as
-        :meth:`fit` would. A stored fit is bit for bit the one :meth:`fit`
-        makes alone, so a later request for it is a cache hit whichever way
-        it was made. The batch pays only when it is large: callers ask for
-        all the pairs of a learner call that they will use, not child by
-        child."""
+        each fit, counted in ``tally``, or its SingularInformation, for
+        :meth:`fit` to return or raise. Each member of a batch is fitted on
+        its own, so its fit is bit for bit the same in any batch. The batch
+        pays only when it is large: callers ask for all the pairs of a
+        learner call that they will use, not child by child."""
         missing = [
             pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in self._store
         ]

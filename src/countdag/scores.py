@@ -52,13 +52,15 @@ which fits each (node, parent set) once over its data, so a revisited set
 costs no fit. PK2's first forward step scores each precedent of a child as
 its lone parent, so before the child-by-child search PK2 asks in one
 request (:meth:`~countdag.learn.NodeFitter.fit_singles`, one vectorised
-batch) for those fits of every child whose first step the floor leaves
-open. A search
-given the fitter of earlier learners on the same data, as in a
-:mod:`countdag.bench` replicate, also reuses their fits: its
-single-parent scores are OR-PPGM's level-0 regressions, and OR-LPGM's
-regressions on all precedents give its floors. So PK2 alone, or run
-before OR-LPGM, makes more fits than PK2 after it, for the same output.
+batch) for the fit of every child on each of its precedents, the
+regressions of OR-PPGM's level 0, unless ``max_parents`` is 0. The floor
+is checked in the search alone, so a child whose first step it closes
+still has its single-parent fits made. A search given the fitter of
+earlier learners on the same data, as in a :mod:`countdag.bench`
+replicate, also reuses their fits: its single-parent scores are
+OR-PPGM's level-0 regressions, and OR-LPGM's regressions on all
+precedents give its floors. So PK2 alone, or run before OR-LPGM, makes
+more fits than PK2 after it, for the same output.
 """
 from __future__ import annotations
 
@@ -195,19 +197,17 @@ def pk2_detailed(
     data: CountMatrix, ordering: Ordering, cfg: ScoreConfig = ScoreConfig(),
     fitter: NodeFitter | None = None,
 ) -> tuple[Dag, ScoreReport]:
+    """:func:`pk2` with its search trace. Unless ``max_parents`` is 0, every
+    pair (s, t in pre(s)) is fitted first in one batch, as OR-PPGM's level
+    0 is, whether or not the floor leaves the first step of s open."""
     _check_inputs(data, ordering)
     report = ScoreReport(criterion=cfg.criterion)
     fitter = _node_fitter(data, fitter)
     n = data.n
-    fitter.fit_singles(
-        (
-            (s, t)
-            for s in ordering.perm
-            if _first_step_open(fitter, report, n, ordering, s, cfg)
-            for t in ordering.precedents(s)
-        ),
-        report.fits,
-    )
+    if cfg.max_parents != 0:
+        fitter.fit_singles(
+            ((s, t) for s in ordering.perm for t in ordering.precedents(s)), report.fits
+        )
     edges = []
     for s in ordering.perm:
         final = _pk2_parents(fitter, report, n, ordering, s, cfg)
@@ -241,21 +241,6 @@ def _nll_floor(fitter: NodeFitter, s: int, pre: tuple[int, ...]) -> float:
         return -math.inf
     scale = math.exp(null.intercept) + abs(full.nll - null.nll) + abs(null.nll)
     return full.nll - TOL * (scale + len(pre))
-
-
-def _first_step_open(
-    fitter: NodeFitter, report: ScoreReport, n: int, ordering: Ordering, s: int,
-    cfg: ScoreConfig,
-) -> bool:
-    """Whether PK2's forward phase for s takes its first step, scoring every
-    precedent as a lone parent: s has a precedent, ``max_parents`` allows
-    one, and the floor does not close the step (see :func:`_pk2_parents`).
-    It makes the fit of s on no covariate, as the search does first."""
-    pre = ordering.precedents(s)
-    current = _score(fitter, report, n, s, (), cfg)
-    if not pre or cfg.max_parents == 0:
-        return False
-    return 2.0 * n * _nll_floor(fitter, s, pre) + cfg.penalty(n) < current.score
 
 
 def _pk2_parents(

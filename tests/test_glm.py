@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -298,10 +299,23 @@ def _separation_problem(rng, n, k):
 
 
 def _profiled(y, X, counts=None, xty=None):
-    """The learners' node regression of y on X: ``_fit_core`` given sum(y)."""
+    """The learners' node regression of y on X given sum(y), on the road a
+    NodeFitter takes: ``_fit_core``, or on one covariate a ``_fit_levels``
+    batch of one on the covariate's value table, whose SingularInformation
+    it raises."""
     log_fact = float(np.mean(glm._log_factorial(y)))
     xty = X.T @ y if xty is None else xty
-    return glm._fit_core(xty, X, tuple(range(X.shape[1])), log_fact, counts, float(y.sum()))
+    if X.shape[1] != 1:
+        return glm._fit_core(xty, X, tuple(range(X.shape[1])), log_fact, counts, float(y.sum()))
+    values, inverse = np.unique(X[:, 0], return_inverse=True)
+    mults = np.bincount(inverse, counts).astype(float)
+    (found,) = glm._fit_levels(
+        values, mults, np.array([values.size]), xty, np.array([y.sum()]), np.array([log_fact]),
+        float(mults.sum()), [0],
+    )
+    if isinstance(found, SingularInformation):
+        raise found
+    return found
 
 
 def _with_ones(X):
@@ -507,9 +521,9 @@ def _intercept_problem(rng, n, k, cap=2.0):
 
 
 class TestProfiledIntercept:
-    """Node regressions (``_fit_core`` given sum(y)) profile the intercept
-    out; the zero-intercept solver on X with a column of ones appended fits
-    the same model with the intercept as a coefficient."""
+    """Node regressions (``_profiled``) profile the intercept out; the
+    zero-intercept solver on X with a column of ones appended fits the same
+    model with the intercept as a coefficient."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])
     def test_matches_ones_column(self, k):
@@ -781,21 +795,17 @@ def _batch(problems, names=None):
     )
 
 
-def _on_rows(y, x, name):
-    """The same regression through _fit_core on the rows, or its SingularInformation."""
-    try:
-        return glm._fit_core(
-            np.array([x @ y]), x[:, None], (name,), float(np.mean(glm._log_factorial(y))),
-            None, float(y.sum()),
-        )
-    except SingularInformation as exc:
-        return exc
+def _assert_ones_column(found, y, x):
+    """A batch member of one covariate against glm.fit of y on [x, 1], an
+    independent solver of the same model, to solver tolerance."""
+    renamed = dataclasses.replace(found, covariates=(0,), variances=None)
+    TestSolverParity._assert_same(renamed, fit(y, _with_ones(x[:, None])), y, x[:, None])
 
 
 class TestBatchedSingles:
     """glm._fit_levels fits many single-covariate regressions in one
-    vectorised Newton loop; each member is the fit it gets alone, and
-    _fit_core on one covariate is a batch of one."""
+    vectorised Newton loop; each member is the fit it gets in any batch,
+    and the fit glm.fit makes of the same model."""
 
     @staticmethod
     def _far_level(n):
@@ -824,7 +834,7 @@ class TestBatchedSingles:
         batch = _batch(problems)
         for b, (y, x) in enumerate(problems):
             assert _same_result(batch[b], _batch([(y, x)], [b])[0])
-            assert _same_result(batch[b], _on_rows(y, x, b))
+            _assert_ones_column(batch[b], y, x)
         # Any sub-batch, in any order, gives the same members.
         order = rng.permutation(len(problems))[:9]
         part = _batch([problems[b] for b in order], order.tolist())
@@ -850,13 +860,9 @@ class TestBatchedSingles:
         batch = _batch(problems)
         for b, (y, x) in enumerate(problems):
             assert _same_result(batch[b], _batch([(y, x)], [b])[0])
-            assert _same_result(batch[b], _on_rows(y, x, b))
         # Each fit matches the ones-column fit of the same model.
         for b in (0, 2, 4, 5):
-            y, x = problems[b]
-            TestSolverParity._assert_same(
-                _on_rows(y, x, 0), fit(y, _with_ones(x[:, None])), y, x[:, None]
-            )
+            _assert_ones_column(batch[b], *problems[b])
             assert batch[b].converged
         assert batch[5].halvings > 0  # the overshoot is halved back
         # The all-zero response: the closed form.
@@ -879,8 +885,10 @@ class TestBatchedSingles:
 
     @pytest.mark.parametrize("min_rows", [0, 10**9])
     def test_fit_pairs_match_fit_core_on_design(self, min_rows, monkeypatch):
-        """_fit_pairs on a builder's value tables gives, for each pair, what
-        _fit_core gives on the builder's design, rows or patterns."""
+        """_fit_pairs on a builder's value tables gives, for each pair, the
+        ones-column fit of glm.fit on the pair's rows, and as a batch of one
+        the same fit bit for bit; whatever PATTERN_MIN_ROWS, it builds no
+        pattern set."""
         monkeypatch.setattr(glm, "PATTERN_MIN_ROWS", min_rows)
         rng = np.random.default_rng(9600)
         values = rng.poisson(rng.uniform(0.5, 4.0, size=5), size=(400, 5))
@@ -889,16 +897,16 @@ class TestBatchedSingles:
         builder = glm.PatternBuilder(CountMatrix(values))
         pairs = [(s, t) for s in range(5) for t in range(5) if s != t]
         batch = glm._fit_pairs(builder, pairs)
+        rows = values.astype(float)
         for (s, t), found in zip(pairs, batch):
-            xty, X, counts = builder.design(s, (t,))
-            try:
-                alone = glm._fit_core(
-                    xty, X, (t,), builder.log_fact(s), counts, builder.total(s)
-                )
-            except SingularInformation as exc:
-                alone = exc
-            assert _same_result(found, alone)
+            assert _same_result(found, glm._fit_pairs(builder, [(s, t)])[0])
+            if t == 2:
+                assert "covariate 2 is constant" in str(found)
+            else:
+                assert found.covariates == (t,)
+                _assert_ones_column(found, rows[:, s], rows[:, t])
         assert sum(isinstance(found, SingularInformation) for found in batch) == 4
+        assert not builder._patterns
 
 
 class TestPatternBuilder:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from countdag.data import CountMatrix
+from countdag.glm import PATTERN_MIN_ROWS
 from countdag.graphs import Dag, GraphError, Ordering, compare, is_consistent
 from countdag.learn import (
     LearnConfig,
@@ -358,7 +359,7 @@ class TestFitTally:
             return fit
 
         def recording_pairs(*args):
-            # The batch of single-covariate fits bypasses _fit_core.
+            # Single-covariate fits go through _fit_pairs, not _fit_core.
             fits = original_pairs(*args)
             returned.extend(fit for fit in fits if isinstance(fit, GlmFit))
             return fits
@@ -459,21 +460,28 @@ class TestNodeFitter:
         from countdag.glm import FitTally, SingularInformation
 
         calls = []
-        fit_core = learn._fit_core
+        fit_core, fit_pairs = learn._fit_core, learn._fit_pairs
 
         def recording_fit(*args):
             calls.append(args[2])
             return fit_core(*args)
 
+        def recording_pairs(builder, pairs):
+            calls.extend((t,) for _, t in pairs)
+            return fit_pairs(builder, pairs)
+
         monkeypatch.setattr(learn, "_fit_core", recording_fit)
+        monkeypatch.setattr(learn, "_fit_pairs", recording_pairs)
         data, _ = self._zero_column_data()
         tally = FitTally()
         fitter = learn.NodeFitter(data)
         for _ in range(2):
-            with pytest.raises(SingularInformation):
-                fitter.fit(0, (1,), tally)
+            # Node 1 is all zeros, so constant: one road for each set size.
+            for singular in ((1,), (1, 2)):
+                with pytest.raises(SingularInformation, match="covariate 1 is constant"):
+                    fitter.fit(0, singular, tally)
             assert fitter.fit(0, (2,), tally) is fitter.fit(0, (2,), tally)
-        assert calls == [(1,), (2,)] and tally.fits == 1
+        assert calls == [(1,), (1, 2), (2,)] and tally.fits == 1
 
     def test_a_singular_fit_keeps_no_reference_cycle(self):
         import gc
@@ -516,11 +524,15 @@ class TestNodeFitter:
         assert tally.fits == 2 and stored is fitter.fit(0, (2,), tally)
         assert np.array_equal(stored.theta, alone.theta) and stored.nll == alone.nll
 
-    @pytest.mark.parametrize("kind, n, seed", [("hub", 1000, 12), ("scale_free", 100, 11)])
+    @pytest.mark.parametrize(
+        "kind, n, seed",
+        [("hub", 1000, 12), ("scale_free", 100, 11), ("erdos_renyi", PATTERN_MIN_ROWS, 13)],
+    )
     def test_single_covariate_fits_alike_from_any_learner(self, kind, n, seed):
         """A stored fit on one covariate is the same, bit for bit, whether
         OR-PPGM's level-0 batch, PK2's first-step batch or a direct request
-        made it."""
+        made it; from PATTERN_MIN_ROWS rows, where wider fits run on
+        patterns, no learner builds a one-column pattern set."""
         from countdag.glm import FitTally
         from countdag.learn import NodeFitter
         from countdag.scores import ScoreConfig, pk2
@@ -546,7 +558,11 @@ class TestNodeFitter:
                     )
                     assert stored.converged == alone.converged
                     assert stored.diverged.tolist() == alone.diverged.tolist()
-        assert compared["or_ppgm"] == 45 and compared["pk2"] >= 9
+        assert compared["or_ppgm"] == compared["pk2"] == 45
+        patterns = [fitter._rows._patterns for fitter in (by_ppgm, by_pk2, direct)]
+        assert not [K for cached in patterns for K in cached if len(K) == 1]
+        # Wider fits run on patterns from PATTERN_MIN_ROWS rows.
+        assert bool(by_ppgm._rows._patterns) == (n >= PATTERN_MIN_ROWS)
 
     @pytest.mark.parametrize("learner", ["or_ppgm", "or_lpgm", "pkbic"])
     def test_fitter_over_other_data_is_refused(self, learner):
@@ -590,8 +606,8 @@ class TestPatternPath:
 
                 m.setattr(module, "_fit_core", recording)
 
-            # Batched single-covariate fits run on value tables whatever
-            # the cut-off, so they count as fits but not as pattern fits.
+            # Single-covariate fits run on value tables whatever the
+            # cut-off, so they count as fits but not as pattern fits.
             def recording_pairs(builder, pairs, original=learn._fit_pairs):
                 batched.extend(pairs)
                 return original(builder, pairs)

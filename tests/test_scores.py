@@ -288,7 +288,7 @@ class TestFitTally:
             return fit
 
         def recording_pairs(*args):
-            # The batch of PK2's first forward steps bypasses _fit_core.
+            # Single-covariate fits go through _fit_pairs, not _fit_core.
             fits = original_pairs(*args)
             returned.extend(fit for fit in fits if isinstance(fit, GlmFit))
             return fits
@@ -332,7 +332,11 @@ class TestFloor:
 
     def test_no_candidate_fitted_past_its_floor(self, monkeypatch):
         """On independent columns: after each child's forward moves, no
-        candidate of the next size is fitted when the floor excludes it."""
+        candidate of the next size is fitted when the floor excludes it,
+        from the second forward step on (the first step's candidates are
+        fitted in one batch before the search). No candidate gets a dual
+        bound, so only the floor can spare a fit."""
+        _without_bounds(monkeypatch)
         rng = np.random.default_rng(71)
         data = CountMatrix(rng.poisson(1.5, size=(300, 8)))
         ordering = Ordering((2, 0, 5, 7, 1, 3, 6, 4))
@@ -340,7 +344,8 @@ class TestFloor:
         made, real_fit, real_singles = [], NodeFitter.fit, NodeFitter.fit_singles
 
         def fit(self, s, covariates, tally):
-            if self.made(s, covariates) is None:
+            # A fit on one covariate is made by fit_singles, which records it.
+            if len(covariates) != 1 and self.made(s, covariates) is None:
                 made.append((s, covariates))
             return real_fit(self, s, covariates, tally)
 
@@ -353,15 +358,16 @@ class TestFloor:
         monkeypatch.setattr(NodeFitter, "fit_singles", fit_singles)
         _, report = pk2_detailed(data, ordering, BIC, fitter)
         assert report.fits.fits == len(made)
-        penalty, excluded = BIC.penalty(data.n), 0
+        penalty, excluded, past_first = BIC.penalty(data.n), 0, 0
         for s in ordering.perm:
             added = tuple(sorted(t for t, c, _ in report.forward_moves if c == s))
             current = _score(fitter, ScoreReport("bic"), data.n, s, added, BIC)
             floor = 2.0 * data.n * _nll_floor(fitter, s, ordering.precedents(s))
             if floor + penalty * (len(added) + 1) >= current.score:
                 excluded += 1
-                assert not [K for c, K in made if c == s and len(K) > len(added)]
-        assert excluded >= 6
+                past_first += bool(added)
+                assert not [K for c, K in made if c == s and len(K) > max(len(added), 1)]
+        assert excluded >= 6 and past_first >= 1
 
     @pytest.mark.parametrize("spoil", ["absent", "singular", "diverged", "nonconverged"])
     def test_no_floor_from_an_unusable_fit(self, spoil, monkeypatch):
@@ -412,14 +418,20 @@ class TestFloor:
         fit each (no batch, no floor), and keeps each node's minimum, as
         node_score gives it."""
         _, ordering, data = simulate(SimConfig("scale_free", p=6, n=150, seed=seed))
-        calls, real_core = [], learn._fit_core
+        calls, batches = [], []
+        real_core, real_pairs = learn._fit_core, learn._fit_pairs
 
         def fit_core(*args):
             calls.append(args[2])
             return real_core(*args)
 
+        def fit_pairs(builder, pairs):
+            batches.append(len(pairs))
+            calls.extend((t,) for _, t in pairs)
+            return real_pairs(builder, pairs)
+
         monkeypatch.setattr(learn, "_fit_core", fit_core)
-        monkeypatch.setattr(learn, "_fit_pairs", None)  # a batch would fail
+        monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
         dag, total = exhaustive_search(data, ordering, cfg)
         sets = [
             (s, parents)
@@ -427,7 +439,8 @@ class TestFloor:
             for size in range(len(ordering.precedents(s)) + 1)
             for parents in combinations(ordering.precedents(s), size)
         ]
-        assert len(calls) == len(sets)
+        assert sorted(calls) == sorted(parents for _, parents in sets)
+        assert set(batches) == {1}
         monkeypatch.undo()
         edges, expected = [], 0.0
         for s in ordering.perm:
