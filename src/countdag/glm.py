@@ -88,7 +88,9 @@ A fit on one covariate always takes the grouped form, on the covariate's
 value table: its distinct values and their multiplicities, a few to a few
 dozen levels for count data. :func:`_fit_levels` runs many such fits as one
 batch, a single vectorised Newton loop over (node, covariate) pairs whose
-tables lie end to end, each pair's arithmetic its own. :func:`_fit_pairs`
+tables lie end to end, each pair's arithmetic its own; the tables stay in
+place for the whole batch, and a pair that has finished is masked out of
+the loop's updates rather than removed from its arrays. :func:`_fit_pairs`
 fits a learner's pairs from a PatternBuilder's value tables. It is the one
 road of every single-covariate node regression: OR-PPGM's level 0 and
 PK2's first forward steps are one batch per learner call, and any other
@@ -958,15 +960,21 @@ def _fit_levels(
     is a SingularInformation, as is a collinear member's, and no fit counts
     a ridge rescue.
 
-    The members advance together: each step of the loop is one vectorised
-    operation over the members still iterating, or, within a line search,
-    still halving, and members drop out of the arrays as they finish. Sums
-    over a member's levels never mix members, so each result depends only on
-    the member's own inputs and is the same, bit for bit, alone or in any
-    batch. Results come back in the members' order, each fit's arrays a view
-    of the batch's. Each step pays numpy's call overhead once for all the
-    members it covers, so a batch's cost grows far slower than its size,
-    and a batch of one costs mostly that overhead.
+    The members advance together on one layout of their levels, fixed on
+    entry: each step of the loop is one vectorised operation over every
+    member's levels, and two masks say whom it counts for, ``live``, the
+    members still iterating, and ``trying``, those still halving in a line
+    search. A member that has finished stays in the arrays, but its
+    derivatives are no longer written and no trial of it is accepted, so
+    its results are those it finished with. Sums over a member's levels
+    never mix members, so each result depends only on the member's own
+    inputs and is the same, bit for bit, alone or in any batch. Results
+    come back in the members' order, each fit's arrays a view of the
+    batch's. Each step pays numpy's call overhead once for all the members,
+    so a batch's cost grows far slower than its size, and a batch of one
+    costs mostly that overhead. Until its slowest member finishes, every
+    pass covers every member's levels; with count data's few dozen levels
+    a member, that costs less than re-packing the arrays as members finish.
     """
     cap, floor = LP_CAP, -THETA_CAP
     inv_n = 1.0 / n
@@ -982,8 +990,12 @@ def _fit_levels(
     if not np.isfinite(current[~zero]).all():
         raise InvalidData("objective non-finite at theta = 0")
     center = xty / total
-    x_all = values - np.repeat(center, sizes)
-    x_hi, x_lo = x_all[ends - 1], x_all[starts]
+    # Each level's member, and its centred value and square; w holds each
+    # level's rate at its member's current point.
+    seg = np.repeat(np.arange(count), sizes)
+    x = values - center[seg]
+    x2, w = x * x, mults.astype(float)
+    x_hi, x_lo = x[ends - 1], x[starts]
     collinear = (x_hi == x_lo) & ~zero
 
     theta = np.zeros(count)
@@ -994,117 +1006,79 @@ def _fit_levels(
     diverged, converged, singular = zero.copy(), zero.copy(), np.zeros(count, dtype=bool)
     iterations, halvings = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
 
-    # The members still iterating, their levels' centred values, squares,
-    # multiplicities and rates, each level's member among them, and where
-    # each member's levels start.
-    iterating = ~(zero | collinear)
-    live = np.flatnonzero(iterating)
-    on = np.repeat(iterating, sizes)
-    x, mm = x_all[on], mults[on]
-    x2, w = x * x, mm
+    def derivatives() -> None:
+        """g and h of the live members at their rates w, as in _fit_core."""
+        scale = total / sw * inv_n
+        g_all = np.add.reduceat(x * w, starts) * scale
+        h_all = np.add.reduceat(x2 * w, starts) * scale - g_all * g_all / mean_y
+        np.copyto(g, g_all, where=live)
+        np.copyto(h, h_all, where=live)
 
-    def layout(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each level's position among ``members`` and each member's first level."""
-        size = sizes[members]
-        return np.repeat(np.arange(members.size), size), np.cumsum(size) - size
-
-    def derivatives() -> tuple[np.ndarray, np.ndarray]:
-        """g and h of the live members, at their rates w, as in _fit_core."""
-        scale = total[live] / sw[live] * inv_n
-        g_l = np.add.reduceat(x * w, first) * scale
-        h_l = np.add.reduceat(x2 * w, first) * scale - g_l * g_l / mean_y[live]
-        g[live], h[live] = g_l, h_l
-        return g_l, h_l
-
-    seg, first = layout(live)
+    live = ~(zero | collinear)  # the members still iterating
     for _ in range(MAX_ITER):
-        if not live.size:
+        if not live.any():
             break
-        g_l, h_l = derivatives()
-        done = diverged[live]
-        bad = ~done & ((h_l == 0.0) | ~np.isfinite(h_l))
-        step = g_l / h_l
-        near = ~(done | bad) & (np.abs(g_l) <= TOL) & (np.abs(step) <= 1e-4)
-        settled[live[near]] = step[near]
-        converged[live[done | near]] = True
-        singular[live[bad]] = True
-        search = ~(done | bad | near)
-        if not search.all():
-            on = search[seg]
-            x, x2, mm, w = x[on], x2[on], mm[on], w[on]
-            live, step, g_l, h_l = live[search], step[search], g_l[search], h_l[search]
-            seg, first = layout(live)
-            if not live.size:
-                break
-        my = mean_y[live]
-        da = -g_l * step / my
+        derivatives()
+        step = g / h
+        done = live & diverged
+        bad = live & ~diverged & ((h == 0.0) | ~np.isfinite(h))
+        near = live & ~(diverged | bad) & (np.abs(g) <= TOL) & (np.abs(step) <= 1e-4)
+        settled[near] = step[near]
+        converged |= done | near
+        singular |= bad
+        live &= ~(done | bad | near)
+        if not live.any():
+            break
+        da = -g * step / mean_y
 
-        # The line search: ``trying`` indexes the live members still
-        # halving, ``m`` their members and ``pos`` their levels among the
-        # live levels (None: all of them); ``w_new`` collects the rates of
-        # each accepted trial.
-        w_new = np.empty_like(w)
-        accepted = np.zeros(live.size, dtype=bool)
-        trying, pos = np.arange(live.size), None
-        xs, mms, segs, firsts = x, mm, seg, first
+        # The line search over the members still halving; an accepted
+        # member's levels take its trial's rates.
+        accepted = np.zeros(count, dtype=bool)
+        trying = live.copy()
         for trial_index in range(MAX_HALVINGS + 1):
-            m = live[trying]
-            trial = theta[m] - step
+            trial = theta - step
             clamped = trial <= floor
             trial[clamped] = floor
-            top = trial * np.where(trial >= 0.0, x_hi[m], x_lo[m])
+            top = trial * np.where(trial >= 0.0, x_hi, x_lo)
             shift_t = np.where(top > cap, top, 0.0)
-            w_t = xs * trial[segs]
-            w_t -= shift_t[segs]
+            w_t = x * trial[seg]
+            w_t -= shift_t[seg]
             np.exp(w_t, out=w_t)
-            w_t *= mms
-            sw_t = np.add.reduceat(w_t, firsts)
+            w_t *= mults
+            sw_t = np.add.reduceat(w_t, starts)
             # _joint_value for every trial: +inf where exp overflows.
-            a_t = a[m] - da
+            a_t = a - da
             e = a_t + shift_t
-            value = np.exp(e) * (sw_t * inv_n) - a_t * my[trying] + log_fact[m]
+            value = np.exp(e) * (sw_t * inv_n) - a_t * mean_y + log_fact
             value[e > 709.0] = math.inf
-            ok = (value < current[m]) & np.isfinite(value)
+            ok = trying & (value < current) & np.isfinite(value)
             if ok.any():
-                won = m[ok]
-                theta[won], sw[won], shift[won] = trial[ok], sw_t[ok], shift_t[ok]
+                theta[ok], sw[ok], shift[ok] = trial[ok], sw_t[ok], shift_t[ok]
                 # Profiling the intercept out lowers the objective again.
-                a[won] = log_total[won] - np.log(sw[won]) - shift[won]
-                current[won] = mean_y[won] * (np.log(sw[won] * inv_n) + shift[won]) + const[won]
-                diverged[won] = clamped[ok]
-                accepted[trying[ok]] = True
-                on = ok[segs]
-                w_new[on if pos is None else pos[on]] = w_t[on]
-            rest = ~ok
-            if not rest.any():
+                a[ok] = log_total[ok] - np.log(sw[ok]) - shift[ok]
+                current[ok] = mean_y[ok] * (np.log(sw[ok] * inv_n) + shift[ok]) + const[ok]
+                diverged[ok] = clamped[ok]
+                accepted |= ok
+                np.copyto(w, w_t, where=ok[seg])
+            trying &= ~ok
+            if not trying.any():
                 break
             if trial_index == 0:
                 # A stall (see RESOLUTION), at the point the step left.
-                scale = my * (1.0 + np.abs(np.log(sw[m] * inv_n) + shift[m])) + np.abs(const[m])
-                stall = rest & (0.5 * g_l * g_l / h_l <= RESOLUTION * scale)
-                settled[m[stall]] = step[stall]
-                converged[m[stall]] = True
-                rest &= ~stall
-                if not rest.any():
+                scale = mean_y * (1.0 + np.abs(np.log(sw * inv_n) + shift)) + np.abs(const)
+                stall = trying & (0.5 * g * g / h <= RESOLUTION * scale)
+                settled[stall] = step[stall]
+                converged |= stall
+                trying &= ~stall
+                if not trying.any():
                     break
-            if not rest.all():
-                on = rest[segs]
-                pos = np.flatnonzero(on) if pos is None else pos[on]
-                trying, step, da = trying[rest], step[rest], da[rest]
-                xs, mms = xs[on], mms[on]
-                segs, firsts = layout(live[trying])
-            step = step * 0.5
-            da = da * 0.5
-            halvings[live[trying]] += 1
-        iterations[live] += 1
-        if not accepted.all():
-            on = accepted[seg]
-            x, x2, mm, w_new = x[on], x2[on], mm[on], w_new[on]
-            live = live[accepted]
-            seg, first = layout(live)
-        w = w_new
+            step *= 0.5
+            da *= 0.5
+            halvings += trying
+        iterations += live
+        live &= accepted
 
-    if live.size:  # MAX_ITER ended these fits after an accepted step
+    if live.any():  # MAX_ITER ended these fits after an accepted step
         derivatives()
     theta = np.where(np.abs(settled) <= 1e-4, theta - settled, theta)
     intercept = np.where(zero, -math.inf, a - center * theta)

@@ -883,6 +883,43 @@ class TestBatchedSingles:
         assert slow[2].iterations == batch[2].iterations
         assert all(_same_result(slow[b], batch[b]) for b in (0, 1, 3, 4, 5))
 
+    @staticmethod
+    def _profile_derivatives(theta, y, x):
+        """The profile's gradient and Hessian at theta, on the rows: ybar m
+        and ybar (S - m^2), with m and S the rate-weighted mean and second
+        moment of x centred at X^T y / sum(y)."""
+        xc = x - x @ y / y.sum()
+        lp = theta * xc
+        w = np.exp(lp - lp.max())
+        m, S = w @ xc / w.sum(), w @ (xc * xc) / w.sum()
+        return y.mean() * m, y.mean() * (S - m * m)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_cut_off_members_report_their_last_point(self, max_iter, monkeypatch):
+        """A member that MAX_ITER ends after an accepted step reports the
+        Fisher information and convergence flag of the theta it returns,
+        not of the point before its last step, and every member is still
+        its batch of one."""
+        monkeypatch.setattr(glm, "MAX_ITER", max_iter)
+        n = 1000
+        rng = np.random.default_rng(9700 + max_iter)
+        problems = [_parity_problem(rng, n, 1) for _ in range(12)]
+        problems.append(_separation_problem(rng, n, 1))
+        problems = [(y, X[:, 0]) for y, X in problems] + [self._far_level(n)]
+        batch = _batch(problems)
+        cut = 0
+        for b, (y, x) in enumerate(problems):
+            found = batch[b]
+            assert _same_result(found, _batch([(y, x)], [b])[0])
+            assert found.iterations <= max_iter
+            if found.iterations < max_iter or found.diverged[0]:
+                continue
+            g, h = self._profile_derivatives(found.theta[0], y, x)
+            assert found.fisher[0, 0] == pytest.approx(h, rel=1e-9)
+            assert found.converged == (abs(g) <= glm.TOL)
+            cut += not found.converged
+        assert cut >= 6
+
     @pytest.mark.parametrize("min_rows", [0, 10**9])
     def test_fit_pairs_match_fit_core_on_design(self, min_rows, monkeypatch):
         """_fit_pairs on a builder's value tables gives, for each pair, the
