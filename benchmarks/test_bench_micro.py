@@ -15,7 +15,11 @@ the floor and OR-LPGM's cached fits save. The PKAIC case times PKAIC
 alone on the data of Criterion 2's erdos_renyi replicate 0 (p = 100,
 n = 500), where nearly every forward candidate is skipped by its dual
 bound (see scores._pk2_parents); its untimed pass checks the edge set
-against a digest of the one PKAIC finds when it fits every candidate. Timed with
+against a digest of the one PKAIC finds when it fits every candidate. The
+OR-PPGM cases time OR-PPGM alone on each table-1 replicate's data, through a
+new NodeFitter per round; their untimed pass checks every edge test (t, s,
+conditioning set, z bit for bit, rejected) against a digest of the tests
+OR-PPGM made when each level-0 test went through glm.wald. Timed with
 
     python -m pytest benchmarks/test_bench_micro.py --benchmark-only
 """
@@ -24,7 +28,7 @@ import hashlib
 import pytest
 
 from countdag.bench import Experiment, LearnerSpec, make_truth, run_replicate
-from countdag.learn import LearnConfig, NodeFitter, or_lpgm
+from countdag.learn import LearnConfig, NodeFitter, or_lpgm, or_ppgm_detailed
 from countdag.scores import ScoreConfig, pk2
 from countdag.simulate import SimConfig, make_rng, sample_data
 
@@ -49,6 +53,32 @@ def _experiment(kind):
 def test_run_replicate(benchmark, kind):
     _, records = benchmark(run_replicate, _experiment(kind), None, 0)
     assert [rec.error for rec in records] == [None, None, None]
+
+
+#: sha256 of OR-PPGM's sorted edge-test records on each kind's data.
+OR_PPGM_TESTS = {
+    "scale_free": "7a1897db8d5deb7d448c1aeb92209f755fdb55e23ae98aa5978f2cc8ac444336",
+    "hub": "7f39051166012a2ad74c57286e4110432532dd3314df494f4c7dba75259819b3",
+    "erdos_renyi": "00efbfb225a2f2c7973515fef92d09671c282bf578254135a8c957c2e5360383",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_or_ppgm(benchmark, kind):
+    exp = _experiment(kind)
+    wdag, ordering = make_truth(exp, 0)
+    data = sample_data(wdag, ordering, exp.sim.n, exp.sim, make_rng(exp.sim.seed, 1, 0))
+    cfg = LEARNERS[0].config
+
+    def fresh():
+        return (data, ordering, cfg, NodeFitter(data)), {}
+
+    _, report = benchmark.pedantic(or_ppgm_detailed, setup=fresh, rounds=200)
+    records = sorted(
+        (int(t), int(s), tuple(int(u) for u in test.conditioning), test.z.hex(), test.rejected)
+        for (t, s), test in report.edge_tests.items()
+    )
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == OR_PPGM_TESTS[kind]
 
 
 @pytest.mark.parametrize("prior", ["alone", "after_or_lpgm"])

@@ -117,6 +117,9 @@ from .data import CountMatrix, InvalidData
 # the method's Python wrapper: the Newton loop calls them on every trial.
 _sum = np.add.reduce
 _max = np.maximum.reduce
+# Whether a boolean mask holds any True, as a count: a third of the cost of
+# ndarray.any's wrapper, which _fit_levels would pay several times a pass.
+_any = np.count_nonzero
 _min = np.minimum.reduce
 
 #: Widest fit whose Newton moments come from the precomputed moment matrix
@@ -975,6 +978,16 @@ def _fit_levels(
     costs mostly that overhead. Until its slowest member finishes, every
     pass covers every member's levels; with count data's few dozen levels
     a member, that costs less than re-packing the arrays as members finish.
+
+    The rare branches run only when some member needs them: the LP_CAP
+    shift, when |trial| max(x_hi, -x_lo), a bound on the trial's largest
+    linear predictor, exceeds LP_CAP; the THETA_CAP clamp and the diverged
+    members' bookkeeping, once a trial clamps; and the +inf of an
+    overflowing exp. Skipping the shift changes no bit, since x theta - 0
+    and a + 0 give the same exp. Each guard tests the members elementwise
+    and then asks whether any holds: a finished or singular member carries
+    a NaN step, which in a batch-wide maximum would hide a shift another
+    member needs.
     """
     cap, floor = LP_CAP, -THETA_CAP
     inv_n = 1.0 / n
@@ -985,18 +998,24 @@ def _fit_levels(
     mean_y = total * inv_n
     log_total = np.log(total)
     const = mean_y * (1.0 - np.log(mean_y)) + log_fact
+    abs_const = np.abs(const)
     sw = np.full(count, float(n))  # the sum of each member's rates
     current = mean_y * np.log(sw * inv_n) + const
     if not np.isfinite(current[~zero]).all():
         raise InvalidData("objective non-finite at theta = 0")
     center = xty / total
-    # Each level's member, and its centred value and square; w holds each
-    # level's rate at its member's current point.
+    # Each level's member, and its centred value x and x^2 as the rows of
+    # one array, so one reduceat sums both derivatives; w holds each level's
+    # rate at its member's current point.
     seg = np.repeat(np.arange(count), sizes)
-    x = values - center[seg]
-    x2, w = x * x, mults.astype(float)
+    powers = np.empty((2, seg.size))
+    x = np.subtract(values, center[seg], out=powers[0])
+    np.multiply(x, x, out=powers[1])
+    w = mults.astype(float)
     x_hi, x_lo = x[ends - 1], x[starts]
+    reach = np.maximum(x_hi, -x_lo)  # |trial| * reach >= the trial's largest lp
     collinear = (x_hi == x_lo) & ~zero
+    no_shift = np.zeros(count)
 
     theta = np.zeros(count)
     shift = np.zeros(count)  # the rates are exp(x theta - shift)
@@ -1005,29 +1024,35 @@ def _fit_levels(
     g, h = np.zeros(count), np.zeros(count)
     diverged, converged, singular = zero.copy(), zero.copy(), np.zeros(count, dtype=bool)
     iterations, halvings = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+    clamps = False  # whether some live member may be diverged
 
     def derivatives() -> None:
         """g and h of the live members at their rates w, as in _fit_core."""
         scale = total / sw * inv_n
-        g_all = np.add.reduceat(x * w, starts) * scale
-        h_all = np.add.reduceat(x2 * w, starts) * scale - g_all * g_all / mean_y
+        sums = np.add.reduceat(powers * w, starts, axis=1)
+        g_all = sums[0] * scale
+        h_all = sums[1] * scale - g_all * g_all / mean_y
         np.copyto(g, g_all, where=live)
         np.copyto(h, h_all, where=live)
 
     live = ~(zero | collinear)  # the members still iterating
     for _ in range(MAX_ITER):
-        if not live.any():
+        if not _any(live):
             break
         derivatives()
         step = g / h
-        done = live & diverged
-        bad = live & ~diverged & ((h == 0.0) | ~np.isfinite(h))
-        near = live & ~(diverged | bad) & (np.abs(g) <= TOL) & (np.abs(step) <= 1e-4)
-        settled[near] = step[near]
-        converged |= done | near
+        bad = live & ((h == 0.0) | ~np.isfinite(h))
+        if clamps:
+            done = live & diverged
+            bad &= ~diverged
+            converged |= done
+            live &= ~done
+        near = live & ~bad & (np.abs(g) <= TOL) & (np.abs(step) <= 1e-4)
+        np.copyto(settled, step, where=near)
+        converged |= near
         singular |= bad
-        live &= ~(done | bad | near)
-        if not live.any():
+        live &= ~(bad | near)
+        if not _any(live):
             break
         da = -g * step / mean_y
 
@@ -1038,39 +1063,50 @@ def _fit_levels(
         for trial_index in range(MAX_HALVINGS + 1):
             trial = theta - step
             clamped = trial <= floor
-            trial[clamped] = floor
-            top = trial * np.where(trial >= 0.0, x_hi, x_lo)
-            shift_t = np.where(top > cap, top, 0.0)
+            clamping = _any(clamped)
+            if clamping:
+                trial[clamped] = floor
             w_t = x * trial[seg]
-            w_t -= shift_t[seg]
+            a_t = a - da
+            if _any(np.abs(trial) * reach > cap):
+                top = trial * np.where(trial >= 0.0, x_hi, x_lo)
+                shift_t = np.where(top > cap, top, 0.0)
+                w_t -= shift_t[seg]
+                e = a_t + shift_t
+            else:
+                shift_t, e = no_shift, a_t
             np.exp(w_t, out=w_t)
             w_t *= mults
             sw_t = np.add.reduceat(w_t, starts)
             # _joint_value for every trial: +inf where exp overflows.
-            a_t = a - da
-            e = a_t + shift_t
             value = np.exp(e) * (sw_t * inv_n) - a_t * mean_y + log_fact
-            value[e > 709.0] = math.inf
+            overflow = e > 709.0
+            if _any(overflow):
+                value[overflow] = math.inf
             ok = trying & (value < current) & np.isfinite(value)
-            if ok.any():
-                theta[ok], sw[ok], shift[ok] = trial[ok], sw_t[ok], shift_t[ok]
+            if _any(ok):
+                np.copyto(theta, trial, where=ok)
+                np.copyto(sw, sw_t, where=ok)
+                np.copyto(shift, shift_t, where=ok)
                 # Profiling the intercept out lowers the objective again.
-                a[ok] = log_total[ok] - np.log(sw[ok]) - shift[ok]
-                current[ok] = mean_y[ok] * (np.log(sw[ok] * inv_n) + shift[ok]) + const[ok]
-                diverged[ok] = clamped[ok]
+                np.copyto(a, log_total - np.log(sw) - shift, where=ok)
+                np.copyto(current, mean_y * (np.log(sw * inv_n) + shift) + const, where=ok)
+                if clamping:
+                    np.copyto(diverged, clamped, where=ok)
+                    clamps = True
                 accepted |= ok
                 np.copyto(w, w_t, where=ok[seg])
             trying &= ~ok
-            if not trying.any():
+            if not _any(trying):
                 break
             if trial_index == 0:
                 # A stall (see RESOLUTION), at the point the step left.
-                scale = mean_y * (1.0 + np.abs(np.log(sw * inv_n) + shift)) + np.abs(const)
+                scale = mean_y * (1.0 + np.abs(np.log(sw * inv_n) + shift)) + abs_const
                 stall = trying & (0.5 * g * g / h <= RESOLUTION * scale)
-                settled[stall] = step[stall]
+                np.copyto(settled, step, where=stall)
                 converged |= stall
                 trying &= ~stall
-                if not trying.any():
+                if not _any(trying):
                     break
             step *= 0.5
             da *= 0.5
@@ -1078,7 +1114,7 @@ def _fit_levels(
         iterations += live
         live &= accepted
 
-    if live.any():  # MAX_ITER ended these fits after an accepted step
+    if _any(live):  # MAX_ITER ended these fits after an accepted step
         derivatives()
     theta = np.where(np.abs(settled) <= 1e-4, theta - settled, theta)
     intercept = np.where(zero, -math.inf, a - center * theta)

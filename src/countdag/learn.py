@@ -15,7 +15,8 @@ every learner of a replicate the same, reuses the fits that earlier
 learners made on that data. The two learners here test single
 coefficients with Wald conditional-independence tests: each takes z from
 :func:`~countdag.glm.wald`, so a fit's tests share one solve of its
-information, and one helper records it, rejecting iff |z| exceeds
+information (OR-PPGM's level 0 takes the same z off its batch), and one
+helper records it, rejecting iff |z| exceeds
 :meth:`LearnConfig.critical_value`, resolved once per learner call:
 
 * ``or_ppgm`` is PC-style and child-major: the tests of a child read and
@@ -26,7 +27,11 @@ information, and one helper records it, rejecting iff |z| exceeds
   H0: theta_{st|K} = 0 with K = S + {t}. The child is done after level m,
   or when no remaining parent has l others to condition on. Level 0 tests
   every t -> s with t in pre(s) given nothing, so its regressions on one
-  covariate are known in advance: they are fitted first, in one batch.
+  covariate are known in advance: they are fitted first, in one batch, and
+  the z of all its tests come off that batch in a few array operations
+  (see :func:`_single_z`), bit for bit the z wald gives. A test whose fit
+  failed, or whose variance is not finite and positive, goes through wald
+  as any other does, so its warning comes in the same place.
 * ``or_lpgm`` fits each node once on all of its precedents and keeps the
   covariates whose coefficient test rejects.
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from statistics import NormalDist
 from typing import Iterable
 
@@ -194,13 +199,14 @@ class NodeFitter:
     diverged, so each test of it has z = 0.
 
     Regressions on one covariate may be asked for in bulk
-    (:meth:`fit_singles`), which fits them in one vectorised batch; a
-    request to :meth:`fit` for one that is not stored is a batch of one.
-    OR-PPGM and PK2 each ask in bulk for every pair (s, t in pre(s))
-    before their first child, OR-PPGM for its level 0 and PK2 for its
-    first forward steps; then OR-PPGM asks child by child for levels
-    1..m, OR-LPGM once per node, and the score searches per candidate
-    parent set, so those single-covariate requests are cache hits.
+    (:meth:`fit_singles`), which fits them in one vectorised batch and
+    returns them; a request to :meth:`fit` for one that is not stored is
+    a batch of one. OR-PPGM and PK2 each ask in bulk for every pair
+    (s, t in pre(s)) before their first child, OR-PPGM for its level 0,
+    whose tests read the returned fits, and PK2 for its first forward
+    steps; then OR-PPGM asks child by child for levels 1..m, OR-LPGM once
+    per node, and the score searches per candidate parent set, so those
+    single-covariate requests are cache hits.
     :meth:`made` only looks a fit up, and PK2 reads it twice: the fit of a
     child on all of its precedents, if an earlier learner made it, as the
     floor of every candidate's nll (see :func:`countdag.scores._nll_floor`),
@@ -243,23 +249,35 @@ class NodeFitter:
             raise type(found)(*found.args)
         return found
 
-    def fit_singles(self, pairs: Iterable[tuple[int, int]], tally: FitTally) -> None:
-        """Fit s on (t,) for each (s, t) of ``pairs`` that is not stored yet,
-        all in one batch (see :func:`countdag.glm._fit_pairs`), and store
-        each fit, counted in ``tally``, or its SingularInformation, for
-        :meth:`fit` to return or raise. Each member of a batch is fitted on
-        its own, so its fit is bit for bit the same in any batch. The batch
-        pays only when it is large: callers ask for all the pairs of a
-        learner call that they will use, not child by child."""
-        missing = [
-            pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in self._store
-        ]
-        if not missing:
-            return
-        for (s, t), found in zip(missing, _fit_pairs(self._rows, missing)):
-            if isinstance(found, GlmFit):
-                tally.add(found)
-            self._store[(s, (t,))] = found
+    def fit_singles(
+        self, pairs: Iterable[tuple[int, int]], tally: FitTally
+    ) -> list[GlmFit | SingularInformation]:
+        """The fit of s on (t,) for each (s, t) of ``pairs``, in order: a
+        GlmFit, or the stored SingularInformation of a failed fit, never to
+        be raised itself (:meth:`fit` raises a copy). The pairs not stored
+        yet are fitted in one batch (see :func:`countdag.glm._fit_pairs`)
+        and stored, and the batch's fits are added to ``tally`` in one pass,
+        with the counts :meth:`FitTally.add` gives (a fit on one covariate
+        never counts a ridge rescue; a SingularInformation counts nothing).
+        Each member of a batch is fitted on its own, so its fit is bit for
+        bit the same in any batch. The batch pays only when it is large:
+        callers ask for all the pairs of a learner call that they will use,
+        not child by child."""
+        pairs = list(pairs)
+        store = self._store
+        missing = [pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in store]
+        if missing:
+            made = _fit_pairs(self._rows, missing)
+            store.update(((s, (t,)), found) for (s, t), found in zip(missing, made))
+            fits = [found for found in made if isinstance(found, GlmFit)]
+            tally.fits += len(fits)
+            tally.nonconverged += sum(not fit.converged for fit in fits)
+            tally.diverged += sum(
+                bool(fit.diverged[0]) or fit.intercept == -math.inf for fit in fits
+            )
+            tally.newton_iterations += sum(fit.iterations for fit in fits)
+            tally.halvings += sum(fit.halvings for fit in fits)
+        return [store[(s, (t,))] for s, t in pairs]
 
     def made(self, s: int, covariates: tuple[int, ...]) -> GlmFit | None:
         """The fit of s on ``covariates`` if this fitter has already made it,
@@ -315,10 +333,42 @@ def _wald_edge(
             f"({exc}); treated as non-rejection"
         )
         z = float("nan")
+    return _record(report, crit, t, s, conditioning, z)
+
+
+def _record(
+    report: LearnReport, crit: float, t: int, s: int, conditioning: tuple[int, ...], z: float
+) -> bool:
+    """Record the Wald test of t -> s given ``conditioning``, with statistic
+    z, in ``report`` and return whether it rejected: iff |z| > crit."""
     rejected = abs(z) > crit  # never for nan
     report.tests_run += 1
     report.edge_tests[(t, s)] = EdgeTest(conditioning, z, rejected)
     return rejected
+
+
+#: The stand-in of a failed fit in :func:`_single_z`: its nan information
+#: gives no usable variance.
+_NO_FIT = GlmFit((), np.full(1, math.nan), np.full((1, 1), math.nan), math.nan, False, 0,
+                 np.zeros(1, dtype=bool))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _single_z(fits: list[GlmFit | SingularInformation], n: int) -> list[float | None]:
+    """The Wald z of the covariate of each fit on one covariate, as
+    :func:`~countdag.glm.wald` gives it: sqrt(n) theta / sqrt(1 / h), h the
+    fit's information, and 0 for a diverged coefficient, all in a few array
+    operations. None where wald has to decide, as it raises there: for a
+    SingularInformation, and where 1 / h is not finite and positive."""
+    if not fits:
+        return []
+    got = [fit if isinstance(fit, GlmFit) else _NO_FIT for fit in fits]
+    theta = np.concatenate([fit.theta for fit in got])
+    variance = 1.0 / np.concatenate([fit.fisher for fit in got], axis=None)
+    diverged = np.concatenate([fit.diverged for fit in got])
+    z = np.where(diverged, 0.0, math.sqrt(n) * theta / np.sqrt(variance))
+    usable = diverged | ((variance > 0.0) & (variance < math.inf))
+    return [z_b if usable_b else None for z_b, usable_b in zip(z.tolist(), usable.tolist())]
 
 
 def or_ppgm(
@@ -337,30 +387,43 @@ def or_ppgm_detailed(
     # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
     fitter, crit = _node_fitter(data, fitter), cfg.critical_value(data.n)
-    # Level 0 tests every t -> s with t in pre(s): fit them all in one batch.
-    fitter.fit_singles(
-        ((s, t) for s in ordering.perm for t in ordering.precedents(s)), report.fits
-    )
+    # Level 0 tests every t -> s with t in pre(s), in ordering position: fit
+    # them all in one batch and take their z off it.
+    perm = ordering.perm
+    pairs = [(s, t) for i, s in enumerate(perm) for t in perm[:i]]
+    level0 = iter(_single_z(fitter.fit_singles(pairs, report.fits), fitter.n))
     edges = frozenset(
         (t, s)
-        for s in ordering.perm
-        for t in _ppgm_parents(fitter, report, crit, ordering, s, report.m)
+        for i, s in enumerate(perm)
+        for t in _ppgm_parents(
+            fitter, report, crit, ordering, s, report.m, list(islice(level0, i))
+        )
     )
     return Dag(data.p, edges, data.labels), report
 
 
 def _ppgm_parents(
-    fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int
+    fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int,
+    level0: list[float | None],
 ) -> set[int]:
     """OR-PPGM's parents of s: starting from pre(s), test levels 0..m in
-    turn until no target of s can be tested."""
-    parents = set(ordering.precedents(s))
-    for level in range(min(m + 1, len(parents))):
+    turn until no target of s can be tested. ``level0`` holds the z of each
+    level-0 test, t in ordering position, or None where the test takes its
+    z from the fit (see :func:`_single_z`)."""
+    where = "edge {t}->{s} | K={K}"
+    parents = set()
+    for t, z in zip(ordering.perm, level0):
+        if (
+            _wald_edge(fitter, report, crit, t, s, (), where) if z is None
+            else _record(report, crit, t, s, (), z)
+        ):
+            parents.add(t)
+    for level in range(1, min(m + 1, len(level0))):
         for t in sorted(parents, key=ordering.position):
             if len(parents) <= level:
                 break  # t has fewer than `level` other parents to condition on
             for subset in combinations(sorted(parents - {t}), level):
-                if not _wald_edge(fitter, report, crit, t, s, subset, "edge {t}->{s} | K={K}"):
+                if not _wald_edge(fitter, report, crit, t, s, subset, where):
                     parents.discard(t)
                     break
     return parents

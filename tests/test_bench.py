@@ -189,10 +189,19 @@ class TestSharedFitter:
     def test_each_regression_is_fitted_once_per_replicate(self, monkeypatch):
         requested, attempted, tallies, own = [], [], [], []
         real_fit, real_core, real_pairs = NodeFitter.fit, learn._fit_core, learn._fit_pairs
+        real_singles = NodeFitter.fit_singles
 
         def fit(self, s, covariates, tally):
             requested.append((s, covariates))
             return real_fit(self, s, covariates, tally)
+
+        def fit_singles(self, pairs, tally):
+            # OR-PPGM's level 0 reads its fits off what this returns, not
+            # through fit: each pair returned is a request.
+            pairs = list(pairs)
+            found = real_singles(self, pairs, tally)
+            requested.extend((s, (t,)) for s, t in pairs)
+            return found
 
         def fit_core(*args):
             attempted.append(requested[-1])  # the request that missed the store
@@ -212,6 +221,7 @@ class TestSharedFitter:
             return run_learner
 
         monkeypatch.setattr(NodeFitter, "fit", fit)
+        monkeypatch.setattr(NodeFitter, "fit_singles", fit_singles)
         monkeypatch.setattr(learn, "_fit_core", fit_core)
         monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
         monkeypatch.setattr(bench, "or_ppgm", detailed(learn.or_ppgm_detailed))

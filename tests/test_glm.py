@@ -883,6 +883,30 @@ class TestBatchedSingles:
         assert slow[2].iterations == batch[2].iterations
         assert all(_same_result(slow[b], batch[b]) for b in (0, 1, 3, 4, 5))
 
+    def test_guards_are_per_member(self, monkeypatch):
+        """The LP_CAP shift, the clamp and the overflow fix-up run only when
+        some member needs them, and each member that needs one gets it
+        although another carries a NaN step: the collinear member here,
+        which never iterates. With LP_CAP at 1 every iterating member's
+        trials cross it; the separated member clamps."""
+        monkeypatch.setattr(glm, "LP_CAP", 1.0)
+        n = 400
+        rng = np.random.default_rng(9800)
+        ordinary = [_parity_problem(rng, n, 1) for _ in range(8)]
+        problems = [
+            (ordinary[0][0], np.full(n, 2.0)),  # collinear: a NaN step throughout
+            *((y, X[:, 0]) for y, X in ordinary),
+            self._far_level(n),
+            (lambda y, X: (y, X[:, 0]))(*_separation_problem(rng, n, 1)),
+        ]
+        batch = _batch(problems)
+        assert isinstance(batch[0], SingularInformation)
+        assert batch[-1].theta[0] == -glm.THETA_CAP and batch[-1].diverged[0]
+        for b, (y, x) in enumerate(problems):
+            assert _same_result(batch[b], _batch([(y, x)], [b])[0])
+            if b:
+                _assert_ones_column(batch[b], y, x)
+
     @staticmethod
     def _profile_derivatives(theta, y, x):
         """The profile's gradient and Hessian at theta, on the rows: ybar m

@@ -88,6 +88,64 @@ class TestOrPpgm:
         # The marginal 0-2 association cannot be removed at level 0.
         assert (0, 2) in dag.edges
 
+    @staticmethod
+    def _level0_data():
+        """Ordinary and dependent counts, an all-zero and a constant column,
+        a column that is 0 on all rows but a few large ones (its fits'
+        trials reach far in the linear predictor) and one that is 0 wherever
+        column 0 is positive, so its fit on column 0 clamps at -THETA_CAP."""
+        rng = np.random.default_rng(31)
+        n = 300
+        x0 = rng.poisson(1.2, n)
+        far = np.repeat([0, 1, 6], [n - 8, 6, 2])
+        columns = [
+            x0,
+            rng.poisson(np.exp(0.4 * x0)),
+            np.zeros(n, dtype=np.int64),
+            np.full(n, 2),
+            rng.permutation(far),
+            np.where(x0 > 0, 0, rng.poisson(2.0, n)),
+        ]
+        return CountMatrix(np.column_stack(columns)), Ordering((0, 2, 1, 3, 5, 4))
+
+    @pytest.mark.parametrize("lp_cap", [None, 1.0])
+    def test_level0_matches_per_test_reference(self, lp_cap, monkeypatch):
+        """Level 0 reads its z off the batch; each test, warning and fit
+        count is the one a Wald test per pair through a fresh NodeFitter
+        gives, in the same order and bit for bit."""
+        from countdag import glm, learn
+
+        if lp_cap is not None:
+            monkeypatch.setattr(glm, "LP_CAP", lp_cap)
+        data, ordering = self._level0_data()
+        cfg = LearnConfig(alpha=0.05, m=0)
+        _, report = or_ppgm_detailed(data, ordering, cfg)
+        fitter = learn.NodeFitter(data)
+        reference = learn.LearnReport(alpha=cfg.resolve_alpha(data.n))
+        for i, s in enumerate(ordering.perm):
+            for t in ordering.perm[:i]:
+                learn._wald_edge(
+                    fitter, reference, cfg.critical_value(data.n), t, s, (),
+                    "edge {t}->{s} | K={K}",
+                )
+        assert list(report.edge_tests) == list(reference.edge_tests)
+        assert {
+            edge: (test.conditioning, test.z.hex(), test.rejected)
+            for edge, test in report.edge_tests.items()
+        } == {
+            edge: (test.conditioning, test.z.hex(), test.rejected)
+            for edge, test in reference.edge_tests.items()
+        }
+        assert report.tests_run == reference.tests_run == 15
+        assert report.warnings == reference.warnings and len(report.warnings) == 6
+        assert report.fits == reference.fits and report.fits.diverged == 2
+        # The data reach each branch: a zero response and a clamped
+        # coefficient (both diverged, z = 0), edges kept and deleted.
+        clamped = fitter.fit(5, (0,), learn.FitTally())
+        assert clamped.theta[0] == -glm.THETA_CAP and report.edge_tests[(0, 5)].z == 0.0
+        assert report.edge_tests[(0, 2)].z == 0.0
+        assert {test.rejected for test in report.edge_tests.values()} == {True, False}
+
     def test_output_consistent_with_ordering(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -345,10 +403,31 @@ class TestScheduleBeyondUnderflow:
 class TestFitTally:
     """The report's fit counters tally every GlmFit the learner obtained."""
 
-    @pytest.mark.parametrize("runner", [or_ppgm_detailed, or_lpgm_detailed])
-    def test_counts_match_returned_fits(self, runner, monkeypatch):
+    @staticmethod
+    def _sampled():
+        edges = [(0, 1), (1, 2), (0, 3)]
+        data = sample_recursive(edges, {e: 0.4 for e in edges}, 4, 300, np.random.default_rng(12))
+        return data, Ordering((0, 1, 2, 3))
+
+    @staticmethod
+    def _degenerate():
+        """An all-zero and a constant column among sampled ones: fits with a
+        -inf intercept and failed fits, whose SingularInformation counts
+        nothing."""
+        data, ordering = TestFitTally._sampled()
+        values = np.column_stack([data.values, np.zeros(300, dtype=np.int64), np.full(300, 3)])
+        return CountMatrix(values), Ordering((0, 1, 4, 5, 2, 3))
+
+    CASES = [(runner, dataset) for dataset in ("sampled", "degenerate")
+             for runner in ("or_ppgm_detailed", "or_lpgm_detailed", "pk2_detailed")]
+
+    @pytest.mark.parametrize("runner, dataset", CASES, ids=[
+        runner if dataset == "sampled" else f"{runner}-{dataset}" for runner, dataset in CASES
+    ])
+    def test_counts_match_returned_fits(self, runner, dataset, monkeypatch):
         from countdag import learn
         from countdag.glm import FitTally, GlmFit
+        from countdag.scores import ScoreConfig, pk2_detailed
 
         returned = []
         original, original_pairs = learn._fit_core, learn._fit_pairs
@@ -366,11 +445,13 @@ class TestFitTally:
 
         monkeypatch.setattr(learn, "_fit_core", recording)
         monkeypatch.setattr(learn, "_fit_pairs", recording_pairs)
-        rng = np.random.default_rng(12)
-        edges = [(0, 1), (1, 2), (0, 3)]
-        weights = {e: 0.4 for e in edges}
-        data = sample_recursive(edges, weights, 4, 300, rng)
-        _, report = runner(data, Ordering((0, 1, 2, 3)), LearnConfig(alpha=0.05, m=2))
+        data, ordering = self._sampled() if dataset == "sampled" else self._degenerate()
+        if runner == "pk2_detailed":
+            # Its first forward steps read the same batch as OR-PPGM's level 0.
+            _, report = pk2_detailed(data, ordering, ScoreConfig("bic"))
+        else:
+            detailed = or_ppgm_detailed if runner == "or_ppgm_detailed" else or_lpgm_detailed
+            _, report = detailed(data, ordering, LearnConfig(alpha=0.05, m=2))
         expected = FitTally()
         for fit in returned:
             expected.add(fit)
