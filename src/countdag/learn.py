@@ -15,8 +15,7 @@ every learner of a replicate the same, reuses the fits that earlier
 learners made on that data. The two learners here test single
 coefficients with Wald conditional-independence tests: each takes z from
 :func:`~countdag.glm.wald`, so a fit's tests share one solve of its
-information (OR-PPGM's level 0 takes the same z off its batch), and one
-helper records it, rejecting iff |z| exceeds
+information, and one helper records it, rejecting iff |z| exceeds
 :meth:`LearnConfig.critical_value`, resolved once per learner call:
 
 * ``or_ppgm`` is PC-style and child-major: the tests of a child read and
@@ -28,10 +27,7 @@ helper records it, rejecting iff |z| exceeds
   or when no remaining parent has l others to condition on. Level 0 tests
   every t -> s with t in pre(s) given nothing, so its regressions on one
   covariate are known in advance: they are fitted first, in one batch, and
-  the z of all its tests come off that batch in a few array operations
-  (see :func:`_single_z`), bit for bit the z wald gives. A test whose fit
-  failed, or whose variance is not finite and positive, goes through wald
-  as any other does, so its warning comes in the same place.
+  each level-0 test reads its fit off what the batch returns.
 * ``or_lpgm`` fits each node once on all of its precedents and keeps the
   covariates whose coefficient test rejects.
 
@@ -256,27 +252,18 @@ class NodeFitter:
         GlmFit, or the stored SingularInformation of a failed fit, never to
         be raised itself (:meth:`fit` raises a copy). The pairs not stored
         yet are fitted in one batch (see :func:`countdag.glm._fit_pairs`)
-        and stored, and the batch's fits are added to ``tally`` in one pass,
-        with the counts :meth:`FitTally.add` gives (a fit on one covariate
-        never counts a ridge rescue; a SingularInformation counts nothing).
-        Each member of a batch is fitted on its own, so its fit is bit for
-        bit the same in any batch. The batch pays only when it is large:
-        callers ask for all the pairs of a learner call that they will use,
-        not child by child."""
+        and stored, each fit counted in ``tally``. Each member of a batch is
+        fitted on its own, so its fit is bit for bit the same in any batch.
+        The batch pays only when it is large: callers ask for all the pairs
+        of a learner call that they will use, not child by child."""
         pairs = list(pairs)
         store = self._store
         missing = [pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in store]
         if missing:
-            made = _fit_pairs(self._rows, missing)
-            store.update(((s, (t,)), found) for (s, t), found in zip(missing, made))
-            fits = [found for found in made if isinstance(found, GlmFit)]
-            tally.fits += len(fits)
-            tally.nonconverged += sum(not fit.converged for fit in fits)
-            tally.diverged += sum(
-                bool(fit.diverged[0]) or fit.intercept == -math.inf for fit in fits
-            )
-            tally.newton_iterations += sum(fit.iterations for fit in fits)
-            tally.halvings += sum(fit.halvings for fit in fits)
+            for (s, t), found in zip(missing, _fit_pairs(self._rows, missing)):
+                if isinstance(found, GlmFit):
+                    tally.add(found)
+                store[(s, (t,))] = found
         return [store[(s, (t,))] for s, t in pairs]
 
     def made(self, s: int, covariates: tuple[int, ...]) -> GlmFit | None:
@@ -319,56 +306,31 @@ def _node_fitter(data: CountMatrix, fitter: NodeFitter | None) -> NodeFitter:
 def _wald_edge(
     fitter: NodeFitter, report: LearnReport, crit: float, t: int, s: int,
     conditioning: tuple[int, ...], where: str,
+    found: GlmFit | SingularInformation | None = None,
 ) -> bool:
     """Wald-test t -> s in the fit of s on K = conditioning + {t}: it rejects
-    iff |z| > crit. Record the test in ``report`` and return whether it
-    rejected. A singular information is a non-rejection with z nan, warned
-    about at ``where`` (formatted with t, s and K)."""
+    iff |z| > crit. The fit is ``found``, as :meth:`NodeFitter.fit_singles`
+    returns it, if the caller holds it, else the fitter's. Record the test
+    in ``report`` and return whether it rejected. A singular information is
+    a non-rejection with z nan, warned about at ``where`` (formatted with t,
+    s and K)."""
     key = tuple(sorted(conditioning + (t,)))
     try:
-        z = wald(fitter.fit(s, key, report.fits), t, fitter.n)
+        if found is None:
+            found = fitter.fit(s, key, report.fits)
+        elif isinstance(found, SingularInformation):
+            raise type(found)(*found.args)  # a copy: the stored one stays clean
+        z = wald(found, t, fitter.n)
     except SingularInformation as exc:
         report.warn(
             f"{where.format(t=t, s=s, K=key)}: singular information "
             f"({exc}); treated as non-rejection"
         )
         z = float("nan")
-    return _record(report, crit, t, s, conditioning, z)
-
-
-def _record(
-    report: LearnReport, crit: float, t: int, s: int, conditioning: tuple[int, ...], z: float
-) -> bool:
-    """Record the Wald test of t -> s given ``conditioning``, with statistic
-    z, in ``report`` and return whether it rejected: iff |z| > crit."""
     rejected = abs(z) > crit  # never for nan
     report.tests_run += 1
     report.edge_tests[(t, s)] = EdgeTest(conditioning, z, rejected)
     return rejected
-
-
-#: The stand-in of a failed fit in :func:`_single_z`: its nan information
-#: gives no usable variance.
-_NO_FIT = GlmFit((), np.full(1, math.nan), np.full((1, 1), math.nan), math.nan, False, 0,
-                 np.zeros(1, dtype=bool))
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _single_z(fits: list[GlmFit | SingularInformation], n: int) -> list[float | None]:
-    """The Wald z of the covariate of each fit on one covariate, as
-    :func:`~countdag.glm.wald` gives it: sqrt(n) theta / sqrt(1 / h), h the
-    fit's information, and 0 for a diverged coefficient, all in a few array
-    operations. None where wald has to decide, as it raises there: for a
-    SingularInformation, and where 1 / h is not finite and positive."""
-    if not fits:
-        return []
-    got = [fit if isinstance(fit, GlmFit) else _NO_FIT for fit in fits]
-    theta = np.concatenate([fit.theta for fit in got])
-    variance = 1.0 / np.concatenate([fit.fisher for fit in got], axis=None)
-    diverged = np.concatenate([fit.diverged for fit in got])
-    z = np.where(diverged, 0.0, math.sqrt(n) * theta / np.sqrt(variance))
-    usable = diverged | ((variance > 0.0) & (variance < math.inf))
-    return [z_b if usable_b else None for z_b, usable_b in zip(z.tolist(), usable.tolist())]
 
 
 def or_ppgm(
@@ -388,10 +350,10 @@ def or_ppgm_detailed(
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
     fitter, crit = _node_fitter(data, fitter), cfg.critical_value(data.n)
     # Level 0 tests every t -> s with t in pre(s), in ordering position: fit
-    # them all in one batch and take their z off it.
+    # them all in one batch, and hand each child its fits.
     perm = ordering.perm
     pairs = [(s, t) for i, s in enumerate(perm) for t in perm[:i]]
-    level0 = iter(_single_z(fitter.fit_singles(pairs, report.fits), fitter.n))
+    level0 = iter(fitter.fit_singles(pairs, report.fits))
     edges = frozenset(
         (t, s)
         for i, s in enumerate(perm)
@@ -404,19 +366,15 @@ def or_ppgm_detailed(
 
 def _ppgm_parents(
     fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int,
-    level0: list[float | None],
+    level0: list[GlmFit | SingularInformation],
 ) -> set[int]:
     """OR-PPGM's parents of s: starting from pre(s), test levels 0..m in
-    turn until no target of s can be tested. ``level0`` holds the z of each
-    level-0 test, t in ordering position, or None where the test takes its
-    z from the fit (see :func:`_single_z`)."""
+    turn until no target of s can be tested. ``level0`` holds the fit of s
+    on each t of pre(s), in ordering position, for the level-0 tests."""
     where = "edge {t}->{s} | K={K}"
     parents = set()
-    for t, z in zip(ordering.perm, level0):
-        if (
-            _wald_edge(fitter, report, crit, t, s, (), where) if z is None
-            else _record(report, crit, t, s, (), z)
-        ):
+    for t, found in zip(ordering.perm, level0):
+        if _wald_edge(fitter, report, crit, t, s, (), where, found):
             parents.add(t)
     for level in range(1, min(m + 1, len(level0))):
         for t in sorted(parents, key=ordering.position):

@@ -189,19 +189,18 @@ class TestSharedFitter:
     def test_each_regression_is_fitted_once_per_replicate(self, monkeypatch):
         requested, attempted, tallies, own = [], [], [], []
         real_fit, real_core, real_pairs = NodeFitter.fit, learn._fit_core, learn._fit_pairs
-        real_singles = NodeFitter.fit_singles
+        real_wald_edge = learn._wald_edge
 
         def fit(self, s, covariates, tally):
             requested.append((s, covariates))
             return real_fit(self, s, covariates, tally)
 
-        def fit_singles(self, pairs, tally):
-            # OR-PPGM's level 0 reads its fits off what this returns, not
-            # through fit: each pair returned is a request.
-            pairs = list(pairs)
-            found = real_singles(self, pairs, tally)
-            requested.extend((s, (t,)) for s, t in pairs)
-            return found
+        def wald_edge(fitter, report, crit, t, s, conditioning, where, found=None):
+            if found is not None:
+                # OR-PPGM's level 0 tests the fit fit_singles returned to
+                # it, not one from fit: a request all the same.
+                requested.append((s, (t,)))
+            return real_wald_edge(fitter, report, crit, t, s, conditioning, where, found)
 
         def fit_core(*args):
             attempted.append(requested[-1])  # the request that missed the store
@@ -221,7 +220,7 @@ class TestSharedFitter:
             return run_learner
 
         monkeypatch.setattr(NodeFitter, "fit", fit)
-        monkeypatch.setattr(NodeFitter, "fit_singles", fit_singles)
+        monkeypatch.setattr(learn, "_wald_edge", wald_edge)
         monkeypatch.setattr(learn, "_fit_core", fit_core)
         monkeypatch.setattr(learn, "_fit_pairs", fit_pairs)
         monkeypatch.setattr(bench, "or_ppgm", detailed(learn.or_ppgm_detailed))

@@ -110,7 +110,7 @@ class TestOrPpgm:
 
     @pytest.mark.parametrize("lp_cap", [None, 1.0])
     def test_level0_matches_per_test_reference(self, lp_cap, monkeypatch):
-        """Level 0 reads its z off the batch; each test, warning and fit
+        """Level 0 reads its fits off the batch; each test, warning and fit
         count is the one a Wald test per pair through a fresh NodeFitter
         gives, in the same order and bit for bit."""
         from countdag import glm, learn
