@@ -118,7 +118,8 @@ from .data import CountMatrix, InvalidData
 _sum = np.add.reduce
 _max = np.maximum.reduce
 # Whether a boolean mask holds any True, as a count: a third of the cost of
-# ndarray.any's wrapper, which _fit_levels would pay several times a pass.
+# ndarray.any's wrapper, which _fit_levels would pay several times a pass
+# and FitTally.add once a fit.
 _any = np.count_nonzero
 _min = np.minimum.reduce
 
@@ -209,7 +210,7 @@ class FitTally:
     def add(self, fit: GlmFit) -> None:
         self.fits += 1
         self.nonconverged += not fit.converged
-        self.diverged += bool(fit.diverged.any()) or fit.intercept == -math.inf
+        self.diverged += _any(fit.diverged) > 0 or fit.intercept == -math.inf
         self.newton_iterations += fit.iterations
         self.halvings += fit.halvings
         self.ridge_rescues += fit.ridge_rescues
