@@ -78,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=None,
                           help="RNG seed (default: random, printed)")
-    simulate.add_argument("--er-gamma", type=float, default=0.2)
-    simulate.add_argument("--hub-count", type=int, default=2)
-    simulate.add_argument("--sf-power", type=float, default=0.01)
-    simulate.add_argument("--sf-zero-appeal", type=float, default=None)
-    simulate.add_argument("--root-log-rate", type=float, default=0.0)
+    # Left unset, each of these keeps SimConfig's default.
+    simulate.add_argument("--er-gamma", type=float)
+    simulate.add_argument("--hub-count", type=int)
+    simulate.add_argument("--sf-power", type=float)
+    simulate.add_argument("--sf-zero-appeal", type=float)
+    simulate.add_argument("--root-log-rate", type=float)
     simulate.add_argument("--out-prefix", required=True,
                           help="writes PREFIX.counts.csv, PREFIX.truth.edges, "
                                "PREFIX.weights.csv, PREFIX.ordering.txt")
@@ -188,18 +189,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
+    options = {
+        k: v
+        for k in ("er_gamma", "hub_count", "sf_power", "sf_zero_appeal", "root_log_rate")
+        if (v := getattr(args, k)) is not None
+    }
     try:
-        cfg = SimConfig(
-            graph_kind=args.kind,
-            p=args.p,
-            n=args.n,
-            seed=seed,
-            er_gamma=args.er_gamma,
-            hub_count=args.hub_count,
-            sf_power=args.sf_power,
-            sf_zero_appeal=args.sf_zero_appeal,
-            root_log_rate=args.root_log_rate,
-        )
+        cfg = SimConfig(graph_kind=args.kind, p=args.p, n=args.n, seed=seed, **options)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     print(f"seed: {seed}")

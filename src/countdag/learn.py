@@ -23,11 +23,12 @@ information, and one helper records it, rejecting iff |z| exceeds
   levels l = 0..m alone. At level l every remaining parent t, in ordering
   position, is tested given each l-subset S of the other remaining parents
   of s, and t -> s is deleted on the first non-rejected test of
-  H0: theta_{st|K} = 0 with K = S + {t}. The child is done after level m,
-  or when no remaining parent has l others to condition on. Level 0 tests
-  every t -> s with t in pre(s) given nothing, so its regressions on one
-  covariate are known in advance: they are fitted first, in one batch, and
-  each level-0 test reads its fit off what the batch returns.
+  H0: theta_{st|K} = 0 with K = S + {t}. The parents start as pre(s), and
+  the child is done after level m, or when no remaining parent has l others
+  to condition on. Level 0 tests every t -> s with t in pre(s) given
+  nothing, so its regressions on one covariate are known in advance: they
+  are fitted first, in one batch, and each test reads its fit from the
+  fitter like the tests of every other level.
 * ``or_lpgm`` fits each node once on all of its precedents and keeps the
   covariates whose coefficient test rejects.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable
 
@@ -196,13 +197,13 @@ class NodeFitter:
 
     Regressions on one covariate may be asked for in bulk
     (:meth:`fit_singles`), which fits them in one vectorised batch and
-    returns them; a request to :meth:`fit` for one that is not stored is
+    stores them; a request to :meth:`fit` for one that is not stored is
     a batch of one. OR-PPGM and PK2 each ask in bulk for every pair
-    (s, t in pre(s)) before their first child, OR-PPGM for its level 0,
-    whose tests read the returned fits, and PK2 for its first forward
-    steps; then OR-PPGM asks child by child for levels 1..m, OR-LPGM once
-    per node, and the score searches per candidate parent set, so those
-    single-covariate requests are cache hits.
+    (s, t in pre(s)) before their first child, OR-PPGM for its level 0
+    and PK2 for its first forward steps; then OR-PPGM asks child by child
+    for levels 0..m, OR-LPGM once per node, and the score searches per
+    candidate parent set, so those single-covariate requests are cache
+    hits.
     :meth:`made` only looks a fit up, and PK2 reads it twice: the fit of a
     child on all of its precedents, if an earlier learner made it, as the
     floor of every candidate's nll (see :func:`countdag.scores._nll_floor`),
@@ -245,18 +246,15 @@ class NodeFitter:
             raise type(found)(*found.args)
         return found
 
-    def fit_singles(
-        self, pairs: Iterable[tuple[int, int]], tally: FitTally
-    ) -> list[GlmFit | SingularInformation]:
-        """The fit of s on (t,) for each (s, t) of ``pairs``, in order: a
-        GlmFit, or the stored SingularInformation of a failed fit, never to
-        be raised itself (:meth:`fit` raises a copy). The pairs not stored
-        yet are fitted in one batch (see :func:`countdag.glm._fit_pairs`)
-        and stored, each fit counted in ``tally``. Each member of a batch is
-        fitted on its own, so its fit is bit for bit the same in any batch.
-        The batch pays only when it is large: callers ask for all the pairs
-        of a learner call that they will use, not child by child."""
-        pairs = list(pairs)
+    def fit_singles(self, pairs: Iterable[tuple[int, int]], tally: FitTally) -> None:
+        """Store the fit of s on (t,) for each (s, t) of ``pairs`` that is
+        not stored yet, for :meth:`fit` to return: a GlmFit, counted in
+        ``tally``, or the SingularInformation of a failed fit, for
+        :meth:`fit` to raise. They are fitted in one batch (see
+        :func:`countdag.glm._fit_pairs`). Each member of a batch is fitted
+        on its own, so its fit is bit for bit the same in any batch. The
+        batch pays only when it is large: callers ask for all the pairs of a
+        learner call that they will use, not child by child."""
         store = self._store
         missing = [pair for pair in dict.fromkeys(pairs) if (pair[0], (pair[1],)) not in store]
         if missing:
@@ -264,7 +262,6 @@ class NodeFitter:
                 if isinstance(found, GlmFit):
                     tally.add(found)
                 store[(s, (t,))] = found
-        return [store[(s, (t,))] for s, t in pairs]
 
     def made(self, s: int, covariates: tuple[int, ...]) -> GlmFit | None:
         """The fit of s on ``covariates`` if this fitter has already made it,
@@ -306,21 +303,14 @@ def _node_fitter(data: CountMatrix, fitter: NodeFitter | None) -> NodeFitter:
 def _wald_edge(
     fitter: NodeFitter, report: LearnReport, crit: float, t: int, s: int,
     conditioning: tuple[int, ...], where: str,
-    found: GlmFit | SingularInformation | None = None,
 ) -> bool:
-    """Wald-test t -> s in the fit of s on K = conditioning + {t}: it rejects
-    iff |z| > crit. The fit is ``found``, as :meth:`NodeFitter.fit_singles`
-    returns it, if the caller holds it, else the fitter's. Record the test
-    in ``report`` and return whether it rejected. A singular information is
-    a non-rejection with z nan, warned about at ``where`` (formatted with t,
-    s and K)."""
+    """Wald-test t -> s in the fitter's fit of s on K = conditioning + {t}:
+    it rejects iff |z| > crit. Record the test in ``report`` and return
+    whether it rejected. A singular information is a non-rejection with z
+    nan, warned about at ``where`` (formatted with t, s and K)."""
     key = tuple(sorted(conditioning + (t,)))
     try:
-        if found is None:
-            found = fitter.fit(s, key, report.fits)
-        elif isinstance(found, SingularInformation):
-            raise type(found)(*found.args)  # a copy: the stored one stays clean
-        z = wald(found, t, fitter.n)
+        z = wald(fitter.fit(s, key, report.fits), t, fitter.n)
     except SingularInformation as exc:
         report.warn(
             f"{where.format(t=t, s=s, K=key)}: singular information "
@@ -349,38 +339,30 @@ def or_ppgm_detailed(
     # The largest conditioning set: cfg.m, at most p - 2 (a child's other parents).
     report.m = max(data.p - 2 if cfg.m is None else min(cfg.m, data.p - 2), 0)
     fitter, crit = _node_fitter(data, fitter), cfg.critical_value(data.n)
-    # Level 0 tests every t -> s with t in pre(s), in ordering position: fit
-    # them all in one batch, and hand each child its fits.
+    # Level 0 tests every t -> s with t in pre(s): fit them all in one batch.
     perm = ordering.perm
-    pairs = [(s, t) for i, s in enumerate(perm) for t in perm[:i]]
-    level0 = iter(fitter.fit_singles(pairs, report.fits))
+    fitter.fit_singles(((s, t) for i, s in enumerate(perm) for t in perm[:i]), report.fits)
     edges = frozenset(
-        (t, s)
-        for i, s in enumerate(perm)
-        for t in _ppgm_parents(
-            fitter, report, crit, ordering, s, report.m, list(islice(level0, i))
-        )
+        (t, s) for s in perm for t in _ppgm_parents(fitter, report, crit, ordering, s, report.m)
     )
     return Dag(data.p, edges, data.labels), report
 
 
 def _ppgm_parents(
-    fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int,
-    level0: list[GlmFit | SingularInformation],
+    fitter: NodeFitter, report: LearnReport, crit: float, ordering: Ordering, s: int, m: int
 ) -> set[int]:
     """OR-PPGM's parents of s: starting from pre(s), test levels 0..m in
-    turn until no target of s can be tested. ``level0`` holds the fit of s
-    on each t of pre(s), in ordering position, for the level-0 tests."""
+    turn until no target of s can be tested."""
     where = "edge {t}->{s} | K={K}"
-    parents = set()
-    for t, found in zip(ordering.perm, level0):
-        if _wald_edge(fitter, report, crit, t, s, (), where, found):
-            parents.add(t)
-    for level in range(1, min(m + 1, len(level0))):
+    parents = set(ordering.precedents(s))
+    for level in range(m + 1):
+        if len(parents) <= level:
+            break  # no parent has `level` others to condition on
         for t in sorted(parents, key=ordering.position):
             if len(parents) <= level:
                 break  # t has fewer than `level` other parents to condition on
-            for subset in combinations(sorted(parents - {t}), level):
+            # Level 0 conditions on nothing, so it sorts no other parents.
+            for subset in combinations(sorted(parents - {t}) if level else (), level):
                 if not _wald_edge(fitter, report, crit, t, s, subset, where):
                     parents.discard(t)
                     break

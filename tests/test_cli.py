@@ -6,6 +6,8 @@ import pytest
 
 from countdag.cli import EXIT_ALGORITHM, EXIT_BAD_INPUT, EXIT_OK, main
 from countdag.data import counts_to_csv
+from countdag.graphs import edges_to_text
+from countdag.simulate import SimConfig, simulate
 
 from .test_learners import _strong_pair
 
@@ -335,6 +337,21 @@ class TestSimulate:
         assert (tmp_path / "s.counts.csv").read_bytes() == (
             tmp_path / "again.counts.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["scale_free", "hub", "erdos_renyi"])
+    def test_unset_generator_options_keep_simconfig_defaults(self, tmp_path, kind):
+        rc = main(["simulate", "--kind", kind, "--p", "6", "--n", "50", "--seed", "3",
+                   "--out-prefix", str(tmp_path / "s")])
+        assert rc == EXIT_OK
+        wdag, _, data = simulate(SimConfig(kind, 6, 50, 3))
+        labels = wdag.dag.labels
+        assert (tmp_path / "s.counts.csv").read_text() == counts_to_csv(data)
+        assert (tmp_path / "s.truth.edges").read_text() == edges_to_text(wdag.dag)
+        header, *rows = (tmp_path / "s.weights.csv").read_text().splitlines()
+        assert header == "t,s,theta" and rows
+        assert {tuple(row.split(",")[:2]): float(row.split(",")[2]) for row in rows} == {
+            (labels[t], labels[s]): w for (t, s), w in wdag.weights.items()
+        }
 
     def test_simulated_files_learn_back(self, tmp_path):
         rc = main(
